@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import product
 
 from .critical import enumerate_strata, systems_for_strata
 from .eliminate import (
@@ -23,11 +24,12 @@ from .polycore import (
     coprime_basis,
     isolate_basis_roots,
     primitive_signed,
+    q_text,
     sign_int_at,
     ugcd_int,
     usquarefree_int,
 )
-from .semialg import And, Atom, Or, atoms_of, eval_formula
+from .semialg import Atom, atom_polys, atoms_of, eval_formula, eval_signs, map_atoms
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,9 @@ class ParameterCell:
 
     def to_json_dict(self):
         return {
-            "left": _q_text(self.left),
-            "right": _q_text(self.right),
-            "sample": _q_text(self.sample),
+            "left": q_text(self.left),
+            "right": q_text(self.right),
+            "sample": q_text(self.sample),
         }
 
 
@@ -62,9 +64,9 @@ class FiberReport:
     resolution: object = None  # positive Q in grid mode
 
     def to_json_dict(self):
-        out = {"sample": _q_text(self.sample), "b0": self.b0, "method": self.method}
+        out = {"sample": q_text(self.sample), "b0": self.b0, "method": self.method}
         if self.resolution is not None:
-            out["resolution"] = _q_text(self.resolution)
+            out["resolution"] = q_text(self.resolution)
         return out
 
 
@@ -81,7 +83,7 @@ class AtlasReport:
             "cells": [c.to_json_dict() for c in self.cells],
             "fibers": [f.to_json_dict() for f in self.fibers],
             "distinct_signatures": self.distinct_signatures,
-            "delta_used": _q_text(self.delta_used),
+            "delta_used": q_text(self.delta_used),
             "stabilization": self.stabilization,
         }
 
@@ -103,13 +105,6 @@ class AtlasReport:
             f"  delta: {self.delta_used}  stabilized: {self.stabilization}"
         )
         return "\n".join(lines)
-
-
-def _q_text(q):
-    if q is None:
-        return None
-    q = Q(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def components_complement(G: DiscriminantSet):
@@ -146,49 +141,26 @@ def interior_points(cell: ParameterCell, count: int):
 
 # -- fiber component counting ------------------------------------------
 
-def _substitute_formula(formula, y, m):
-    """Plug the parameter value into every atom polynomial."""
-    assignment = {m: Q(y)}
-
-    def sub(f):
-        if isinstance(f, Atom):
-            return Atom(f.poly.substitute(assignment), f.rel)
-        if isinstance(f, And):
-            return And(tuple(sub(c) for c in f.children))
-        if isinstance(f, Or):
-            return Or(tuple(sub(c) for c in f.children))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return sub(formula)
+def _int_coeffs_of(polys):
+    """Sign-faithful integer coefficients of each univariate atom
+    polynomial; None for a constant."""
+    return {
+        p: None if p.is_constant()
+        else primitive_signed([c.constant_value() for c in p.coeffs_in(0)])
+        for p in polys
+    }
 
 
-def _atom_truth(rel, s) -> bool:
-    if rel == "<":
-        return s < 0
-    if rel == ">":
-        return s > 0
-    if rel == "=":
-        return s == 0
-    if rel == "<=":
-        return s <= 0
-    return s >= 0
-
-
-def _eval_with_signs(formula, signs) -> bool:
-    if isinstance(formula, Atom):
-        return _atom_truth(formula.rel, signs[formula.poly])
-    if isinstance(formula, And):
-        return all(_eval_with_signs(c, signs) for c in formula.children)
-    if isinstance(formula, Or):
-        return any(_eval_with_signs(c, signs) for c in formula.children)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _horner(coeffs, x):
-    acc = Q(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _signs_at_x(int_of, x):
+    """Sign of every atom polynomial at the rational x."""
+    signs = {}
+    for p, coeffs in int_of.items():
+        if coeffs is None:
+            v = p.constant_value()
+            signs[p] = (v > 0) - (v < 0)
+        else:
+            signs[p] = sign_int_at(coeffs, x)
+    return signs
 
 
 def fiber_b0(formula, y, m: int, mode: str = "exact",
@@ -205,27 +177,12 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
         return _fiber_b0_grid(formula, y, m, Q(resolution), box_radius)
     if m != 1:
         raise ValueError("exact fiber counting requires m = 1")
-    restricted = _substitute_formula(formula, y, m)
-    polys = []
-    for atom in atoms_of(restricted):
-        if atom.poly not in polys:
-            polys.append(atom.poly)
-    if not polys:
-        truth = _eval_with_signs(restricted, {})
-        return FiberReport(y, 1 if truth else 0, "exact-univariate")
-    # sign-faithful integer coefficients per substituted atom polynomial
-    int_of = {}
-    sf_of = {}
-    for p in polys:
-        if p.is_constant():
-            int_of[p] = None
-        else:
-            coeffs = [c.constant_value() for c in p.coeffs_in(0)]
-            int_of[p] = primitive_signed(coeffs)
-            sf_of[p] = usquarefree_int(int_of[p])
-    basis = coprime_basis(
-        [int_of[p] for p in polys if int_of[p] is not None]
-    )
+    restricted = map_atoms(
+        formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
+    int_of = _int_coeffs_of(atom_polys(restricted))
+    polys = [p for p, coeffs in int_of.items() if coeffs is not None]
+    sf_of = {p: usquarefree_int(int_of[p]) for p in polys}
+    basis = coprime_basis([int_of[p] for p in polys])
     breakpoints = isolate_basis_roots(basis)
     # which polynomials vanish at which breakpoint: every root of an atom
     # polynomial is a breakpoint, so a gcd with the basis member plus a
@@ -235,13 +192,9 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     for lo, hi, bp in breakpoints:
         at_root = set()
         for p in polys:
-            if int_of[p] is None:
-                continue
-            key = (bp, id(p))
-            h = gcd_cache.get(key)
+            h = gcd_cache.get((bp, p))
             if h is None:
-                h = ugcd_int(list(bp), sf_of[p])
-                gcd_cache[key] = h
+                h = gcd_cache[bp, p] = ugcd_int(list(bp), sf_of[p])
             if len(h) <= 1:
                 continue
             if lo == hi:
@@ -264,24 +217,14 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
             samples.append((b + c) / 2)
         samples.append(breakpoints[-1][1] + 1)
     for k, x in enumerate(samples):
-        signs = {}
-        for p in polys:
-            if int_of[p] is None:
-                val = p.constant_value()
-                signs[p] = 0 if val == 0 else (1 if val > 0 else -1)
-            else:
-                signs[p] = sign_int_at(int_of[p], x)
-        truths.append(_eval_with_signs(restricted, signs))
+        signs = _signs_at_x(int_of, x)
+        truths.append(eval_signs(restricted, signs.__getitem__))
         if k < len(breakpoints):
             # at the root: a polynomial not vanishing there keeps the sign
             # it has on the adjacent open piece (its roots are breakpoints)
-            root_signs = {}
-            for p in polys:
-                if int_of[p] is not None and p in vanishing[k]:
-                    root_signs[p] = 0
-                else:
-                    root_signs[p] = signs[p]
-            truths.append(_eval_with_signs(restricted, root_signs))
+            truths.append(eval_signs(
+                restricted,
+                lambda p: 0 if p in vanishing[k] else signs[p]))
     b0 = 0
     prev = False
     for t in truths:
@@ -294,53 +237,31 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
 def _fiber_b0_grid(formula, y, m, resolution, box_radius):
     """Grid oracle: regular samples at the given resolution, components
     by axis adjacency (union-find for m >= 2, run counting for m = 1)."""
-    restricted = _substitute_formula(formula, y, m)
+    restricted = map_atoms(
+        formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
     step = Q(resolution)
     n_steps = int(2 * box_radius / step)
     if m == 1:
-        polys = []
-        for atom in atoms_of(restricted):
-            if atom.poly not in polys:
-                polys.append(atom.poly)
-        coeff_of = {}
-        for p in polys:
-            if p.is_constant():
-                coeff_of[p] = None
-            else:
-                coeffs = [c.constant_value() for c in p.coeffs_in(0)]
-                coeff_of[p] = primitive_signed(coeffs)
+        int_of = _int_coeffs_of(atom_polys(restricted))
         b0 = 0
         prev = False
         for k in range(n_steps + 1):
             x = -box_radius + k * step
-            signs = {}
-            for p in polys:
-                if coeff_of[p] is None:
-                    v = p.constant_value()
-                    signs[p] = 0 if v == 0 else (1 if v > 0 else -1)
-                else:
-                    signs[p] = sign_int_at(coeff_of[p], x)
-            t = _eval_with_signs(restricted, signs)
+            t = eval_signs(restricted, _signs_at_x(int_of, x).__getitem__)
             if t and not prev:
                 b0 += 1
             prev = t
         return FiberReport(y, b0, "grid-oracle", step)
     # m >= 2: union-find over the grid
-    ring = None
-    for atom in atoms_of(restricted):
-        ring = atom.poly.ring
-        break
-    if ring is None:
-        truth = _eval_with_signs(restricted, {})
+    atom = next(atoms_of(restricted), None)
+    if atom is None:
+        truth = eval_signs(restricted, {}.__getitem__)
         return FiberReport(y, 1 if truth else 0, "grid-oracle", step)
-    pad = (Q(0),) * (ring.nvars - m)
-    axes = [
-        [-box_radius + k * step for k in range(n_steps + 1)]
-        for _ in range(m)
-    ]
+    pad = (Q(0),) * (atom.poly.ring.nvars - m)
+    coords = [-box_radius + k * step for k in range(n_steps + 1)]
     true_cells = {}
-    for idx in _grid_indices([len(a) for a in axes]):
-        pt = tuple(axes[i][idx[i]] for i in range(m))
+    for idx in product(range(len(coords)), repeat=m):
+        pt = tuple(coords[i] for i in idx)
         if eval_formula(restricted, pt + pad):
             true_cells[idx] = idx
     parent = {c: c for c in true_cells}
@@ -362,38 +283,23 @@ def _fiber_b0_grid(formula, y, m, resolution, box_radius):
     return FiberReport(y, b0, "grid-oracle", step)
 
 
-def _grid_indices(shape):
-    from itertools import product
-
-    return product(*(range(k) for k in shape))
-
-
 # -- the end-to-end pipeline -------------------------------------------
 
 def _single_run(base, sigma_set, m, n, delta, fiber_mode, grid_res):
     ring = base[0].ring
     ladder = build_ladder(len(base), delta)
     closed = construct_S_prime(sigma_set, base, ladder)
-    members = []
-    try:
-        for atom in atoms_of(closed.formula):
-            if atom.poly not in members:
-                members.append(atom.poly)
-    except TypeError:
-        members = []
+    members = atom_polys(closed.formula)
     strata = enumerate_strata(members, base, m + n) if members else []
     systems = systems_for_strata(strata, m) if strata else []
     G = assemble_G(systems, ring, m, n)
     cells = components_complement(G)
-    fibers = []
-    for cell in cells:
-        if fiber_mode == "grid" or m != 1:
-            fibers.append(
-                fiber_b0(closed.formula, cell.sample, m, "grid", grid_res)
-            )
-        else:
-            fibers.append(fiber_b0(closed.formula, cell.sample, m))
-    return closed, G, tuple(cells), tuple(fibers)
+    mode = "grid" if m != 1 else fiber_mode
+    fibers = [
+        fiber_b0(closed.formula, cell.sample, m, mode, grid_res)
+        for cell in cells
+    ]
+    return tuple(cells), tuple(fibers)
 
 
 def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
@@ -411,10 +317,10 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     last = None
     for _ in range(max(refine_rounds, 1)):
         try:
-            _, _, cells, fibers = _single_run(
+            cells, fibers = _single_run(
                 base, sigma_set, m, n, delta, fiber_mode, grid_res
             )
-            _, _, cells2, fibers2 = _single_run(
+            cells2, fibers2 = _single_run(
                 base, sigma_set, m, n, delta ** 2, fiber_mode, grid_res
             )
         except DegenerateEliminationError:

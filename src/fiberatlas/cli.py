@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .atlas import run_atlas
-from .bounds import BOUNDS, COUNT_SCHEMES, count_family, evaluate_bound, metric_radius
+from .bounds import BOUNDS, count_family, evaluate_bound, metric_radius
 from .eliminate import DegenerateEliminationError, UnsupportedModeError
 from .polycore import ParseError, Polynomial, Ring, parse_polynomial
-from .semialg import And, Atom, Or, SignCondition, formula_to_text, parse_formula
+from .semialg import And, Atom, SignCondition, eval_signs, formula_to_text, parse_formula
 from .slp import lift, parse_slp, verify_lift
 
 
@@ -111,49 +111,27 @@ def parse_problem_file(text: str) -> ProblemFile:
     return ProblemFile(m, n, tuple(polys), tuple(rows), formula_text, options)
 
 
-def _atom_sign_truth(rel: str, s: int) -> bool:
-    if rel == "=":
-        return s == 0
-    if rel == "<":
-        return s < 0
-    if rel == ">":
-        return s > 0
-    if rel == "<=":
-        return s <= 0
-    return s >= 0
-
-
 def sigma_from_formula(formula, base) -> tuple:
     """All sign vectors over the family whose realizations satisfy the
     formula; every atom polynomial must be a family member (or the
     negation of one, or a constant)."""
 
-    def atom_truth(atom, signs):
+    def sign_of(poly, signs):
         for j, p in enumerate(base):
-            if atom.poly == p:
-                return _atom_sign_truth(atom.rel, signs[j])
-            if atom.poly == -p:
-                return _atom_sign_truth(atom.rel, -signs[j])
-        if atom.poly.is_constant():
-            v = atom.poly.constant_value()
-            return _atom_sign_truth(atom.rel, (v > 0) - (v < 0))
+            if poly == p:
+                return signs[j]
+            if poly == -p:
+                return -signs[j]
+        if poly.is_constant():
+            v = poly.constant_value()
+            return (v > 0) - (v < 0)
         raise ValueError(
-            f"formula atom {atom.poly.to_text()} is not a family member")
+            f"formula atom {poly.to_text()} is not a family member")
 
-    def truth(f, signs):
-        if isinstance(f, Atom):
-            return atom_truth(f, signs)
-        if isinstance(f, And):
-            return all(truth(g, signs) for g in f.children)
-        if isinstance(f, Or):
-            return any(truth(g, signs) for g in f.children)
-        raise TypeError(f"unknown formula node {f!r}")
-
-    out = []
-    for signs in itertools.product((-1, 0, 1), repeat=len(base)):
-        if truth(formula, signs):
-            out.append(signs)
-    return tuple(out)
+    return tuple(
+        signs for signs in itertools.product((-1, 0, 1), repeat=len(base))
+        if eval_signs(formula, lambda p: sign_of(p, signs))
+    )
 
 
 def boxed_problem(base, rows, m: int, n: int, omega):
@@ -213,6 +191,10 @@ def cmd_atlas(args) -> int:
         grid_res = Q(_opt(args.grid_res, opts, "grid_res", "1/1024", str))
         boxed = args.boxed or opts.get("boxed", "").lower() in ("1", "true", "yes")
         omega = int(_opt(args.omega, opts, "omega", 2 ** 20, int))
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
+        if grid_res <= 0:
+            raise ValueError(f"grid_res must be positive, got {grid_res}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
         return 2
@@ -295,15 +277,21 @@ def cmd_bounds(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        value_text = str(value)
+    except ValueError:  # beyond the interpreter's int-to-decimal limit
+        print(f"error: value has {value.bit_length()} bits, too large to "
+              f"print in decimal", file=sys.stderr)
+        return 2
     param_text = " ".join(f"{k}={v}" for k, v in sorted(shown.items()))
-    print(f"{args.name}  {symbolic}  [{param_text}]  c={c}  value={value}")
+    print(f"{args.name}  {symbolic}  [{param_text}]  c={c}  value={value_text}")
     if args.json:
         payload = {
             "name": args.name,
             "symbolic": symbolic,
             "params": {k: str(v) for k, v in sorted(shown.items())},
             "c": c,
-            "value": str(value),
+            "value": value_text,
         }
         _write_atomic(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0

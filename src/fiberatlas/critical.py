@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .polycore import PolyMatrix, Polynomial, Ring, determinant
+from .polycore import PolyMatrix, determinant
 from .semialg import SignCondition, level
 
 

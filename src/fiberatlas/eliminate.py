@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .critical import CriticalSystem
 from .polycore import (
-    Polynomial,
     Ring,
     coprime_basis,
     int_coeffs,
     isolate_basis_roots,
+    q_text,
     resultant,
     square_free_part,
     ugcd_int,
@@ -45,7 +44,7 @@ class DiscriminantSet:
         return {
             "defining": [p.to_text() for p in self.defining],
             "roots": [
-                {"lo": _q_text(lo), "hi": _q_text(hi), "poly": idx}
+                {"lo": q_text(lo), "hi": q_text(hi), "poly": idx}
                 for lo, hi, idx in self.roots
             ],
             "mode": self.mode,
@@ -53,11 +52,6 @@ class DiscriminantSet:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _q_text(q) -> str:
-    q = Q(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _eliminate_vars(polys, m: int):

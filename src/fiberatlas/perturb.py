@@ -21,6 +21,7 @@ from .semialg import (
     conj,
     disj,
     level,
+    map_atoms,
     negate,
 )
 
@@ -53,9 +54,6 @@ class EpsilonLadder:
             for i in range(2 * self.s, 0, -1)
             for j in range(1, self.s + 1)
         ]
-
-    def refined(self) -> "EpsilonLadder":
-        return EpsilonLadder(self.s, self.delta ** 2)
 
 
 def build_ladder(s: int, delta) -> EpsilonLadder:
@@ -185,23 +183,17 @@ def _rewrite_closed(formula, base, ladder):
     """Closed rewrite of bare sign atoms on the base family."""
     base_index = {p: j for j, p in enumerate(base, start=1)}
 
-    def rewrite(f):
-        if isinstance(f, Atom):
-            j = base_index.get(f.poly)
-            if j is not None:
-                e = ladder.value(2, j)
-                if f.rel == ">=":
-                    return Atom(f.poly - e, ">=")
-                if f.rel == "<=":
-                    return Atom(f.poly + e, "<=")
-            return f
-        if isinstance(f, And):
-            return conj(rewrite(c) for c in f.children)
-        if isinstance(f, Or):
-            return disj(rewrite(c) for c in f.children)
-        raise TypeError(f"not a formula: {f!r}")
+    def rewrite(atom):
+        j = base_index.get(atom.poly)
+        if j is not None:
+            e = ladder.value(2, j)
+            if atom.rel == ">=":
+                return Atom(atom.poly - e, ">=")
+            if atom.rel == "<=":
+                return Atom(atom.poly + e, "<=")
+        return atom
 
-    return rewrite(formula)
+    return map_atoms(formula, rewrite)
 
 
 def construct_S_prime_raw(sigma_set, base, ladder: EpsilonLadder):

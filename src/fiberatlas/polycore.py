@@ -315,6 +315,14 @@ def sign_at(f: Polynomial, point) -> int:
     return (v > 0) - (v < 0)
 
 
+def q_text(q):
+    """A rational as "p/q" text (also for integers); None stays None."""
+    if q is None:
+        return None
+    q = Q(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
 # ---------------------------------------------------------------------------
 # Expression parsing (shared grammar: variables X1..Xm / Y1..Yn, rational
 # literals p/q, operators + - * ^, parentheses).
@@ -678,19 +686,20 @@ def _trim(p):
 
 
 def _primitive_int(coeffs):
-    """Clear denominators and content; positive leading coefficient."""
-    coeffs = [Q(c) for c in coeffs]
-    if not _trim(list(coeffs)):
+    """Clear denominators and content; positive leading coefficient.
+    A list of ints stays in integer arithmetic throughout."""
+    ints = _trim(list(coeffs))
+    if not ints:
         return []
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g = 0
-    for c in ints:
-        g = _igcd(g, abs(c))
+    try:
+        g = _igcd(*ints)
+    except TypeError:  # math.gcd refuses Fractions: clear denominators
+        rats = [Q(c) for c in ints]
+        lcm = 1
+        for c in rats:
+            lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
+        ints = [int(c * lcm) for c in rats]
+        g = _igcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -699,13 +708,6 @@ def _primitive_int(coeffs):
 
 def _uderiv(p):
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def _ueval(p, x):
-    total = Q(0) if isinstance(x, Q) else 0
-    for c in reversed(p):
-        total = total * x + c
-    return total
 
 
 def sign_int_at(p, x):
@@ -722,41 +724,6 @@ def sign_int_at(p, x):
     return 0 if acc == 0 else (1 if acc > 0 else -1)
 
 
-def _udivmod(a, b):
-    """Division with remainder over Q; a, b lists of Fractions."""
-    a = [Q(c) for c in a]
-    b = [Q(c) for c in b]
-    _trim(a)
-    _trim(b)
-    if not b:
-        raise ZeroDivisionError
-    q = [Q(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        _trim(a)
-    return q, a
-
-
-def _primitive_of_ints(ints):
-    """Content removal and sign normalization for an integer list."""
-    ints = list(ints)
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    g = 0
-    for c in ints:
-        g = _igcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
 def _pseudo_divmod(a, b):
     """Pseudo-quotient and -remainder of integer coefficient lists:
     lc(b)^k * a = q*b + r with everything in integer arithmetic."""
@@ -766,54 +733,36 @@ def _pseudo_divmod(a, b):
     while a and a[-1] == 0:
         a.pop()
     q = [0] * max(len(a) - db, 0)
+    steps = []
     while len(a) - 1 >= db:
         shift = len(a) - 1 - db
         la = a[-1]
         a = [c * lb for c in a]
-        q = [c * lb for c in q]
-        q[shift] += la
         for i, bc in enumerate(b):
             a[shift + i] -= la * bc
         while a and a[-1] == 0:
             a.pop()
+        steps.append((shift, la))
+    # every later step scales the quotient by lb once; applying the
+    # scaling at the end keeps remainder-only callers (ugcd_int) cheap
+    scale = 1
+    for shift, la in reversed(steps):
+        q[shift] = la * scale
+        scale *= lb
     return q, a
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (integer-only)."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while a and a[-1] == 0:
-        a.pop()
-    while len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        la = a[-1]
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
 
 
 def ugcd_int(a, b):
     """Gcd of two integer coefficient lists, primitive with positive lead.
     Primitive pseudo-remainder sequence; no rational arithmetic."""
-    a = _prim_any(a)
-    b = _prim_any(b)
+    a = _primitive_int(a)
+    b = _primitive_int(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive_of_ints(r)
-    return a if a else []
-
-
-def _prim_any(coeffs):
-    if all(isinstance(c, int) for c in coeffs):
-        return _primitive_of_ints(coeffs)
-    return _primitive_int(coeffs)
+        _, r = _pseudo_divmod(a, b)
+        a, b = b, _primitive_int(r)
+    return a
 
 
 def square_free_part(f: Polynomial) -> Polynomial:
@@ -823,11 +772,7 @@ def square_free_part(f: Polynomial) -> Polynomial:
     var, coeffs = as_univariate(f)
     if var is None or len(coeffs) == 1:
         return Polynomial.constant(f.ring, 1)
-    p = _primitive_int(coeffs)
-    g = ugcd_int(p, _uderiv(p))
-    q, r = _pseudo_divmod(p, g)
-    assert not r
-    return univariate_to_poly(f.ring, var, _primitive_of_ints(q))
+    return univariate_to_poly(f.ring, var, usquarefree_int(coeffs))
 
 
 def _sign_variations(coeffs):
@@ -856,15 +801,10 @@ def _shift_by(p, c):
     return _trim(r)
 
 
-def _shift1(p):
-    """p(x+1) for an integer coefficient list, ascending."""
-    return _shift_by(p, 1)
-
-
 def _mobius_count(p):
     """Descartes bound on the number of roots of p in the open (0,1)."""
     rev = list(reversed(p))
-    return _sign_variations(_shift1(rev))
+    return _sign_variations(_shift_by(rev, 1))
 
 
 def _div_linear_at_one(p):
@@ -888,7 +828,7 @@ def _isolate_rec(q, lo, hi, out):
     mid = (lo + hi) / 2
     n = len(q) - 1
     ql = [c * (1 << (n - i)) for i, c in enumerate(q)]  # 2^n q(x/2)
-    qr = _shift1(ql)
+    qr = _shift_by(ql, 1)
     if qr and qr[0] == 0:  # exact root at the midpoint
         out.append((mid, mid))
         ql = _div_linear_at_one(ql)
@@ -1027,7 +967,7 @@ def usquarefree_int(coeffs):
     g = ugcd_int(p, _uderiv(p))
     q, r = _pseudo_divmod(p, g)
     assert not r
-    return _primitive_of_ints(q)
+    return _primitive_int(q)
 
 
 def udiv_exact_int(a, b):
@@ -1035,7 +975,7 @@ def udiv_exact_int(a, b):
     q, r = _pseudo_divmod(list(a), list(b))
     if r:
         raise ValueError("division is not exact")
-    return _primitive_of_ints(q)
+    return _primitive_int(q)
 
 
 def coprime_basis(polys):
@@ -1119,40 +1059,3 @@ def _separate_pair(p, ivp, q, ivq):
         else:
             raise ValueError("coincident roots in a coprime basis")
     return (a, b), (c, d)
-
-
-def sign_at_basis_root(b, iv, g):
-    """Exact sign of the integer coefficient list g at the unique root of
-    the square-free integer polynomial b inside the isolating interval
-    iv."""
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    if not g:
-        return 0
-    if len(g) == 1:
-        return 1 if g[0] > 0 else -1
-    lo, hi = iv
-    if lo == hi:
-        return sign_int_at(g, lo)
-    b = list(b)
-    gs = usquarefree_int(g)
-    h = ugcd_int(b, gs)
-    if len(h) > 1:
-        va = sign_int_at(h, lo)
-        vb = sign_int_at(h, hi)
-        if va != 0 and vb != 0 and va != vb:
-            return 0
-    # the root is not a zero of g: shrink iv away from g's roots
-    g_ivs = isolate_int_roots(gs)
-    while True:
-        overlap = [
-            j for j, (a, c) in enumerate(g_ivs) if c >= lo and a <= hi
-        ]
-        if not overlap:
-            return sign_int_at(g, (lo + hi) / 2)
-        lo, hi = refine_interval(b, lo, hi)
-        if lo == hi:
-            return sign_int_at(g, lo)
-        for j in overlap:
-            g_ivs[j] = refine_interval(gs, *g_ivs[j])

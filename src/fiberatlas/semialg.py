@@ -143,6 +143,24 @@ def atoms_of(formula):
         raise TypeError(f"not a formula: {formula!r}")
 
 
+def atom_polys(formula) -> list:
+    """Distinct atom polynomials in first-seen order."""
+    polys = []
+    for atom in atoms_of(formula):
+        if atom.poly not in polys:
+            polys.append(atom.poly)
+    return polys
+
+
+def map_atoms(formula, fn):
+    """Replace every atom by fn(atom), keeping each And/Or node as it is."""
+    if isinstance(formula, Atom):
+        return fn(formula)
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(map_atoms(c, fn) for c in formula.children))
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def is_closed_form(formula) -> bool:
     return all(a.rel in ("=", "<=", ">=") for a in atoms_of(formula))
 
@@ -169,27 +187,29 @@ def zset_formula(sc: SignCondition):
     )
 
 
-def eval_atom(atom: Atom, point) -> bool:
-    s = sign_at(atom.poly, point)
-    if atom.rel == "<":
-        return s < 0
-    if atom.rel == ">":
-        return s > 0
-    if atom.rel == "=":
-        return s == 0
-    if atom.rel == "<=":
-        return s <= 0
-    return s >= 0
+_HOLDS = {"<": (-1,), ">": (1,), "=": (0,), "<=": (-1, 0), ">=": (0, 1)}
+
+
+def relation_holds(rel: str, sign: int) -> bool:
+    """Truth of `p REL 0` when p has the given sign (-1, 0 or +1)."""
+    return sign in _HOLDS[rel]
+
+
+def eval_signs(formula, sign_of) -> bool:
+    """Truth of the formula when each atom polynomial p has sign
+    sign_of(p); And/Or short-circuit, so sign_of sees only the atoms
+    the value depends on."""
+    if isinstance(formula, Atom):
+        return relation_holds(formula.rel, sign_of(formula.poly))
+    if isinstance(formula, And):
+        return all(eval_signs(c, sign_of) for c in formula.children)
+    if isinstance(formula, Or):
+        return any(eval_signs(c, sign_of) for c in formula.children)
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def eval_formula(formula, point) -> bool:
-    if isinstance(formula, Atom):
-        return eval_atom(formula, point)
-    if isinstance(formula, And):
-        return all(eval_formula(c, point) for c in formula.children)
-    if isinstance(formula, Or):
-        return any(eval_formula(c, point) for c in formula.children)
-    raise TypeError(f"not a formula: {formula!r}")
+    return eval_signs(formula, lambda p: sign_at(p, point))
 
 
 # -- formula text syntax ----------------------------------------------

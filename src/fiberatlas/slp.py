@@ -11,7 +11,7 @@ most three terms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .polycore import (
@@ -21,7 +21,7 @@ from .polycore import (
     Ring,
     parse_expression,
 )
-from .semialg import And, Atom, Or, eval_formula
+from .semialg import Atom, atoms_of, eval_formula, map_atoms
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,6 @@ class LiftedSystem:
     names: tuple  # (k, j, global Y name) per lift variable
 
     def to_json_dict(self):
-        from .polycore import Polynomial as _P
         return {
             "m": self.m,
             "a": self.a,
@@ -279,20 +278,15 @@ def lift(progs, formula) -> LiftedSystem:
                 return k
         raise ValueError(f"atom references unknown program: {poly.to_text()}")
 
-    def rewrite(f):
-        if isinstance(f, Atom):
-            k = atom_program(f.poly)
-            c, zeta, eta = progs[k].final
-            mono = _ambient_mono(ring, c, zeta + (0,) * (m - progs[k].m),
-                                 eta, offsets[k])
-            return Atom(mono, f.rel)
-        if isinstance(f, And):
-            return And(tuple(rewrite(g) for g in f.children))
-        if isinstance(f, Or):
-            return Or(tuple(rewrite(g) for g in f.children))
-        raise TypeError(f"unknown formula node {f!r}")
+    def rewrite(atom):
+        k = atom_program(atom.poly)
+        c, zeta, eta = progs[k].final
+        mono = _ambient_mono(ring, c, zeta + (0,) * (m - progs[k].m),
+                             eta, offsets[k])
+        return Atom(mono, atom.rel)
 
-    return LiftedSystem(tuple(equations), rewrite(formula), m, total, tuple(names))
+    return LiftedSystem(tuple(equations), map_atoms(formula, rewrite), m, total,
+                        tuple(names))
 
 
 @dataclass(frozen=True)
@@ -359,15 +353,8 @@ def verify_lift(ls: LiftedSystem, progs, formula, samples: int = 20,
         eq.substitute_poly(assignment).is_zero() for eq in ls.equations
     )
 
-    def atoms(f):
-        if isinstance(f, Atom):
-            yield f
-        elif isinstance(f, (And, Or)):
-            for g in f.children:
-                yield from atoms(g)
-
-    lifted_atoms = list(atoms(ls.rewritten_formula))
-    original_atoms = list(atoms(formula))
+    lifted_atoms = list(atoms_of(ls.rewritten_formula))
+    original_atoms = list(atoms_of(formula))
     if len(lifted_atoms) != len(original_atoms):
         symbolic_ok = False
     else:

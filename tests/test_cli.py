@@ -174,3 +174,25 @@ def test_lift_zero_steps_passthrough(tmp_path, capsys):
 def test_lift_syntax_error_exits_2(tmp_path):
     problem = _write(tmp_path, "bad.txt", "poly X1 + + 1\n")
     assert main(["lift", problem]) == 2
+
+
+def test_atlas_out_of_range_delta_or_grid_res_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    for flags in (["--delta", "2"], ["--delta", "0"],
+                  ["--mode", "grid", "--grid-res", "0"]):
+        assert main(["atlas", problem, *flags]) == 2
+        assert "bad option value" in capsys.readouterr().err
+    for options in ("option delta=3\n",
+                    "option mode=grid\noption grid_res=-1/16\n"):
+        problem = _write(tmp_path, "opt.txt", QUADRIC + options)
+        assert main(["atlas", problem]) == 2
+        assert "bad option value" in capsys.readouterr().err
+
+
+def test_bounds_value_too_long_to_print_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    argv = ["bounds", "fewnomial", "m=3", "r=3", "c=2", "--json", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "value has 104977 bits, too large to print in decimal" in err
+    assert not out.exists()
