@@ -8,10 +8,13 @@ count and the multiset of component counts have stabilized.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cmp_to_key
 from itertools import product
+from math import gcd
 
 from .critical import enumerate_strata, systems_for_strata
 from .eliminate import (
@@ -21,14 +24,17 @@ from .eliminate import (
 )
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
-    coprime_basis,
-    isolate_basis_roots,
+    isolate_int_roots,
     primitive_signed,
     q_text,
+    refine_interval,
     sign_int_at,
     ugcd_int,
     usquarefree_int,
 )
+# fiber_b0 no longer calls these two; they stay importable from this
+# module because benchmark/tracing.py times them here by name.
+from .polycore import coprime_basis, isolate_basis_roots  # noqa: F401
 from .semialg import Atom, atom_polys, atoms_of, eval_formula, eval_signs, map_atoms
 
 
@@ -163,14 +169,209 @@ def _signs_at_x(int_of, x):
     return signs
 
 
+class _Core:
+    """A core polynomial K of a fiber: integer coefficients, zero constant
+    term, positive leading coefficient.  Its critical points (the real
+    roots of K') are isolated once; K is strictly monotone on each piece
+    between consecutive ones, so on a piece the roots of K - T for several
+    thresholds T come in the order of the thresholds."""
+
+    def __init__(self, K):
+        dK = [i * c for i, c in enumerate(K)][1:]
+        self.even = len(K) % 2 == 1  # even degree: K -> +oo at -oo
+        self.q = usquarefree_int(dK)
+        # refined in place; a root at a critical point shares its interval
+        self.crit = [list(iv) for iv in isolate_int_roots(self.q)]
+        if self.crit:
+            gaps = ([self.crit[0][0] - 1]
+                    + [(a[1] + b[0]) / 2 for a, b in zip(self.crit, self.crit[1:])]
+                    + [self.crit[-1][1] + 1])
+        else:
+            gaps = [Q(0)]
+        self.rising = [sign_int_at(dK, x) > 0 for x in gaps]
+
+    def _refine_crit(self, i):
+        self.crit[i][:] = refine_interval(self.q, *self.crit[i])
+
+    def _value_sign(self, i, P, g):
+        """Sign of K(c) - T at the i-th critical point c, where P is a
+        positive multiple of K - T and g = gcd(P, q): K(c) = T exactly
+        when g vanishes at c.  Otherwise refine c's interval until an
+        interval enclosure of P over it excludes 0."""
+        lo, hi = self.crit[i]
+        if lo == hi:
+            return sign_int_at(P, lo)
+        if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
+            return 0
+        while True:
+            s = _sign_on(P, lo, hi)
+            if s:
+                return s
+            self._refine_crit(i)
+            lo, hi = self.crit[i]
+            if lo == hi:
+                return sign_int_at(P, lo)
+
+    def _piece_interval(self, j, P):
+        """Isolating interval of the one root of P on piece j, where P is
+        nonzero at both ends and changes sign."""
+        if len(P) == 2:
+            x = Q(-P[0], P[1])
+            return [x, x]
+        bound = 2 + max(abs(c) for c in P[:-1]) // abs(P[-1])  # Cauchy
+        last = len(self.crit)
+        while True:
+            lo = self.crit[j - 1][1] if j else Q(-bound)
+            hi = self.crit[j][0] if j < last else Q(bound)
+            sl, sh = sign_int_at(P, lo), sign_int_at(P, hi)
+            if sl == 0:
+                return [lo, lo]
+            if sh == 0:
+                return [hi, hi]
+            if sl != sh:
+                return [lo, hi]
+            # the root lies inside a neighbouring critical interval
+            for i in (j - 1, j):
+                if 0 <= i < last:
+                    self._refine_crit(i)
+
+    def crossings(self, entries):
+        """The real roots of K - T over the thresholds T of `entries`
+        (T -> (P, atom polynomials)), sorted, as _Root objects."""
+        ts = sorted(entries)
+        irrational = any(lo != hi for lo, hi in self.crit)
+        value_signs = {}  # sign of K - T at -oo, at each critical point, at +oo
+        for t in ts:
+            P = entries[t][0]
+            g = ugcd_int(P, self.q) if irrational else []
+            value_signs[t] = ([1 if self.even else -1]
+                              + [self._value_sign(i, P, g) for i in range(len(self.crit))]
+                              + [1])
+        out = []
+        for j, up in enumerate(self.rising):
+            on_piece = [t for t in ts if value_signs[t][j] * value_signs[t][j + 1] < 0]
+            for t in (on_piece if up else reversed(on_piece)):
+                P, polys = entries[t]
+                out.append(_Root(self, P, polys, self._piece_interval(j, P), P, True))
+            if j < len(self.crit):
+                for t in ts:
+                    if value_signs[t][j + 1] == 0:
+                        P, polys = entries[t]
+                        flips = up == self.rising[j + 1]
+                        out.append(_Root(self, P, polys, self.crit[j], self.q, flips))
+        return out
+
+
+def _sign_on(p, lo, hi):
+    """Sign p takes on all of [lo, hi], or 0 when the interval Horner
+    enclosure of p over [lo, hi] contains 0.  Integer arithmetic on
+    d^deg * p(X/d), X in [d*lo, d*hi]."""
+    d = lo.denominator * hi.denominator
+    A, B = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    a = b = p[-1]
+    pw = 1
+    for c in reversed(p[:-1]):
+        pw *= d
+        prods = (a * A, a * B, b * A, b * B)
+        a, b = min(prods) + c * pw, max(prods) + c * pw
+    return 1 if a > 0 else -1 if b < 0 else 0
+
+
+class _Root:
+    """A root of the atom polynomials `polys` (all positive or negative
+    multiples of P = core - T).  It is the one root of `refiner` in the
+    interval `iv`: a point, or an open interval with `refiner` nonzero at
+    both ends.  `flips` when the root has odd multiplicity."""
+
+    __slots__ = ("core", "P", "polys", "iv", "refiner", "flips")
+
+    def __init__(self, core, P, polys, iv, refiner, flips):
+        self.core, self.P, self.polys = core, P, polys
+        self.iv, self.refiner, self.flips = iv, refiner, flips
+
+    def cut(self, t):
+        """Shrink the interval to the side of the rational t, which lies
+        strictly inside it, that holds the root."""
+        s = sign_int_at(self.refiner, t)
+        if s == 0:
+            self.iv[:] = [t, t]
+        elif s == sign_int_at(self.refiner, self.iv[0]):
+            self.iv[0] = t
+        else:
+            self.iv[1] = t
+
+
+def _compare(x, y):
+    """-1, 0 or 1 as the root x lies left of, at or right of the root y
+    of another core.  A point root cuts the other interval at itself;
+    two open intervals are cut at the midpoint of their overlap until
+    disjoint, unless the square-free gcd of the two atom polynomials
+    changes sign over the overlap: each interval holds one root of its
+    polynomial, so that root is both x and y."""
+    g = None
+    while True:
+        (a, b), (c, d) = x.iv, y.iv
+        if b < c or b == c and (a < b or c < d):
+            return -1
+        if d < a or d == a and (c < d or a < b):
+            return 1
+        if a == b:
+            if c == d:
+                return 0
+            y.cut(a)
+        elif c == d:
+            x.cut(c)
+        else:
+            lo, hi = max(a, c), min(b, d)
+            if g is None:
+                g = usquarefree_int(ugcd_int(x.P, y.P))
+            if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
+                return 0
+            t = (lo + hi) / 2
+            x.cut(t)
+            y.cut(t)
+
+
+def _fiber_roots(int_of):
+    """Every real root of the nonconstant atom polynomials, sorted, as a
+    list of events: the _Root objects (one per core) at that point.
+    Each atom polynomial is written as lead * (core - T) with T rational;
+    the cores' sorted root lists are merged, comparing only roots of
+    distinct cores."""
+    by_core = {}
+    for p, c in int_of.items():
+        if c is None:
+            continue
+        s = 1 if c[-1] > 0 else -1
+        g = gcd(*c[1:])
+        K = (0,) + tuple(s * v // g for v in c[1:])
+        entry = by_core.setdefault(K, {}).setdefault(
+            Q(-s * c[0], g), ([s * v for v in c], []))
+        entry[1].append(p)
+    merged = heapq.merge(
+        *(_Core(list(K)).crossings(entries) for K, entries in by_core.items()),
+        key=cmp_to_key(_compare))
+    events = []
+    for r in merged:
+        if events and events[-1][0].core is not r.core \
+                and _compare(events[-1][0], r) == 0:
+            events[-1].append(r)
+        else:
+            events.append([r])
+    return events
+
+
 def fiber_b0(formula, y, m: int, mode: str = "exact",
              resolution=Q(1, 1024), box_radius=16) -> FiberReport:
     """Number of connected components of the fiber over y.
 
-    Exact mode (m = 1 only): cut the X-line at the real roots of the
-    substituted atom polynomials, evaluate the formula piecewise, count
-    maximal runs of true pieces.  Grid mode: sample on a regular grid of
-    the stated resolution and count components by adjacency.
+    Exact mode (m = 1 only): sweep the X-line through the sorted real
+    roots of the substituted atom polynomials.  Every atom's sign is
+    known at -oo; at a root its atoms are 0, and after it they change
+    sign when the root has odd multiplicity.  Evaluate the formula on
+    each open gap and at each root, count maximal runs of true pieces.
+    Grid mode: sample on a regular grid of the stated resolution and
+    count components by adjacency.
     """
     y = Q(y)
     if mode == "grid":
@@ -180,51 +381,24 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     restricted = map_atoms(
         formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
     int_of = _int_coeffs_of(atom_polys(restricted))
-    polys = [p for p, coeffs in int_of.items() if coeffs is not None]
-    sf_of = {p: usquarefree_int(int_of[p]) for p in polys}
-    basis = coprime_basis([int_of[p] for p in polys])
-    breakpoints = isolate_basis_roots(basis)
-    # which polynomials vanish at which breakpoint: every root of an atom
-    # polynomial is a breakpoint, so a gcd with the basis member plus a
-    # sign change over the isolating interval decides vanishing exactly
-    gcd_cache = {}
-    vanishing = []
-    for lo, hi, bp in breakpoints:
-        at_root = set()
-        for p in polys:
-            h = gcd_cache.get((bp, p))
-            if h is None:
-                h = gcd_cache[bp, p] = ugcd_int(list(bp), sf_of[p])
-            if len(h) <= 1:
-                continue
-            if lo == hi:
-                if sign_int_at(h, lo) == 0:
-                    at_root.add(p)
-            else:
-                a = sign_int_at(h, lo)
-                b = sign_int_at(h, hi)
-                if a != 0 and b != 0 and a != b:
-                    at_root.add(p)
-        vanishing.append(at_root)
-    truths = []
+    signs = {}
+    for p, c in int_of.items():
+        if c is None:
+            v = p.constant_value()
+            signs[p] = (v > 0) - (v < 0)
+        else:  # sign at -oo: lead sign times (-1)^degree
+            signs[p] = (1 if c[-1] > 0 else -1) * (1 if len(c) % 2 else -1)
     # alternating sequence: open piece, root, open piece, ..., open piece
-    samples = []
-    if not breakpoints:
-        samples.append(Q(0))
-    else:
-        samples.append(breakpoints[0][0] - 1)
-        for (a, b, _), (c, d, _) in zip(breakpoints, breakpoints[1:]):
-            samples.append((b + c) / 2)
-        samples.append(breakpoints[-1][1] + 1)
-    for k, x in enumerate(samples):
-        signs = _signs_at_x(int_of, x)
+    truths = [eval_signs(restricted, signs.__getitem__)]
+    for event in _fiber_roots(int_of):
+        zero = {p for r in event for p in r.polys}
+        truths.append(eval_signs(
+            restricted, lambda p: 0 if p in zero else signs[p]))
+        for r in event:
+            if r.flips:
+                for p in r.polys:
+                    signs[p] = -signs[p]
         truths.append(eval_signs(restricted, signs.__getitem__))
-        if k < len(breakpoints):
-            # at the root: a polynomial not vanishing there keeps the sign
-            # it has on the adjacent open piece (its roots are breakpoints)
-            truths.append(eval_signs(
-                restricted,
-                lambda p: 0 if p in vanishing[k] else signs[p]))
     b0 = 0
     prev = False
     for t in truths:

@@ -28,13 +28,13 @@ def _check_positive(**kwargs):
 def bound_main(m: int, n: int, s: int, d: int, c: int = 1) -> int:
     """(2^m * s * n * d)^(c*n*m)."""
     _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return (2 ** m * s * n * d) ** (c * n * m)
+    return ((1 << m) * s * n * d) ** (c * n * m)
 
 
 def bound_main_precise(m: int, n: int, s: int, d: int, c: int = 1) -> int:
     """s^(2*(m+1)*n) * (2^m * n * d)^(c*n*m)."""
     _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return s ** (2 * (m + 1) * n) * (2 ** m * n * d) ** (c * n * m)
+    return s ** (2 * (m + 1) * n) * ((1 << m) * n * d) ** (c * n * m)
 
 
 def bound_lists(m: int, s: int, d: int, c: int = 1) -> int:
@@ -47,7 +47,7 @@ def bound_lists(m: int, s: int, d: int, c: int = 1) -> int:
 def bound_fewnomial(m: int, r: int, c: int = 1) -> int:
     """2^((c*m*r)^4)."""
     _check_positive(m=m, r=r, c=c)
-    return 2 ** ((c * m * r) ** 4)
+    return 1 << ((c * m * r) ** 4)
 
 
 def bound_additive(m: int, a: int, c: int = 1) -> int:
@@ -57,7 +57,7 @@ def bound_additive(m: int, a: int, c: int = 1) -> int:
         raise TypeError("a must be an integer")
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
-    return 2 ** ((c * (m + a) * a) ** 4)
+    return 1 << ((c * (m + a) * a) ** 4)
 
 
 def bound_pfaffian(m: int, n: int, s: int, r: int, alpha: int, beta: int,
@@ -70,7 +70,7 @@ def bound_pfaffian(m: int, n: int, s: int, r: int, alpha: int, beta: int,
         raise ValueError(f"r must be >= 0, got {r}")
     return (
         s ** (c * n * m)
-        * 2 ** (c * n * (m ** 2 + n * r ** 2))
+        * (1 << (c * n * (m ** 2 + n * r ** 2)))
         * (n * m * (alpha + beta)) ** (c * n * (m + r))
     )
 

@@ -195,6 +195,8 @@ def cmd_atlas(args) -> int:
             raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
         if grid_res <= 0:
             raise ValueError(f"grid_res must be positive, got {grid_res}")
+        if omega <= 0:
+            raise ValueError(f"omega must be positive, got {omega}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
         return 2

@@ -196,3 +196,14 @@ def test_bounds_value_too_long_to_print_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "value has 104977 bits, too large to print in decimal" in err
     assert not out.exists()
+
+
+def test_atlas_nonpositive_omega_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    for omega in ("0", "-4"):
+        assert main(["atlas", problem, "--boxed", "--omega", omega]) == 2
+        assert "omega must be positive" in capsys.readouterr().err
+        boxed = _write(tmp_path, "opt.txt",
+                       QUADRIC + f"option boxed=1\noption omega={omega}\n")
+        assert main(["atlas", boxed]) == 2
+        assert "omega must be positive" in capsys.readouterr().err
