@@ -15,6 +15,7 @@ from fractions import Fraction as Q
 from functools import cmp_to_key
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .critical import enumerate_strata, systems_for_strata
 from .eliminate import (
@@ -25,7 +26,6 @@ from .eliminate import (
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
     isolate_int_roots,
-    primitive_signed,
     q_text,
     refine_interval,
     sign_int_at,
@@ -35,7 +35,7 @@ from .polycore import (
 # fiber_b0 no longer calls these two; they stay importable from this
 # module because benchmark/tracing.py times them here by name.
 from .polycore import coprime_basis, isolate_basis_roots  # noqa: F401
-from .semialg import Atom, atom_polys, atoms_of, eval_formula, eval_signs, map_atoms
+from .semialg import Atom, eval_formula, eval_signs, map_atoms
 
 
 @dataclass(frozen=True)
@@ -147,26 +147,63 @@ def interior_points(cell: ParameterCell, count: int):
 
 # -- fiber component counting ------------------------------------------
 
-def _int_coeffs_of(polys):
-    """Sign-faithful integer coefficients of each univariate atom
-    polynomial; None for a constant."""
-    return {
-        p: None if p.is_constant()
-        else primitive_signed([c.constant_value() for c in p.coeffs_in(0)])
-        for p in polys
-    }
+class FiberPlan:
+    """A formula compiled once for all of its fibers over Y1 = y.
+
+    `polys` are its distinct atom polynomials in first-seen order, and
+    `indexed` is the formula with each atom polynomial replaced by its
+    index there, so `eval_signs(indexed, signs.__getitem__)` evaluates it
+    over a list of signs.  For m = 1, the first `coeffs_at` builds
+    `tables`: atom k as rows of integers t[i][j], the coefficients of
+    X1^i * Y1^j times one positive factor that clears their denominators.
+    """
+
+    def __init__(self, formula):
+        index = {}
+        self.formula = formula
+        self.indexed = map_atoms(
+            formula, lambda a: Atom(index.setdefault(a.poly, len(index)), a.rel))
+        self.polys = list(index)
+        self.tables = None
+
+    def coeffs_at(self, y):
+        """Per atom, its coefficients in X1 at Y1 = y as primitive integers
+        scaled by a positive factor, so signs agree everywhere: the
+        nonzero constants become [1] or [-1], the zero polynomial []."""
+        if self.tables is None:
+            self.tables = [_int_table(p) for p in self.polys]
+        a, b = y.numerator, y.denominator
+        weights = {}
+        out = []
+        for rows in self.tables:
+            d = len(rows[0]) - 1
+            w = weights.get(d)
+            if w is None:  # a^j * b^(d - j): row j of b^d * t(y)
+                w = weights[d] = [a ** j * b ** (d - j) for j in range(d + 1)]
+            c = [sum(map(mul, row, w)) for row in rows]
+            while c and c[-1] == 0:
+                c.pop()
+            if c:
+                g = gcd(*c)
+                c = [v // g for v in c]
+            out.append(c)
+        return out
 
 
-def _signs_at_x(int_of, x):
-    """Sign of every atom polynomial at the rational x."""
-    signs = {}
-    for p, coeffs in int_of.items():
-        if coeffs is None:
-            v = p.constant_value()
-            signs[p] = (v > 0) - (v < 0)
-        else:
-            signs[p] = sign_int_at(coeffs, x)
-    return signs
+def _int_table(p):
+    """Rows t[i][j] of integer coefficients of X1^i * Y1^j of the
+    polynomial p in X1 and Y1, times the lcm of their denominators."""
+    di = max((mono[0] for mono in p.terms), default=0)
+    dj = max((mono[1] for mono in p.terms), default=0)
+    scale = 1
+    for c in p.terms.values():
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    rows = [[0] * (dj + 1) for _ in range(di + 1)]
+    for mono, c in p.terms.items():
+        if any(mono[2:]):
+            raise ValueError(f"atom {p.to_text()} is not in X1 and Y1 only")
+        rows[mono[0]][mono[1]] = c.numerator * (scale // c.denominator)
+    return rows
 
 
 class _Core:
@@ -237,7 +274,7 @@ class _Core:
 
     def crossings(self, entries):
         """The real roots of K - T over the thresholds T of `entries`
-        (T -> (P, atom polynomials)), sorted, as _Root objects."""
+        (T -> (P, atom indices)), sorted, as _Root objects."""
         ts = sorted(entries)
         irrational = any(lo != hi for lo, hi in self.crit)
         value_signs = {}  # sign of K - T at -oo, at each critical point, at +oo
@@ -251,14 +288,14 @@ class _Core:
         for j, up in enumerate(self.rising):
             on_piece = [t for t in ts if value_signs[t][j] * value_signs[t][j + 1] < 0]
             for t in (on_piece if up else reversed(on_piece)):
-                P, polys = entries[t]
-                out.append(_Root(self, P, polys, self._piece_interval(j, P), P, True))
+                P, atoms = entries[t]
+                out.append(_Root(self, P, atoms, self._piece_interval(j, P), P, True))
             if j < len(self.crit):
                 for t in ts:
                     if value_signs[t][j + 1] == 0:
-                        P, polys = entries[t]
+                        P, atoms = entries[t]
                         flips = up == self.rising[j + 1]
-                        out.append(_Root(self, P, polys, self.crit[j], self.q, flips))
+                        out.append(_Root(self, P, atoms, self.crit[j], self.q, flips))
         return out
 
 
@@ -278,15 +315,16 @@ def _sign_on(p, lo, hi):
 
 
 class _Root:
-    """A root of the atom polynomials `polys` (all positive or negative
-    multiples of P = core - T).  It is the one root of `refiner` in the
-    interval `iv`: a point, or an open interval with `refiner` nonzero at
-    both ends.  `flips` when the root has odd multiplicity."""
+    """A root of the atoms with indices `atoms`, whose polynomials are all
+    positive or negative multiples of P = core - T.  It is the one root of
+    `refiner` in the interval `iv`: a point, or an open interval with
+    `refiner` nonzero at both ends.  `flips` when the root has odd
+    multiplicity."""
 
-    __slots__ = ("core", "P", "polys", "iv", "refiner", "flips")
+    __slots__ = ("core", "P", "atoms", "iv", "refiner", "flips")
 
-    def __init__(self, core, P, polys, iv, refiner, flips):
-        self.core, self.P, self.polys = core, P, polys
+    def __init__(self, core, P, atoms, iv, refiner, flips):
+        self.core, self.P, self.atoms = core, P, atoms
         self.iv, self.refiner, self.flips = iv, refiner, flips
 
     def cut(self, t):
@@ -332,22 +370,22 @@ def _compare(x, y):
             y.cut(t)
 
 
-def _fiber_roots(int_of):
-    """Every real root of the nonconstant atom polynomials, sorted, as a
-    list of events: the _Root objects (one per core) at that point.
-    Each atom polynomial is written as lead * (core - T) with T rational;
-    the cores' sorted root lists are merged, comparing only roots of
-    distinct cores."""
+def _fiber_roots(coeffs):
+    """Every real root of the nonconstant atom polynomials (integer
+    coefficients per atom), sorted, as a list of events: the _Root objects
+    (one per core) at that point.  Each atom polynomial is written as
+    lead * (core - T) with T rational; the cores' sorted root lists are
+    merged, comparing only roots of distinct cores."""
     by_core = {}
-    for p, c in int_of.items():
-        if c is None:
+    for k, c in enumerate(coeffs):
+        if len(c) < 2:
             continue
         s = 1 if c[-1] > 0 else -1
         g = gcd(*c[1:])
         K = (0,) + tuple(s * v // g for v in c[1:])
         entry = by_core.setdefault(K, {}).setdefault(
             Q(-s * c[0], g), ([s * v for v in c], []))
-        entry[1].append(p)
+        entry[1].append(k)
     merged = heapq.merge(
         *(_Core(list(K)).crossings(entries) for K, entries in by_core.items()),
         key=cmp_to_key(_compare))
@@ -363,7 +401,8 @@ def _fiber_roots(int_of):
 
 def fiber_b0(formula, y, m: int, mode: str = "exact",
              resolution=Q(1, 1024), box_radius=16) -> FiberReport:
-    """Number of connected components of the fiber over y.
+    """Number of connected components of the fiber over y of `formula`,
+    a formula or its FiberPlan.
 
     Exact mode (m = 1 only): sweep the X-line through the sorted real
     roots of the substituted atom polynomials.  Every atom's sign is
@@ -374,31 +413,28 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     count components by adjacency.
     """
     y = Q(y)
+    plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
     if mode == "grid":
-        return _fiber_b0_grid(formula, y, m, Q(resolution), box_radius)
+        return _fiber_b0_grid(plan, y, m, Q(resolution), box_radius)
     if m != 1:
         raise ValueError("exact fiber counting requires m = 1")
-    restricted = map_atoms(
-        formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
-    int_of = _int_coeffs_of(atom_polys(restricted))
-    signs = {}
-    for p, c in int_of.items():
-        if c is None:
-            v = p.constant_value()
-            signs[p] = (v > 0) - (v < 0)
-        else:  # sign at -oo: lead sign times (-1)^degree
-            signs[p] = (1 if c[-1] > 0 else -1) * (1 if len(c) % 2 else -1)
+    coeffs = plan.coeffs_at(y)
+    # sign at -oo: lead sign times (-1)^degree
+    signs = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1) if c else 0
+             for c in coeffs]
     # alternating sequence: open piece, root, open piece, ..., open piece
-    truths = [eval_signs(restricted, signs.__getitem__)]
-    for event in _fiber_roots(int_of):
-        zero = {p for r in event for p in r.polys}
-        truths.append(eval_signs(
-            restricted, lambda p: 0 if p in zero else signs[p]))
+    truths = [eval_signs(plan.indexed, signs.__getitem__)]
+    for event in _fiber_roots(coeffs):
+        at_root = list(signs)
+        for r in event:
+            for k in r.atoms:
+                at_root[k] = 0
+        truths.append(eval_signs(plan.indexed, at_root.__getitem__))
         for r in event:
             if r.flips:
-                for p in r.polys:
-                    signs[p] = -signs[p]
-        truths.append(eval_signs(restricted, signs.__getitem__))
+                for k in r.atoms:
+                    signs[k] = -signs[k]
+        truths.append(eval_signs(plan.indexed, signs.__getitem__))
     b0 = 0
     prev = False
     for t in truths:
@@ -408,30 +444,30 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     return FiberReport(y, b0, "exact-univariate")
 
 
-def _fiber_b0_grid(formula, y, m, resolution, box_radius):
+def _fiber_b0_grid(plan, y, m, resolution, box_radius):
     """Grid oracle: regular samples at the given resolution, components
     by axis adjacency (union-find for m >= 2, run counting for m = 1)."""
-    restricted = map_atoms(
-        formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
     step = Q(resolution)
     n_steps = int(2 * box_radius / step)
     if m == 1:
-        int_of = _int_coeffs_of(atom_polys(restricted))
+        coeffs = plan.coeffs_at(y)
         b0 = 0
         prev = False
         for k in range(n_steps + 1):
             x = -box_radius + k * step
-            t = eval_signs(restricted, _signs_at_x(int_of, x).__getitem__)
+            signs = [sign_int_at(c, x) for c in coeffs]
+            t = eval_signs(plan.indexed, signs.__getitem__)
             if t and not prev:
                 b0 += 1
             prev = t
         return FiberReport(y, b0, "grid-oracle", step)
     # m >= 2: union-find over the grid
-    atom = next(atoms_of(restricted), None)
-    if atom is None:
-        truth = eval_signs(restricted, {}.__getitem__)
+    if not plan.polys:
+        truth = eval_signs(plan.formula, {}.__getitem__)
         return FiberReport(y, 1 if truth else 0, "grid-oracle", step)
-    pad = (Q(0),) * (atom.poly.ring.nvars - m)
+    restricted = map_atoms(
+        plan.formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
+    pad = (Q(0),) * (plan.polys[0].ring.nvars - m)
     coords = [-box_radius + k * step for k in range(n_steps + 1)]
     true_cells = {}
     for idx in product(range(len(coords)), repeat=m):
@@ -463,14 +499,15 @@ def _single_run(base, sigma_set, m, n, delta, fiber_mode, grid_res):
     ring = base[0].ring
     ladder = build_ladder(len(base), delta)
     closed = construct_S_prime(sigma_set, base, ladder)
-    members = atom_polys(closed.formula)
+    plan = FiberPlan(closed.formula)
+    members = plan.polys
     strata = enumerate_strata(members, base, m + n) if members else []
     systems = systems_for_strata(strata, m) if strata else []
     G = assemble_G(systems, ring, m, n)
     cells = components_complement(G)
     mode = "grid" if m != 1 else fiber_mode
     fibers = [
-        fiber_b0(closed.formula, cell.sample, m, mode, grid_res)
+        fiber_b0(plan, cell.sample, m, mode, grid_res)
         for cell in cells
     ]
     return tuple(cells), tuple(fibers)
@@ -483,24 +520,36 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
 
     Degenerate eliminations trigger a delta refinement; after
     refine_rounds the last report is returned with stabilization False.
+    A round that refines delta to delta squared starts from the run at
+    delta squared it has just made.
     """
     base = tuple(base)
     if not base:
         raise ValueError("empty base family")
+    if refine_rounds < 1:
+        raise ValueError(f"refine_rounds must be at least 1, got {refine_rounds}")
     delta = Q(delta)
-    last = None
-    for _ in range(max(refine_rounds, 1)):
+
+    def attempt(d):
+        """The run at d, or the DegenerateEliminationError it raised."""
         try:
-            cells, fibers = _single_run(
-                base, sigma_set, m, n, delta, fiber_mode, grid_res
-            )
-            cells2, fibers2 = _single_run(
-                base, sigma_set, m, n, delta ** 2, fiber_mode, grid_res
-            )
-        except DegenerateEliminationError:
-            delta = delta ** 2
-            last = None
+            return _single_run(base, sigma_set, m, n, d, fiber_mode, grid_res)
+        except DegenerateEliminationError as exc:
+            return exc
+
+    last = None
+    run = None  # the run at delta, when the previous round made it
+    for _ in range(refine_rounds):
+        if run is None:
+            run = attempt(delta)
+        if isinstance(run, DegenerateEliminationError):
+            delta, run, last = delta ** 2, None, None
             continue
+        run2 = attempt(delta ** 2)
+        if isinstance(run2, DegenerateEliminationError):
+            delta, run, last = delta ** 2, run2, None
+            continue
+        (cells, fibers), (cells2, fibers2) = run, run2
         stable = len(cells) == len(cells2) and sorted(
             f.b0 for f in fibers
         ) == sorted(f.b0 for f in fibers2)
@@ -515,6 +564,7 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
             return report
         last = report
         delta = delta ** 2
+        run = run2
     if last is None:
         raise DegenerateEliminationError(
             "elimination stayed degenerate through all refinement rounds"

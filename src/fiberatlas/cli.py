@@ -197,6 +197,8 @@ def cmd_atlas(args) -> int:
             raise ValueError(f"grid_res must be positive, got {grid_res}")
         if omega <= 0:
             raise ValueError(f"omega must be positive, got {omega}")
+        if rounds < 1:
+            raise ValueError(f"refine_rounds must be at least 1, got {rounds}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
         return 2

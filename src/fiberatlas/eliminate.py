@@ -20,6 +20,7 @@ from .polycore import (
     q_text,
     resultant,
     square_free_part,
+    udivides_int,
     ugcd_int,
     univariate_to_poly,
 )
@@ -172,17 +173,13 @@ def assemble_G(systems, ring: Ring, m: int, n: int = 1) -> DiscriminantSet:
         return DiscriminantSet((), (), "exact-n1")
     int_defining = [int_coeffs(p)[1] for p in defining]
     basis = coprime_basis(int_defining)
-    # every basis member divides some defining polynomial, so ownership
-    # is a divisibility test done once per basis member
-    owner = {}
-    for bp in basis:
-        key = tuple(bp)
-        owner[key] = 0
-        for i, dc in enumerate(int_defining):
-            g = ugcd_int(bp, dc)
-            if len(g) == len(bp):
-                owner[key] = i
-                break
+    # every basis member divides some defining polynomial; its owner is
+    # the first one it divides
+    owner = {
+        tuple(bp): next((i for i, dc in enumerate(int_defining)
+                         if udivides_int(bp, dc)), 0)
+        for bp in basis
+    }
     roots = []
     for lo, hi, bp in isolate_basis_roots(basis):
         roots.append((lo, hi, owner[tuple(bp)]))

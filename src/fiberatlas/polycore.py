@@ -970,6 +970,12 @@ def usquarefree_int(coeffs):
     return _primitive_int(q)
 
 
+def udivides_int(b, a):
+    """Whether the integer coefficient list b divides a over Q: the
+    pseudo-remainder of a by b is zero."""
+    return not _pseudo_divmod(a, b)[1]
+
+
 def udiv_exact_int(a, b):
     """Exact quotient of integer coefficient lists, primitive part."""
     q, r = _pseudo_divmod(list(a), list(b))

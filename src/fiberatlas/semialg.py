@@ -143,15 +143,6 @@ def atoms_of(formula):
         raise TypeError(f"not a formula: {formula!r}")
 
 
-def atom_polys(formula) -> list:
-    """Distinct atom polynomials in first-seen order."""
-    polys = []
-    for atom in atoms_of(formula):
-        if atom.poly not in polys:
-            polys.append(atom.poly)
-    return polys
-
-
 def map_atoms(formula, fn):
     """Replace every atom by fn(atom), keeping each And/Or node as it is."""
     if isinstance(formula, Atom):

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fiberatlas import atlas
 from fiberatlas.atlas import (
     ParameterCell,
     components_complement,
@@ -140,3 +141,49 @@ def test_report_json_shape():
     assert data["fibers"][0]["sample"].count("/") == 1
     table = report.to_table()
     assert "distinct signatures: 3" in table
+
+
+def _unstable_runs(monkeypatch, degenerate_at=()):
+    """Replace _single_run by one whose census never stabilizes (its cell
+    count follows delta) and that raises at the deltas in degenerate_at;
+    returns the list of deltas it is called with."""
+    calls = []
+
+    def fake(base, sigma_set, m, n, delta, fiber_mode, grid_res):
+        calls.append(delta)
+        if delta in degenerate_at:
+            raise atlas.DegenerateEliminationError("stub")
+        k = delta.denominator.bit_length()
+        return ((ParameterCell(None, None, Q(0)),) * k,
+                (atlas.FiberReport(Q(0), 1, "exact-univariate"),) * k)
+
+    monkeypatch.setattr(atlas, "_single_run", fake)
+    return calls
+
+
+def test_refinement_round_reuses_the_delta_squared_run(monkeypatch):
+    calls = _unstable_runs(monkeypatch)
+    base = (P("X1^2 + Y1 - 1"),)
+    d = Q(1, 64)
+    report = run_atlas(base, [], 1, delta=d, refine_rounds=3)
+    assert calls == [d, d ** 2, d ** 4, d ** 8]  # refine_rounds + 1 runs
+    assert not report.stabilization
+    assert report.delta_used == d ** 4
+
+
+def test_degenerate_delta_squared_run_is_not_repeated(monkeypatch):
+    d = Q(1, 64)
+    calls = _unstable_runs(monkeypatch, degenerate_at=(d ** 2,))
+    base = (P("X1^2 + Y1 - 1"),)
+    report = run_atlas(base, [], 1, delta=d, refine_rounds=3)
+    # round 1 fails at d^2; round 2 skips it; round 3 runs d^4 and d^8
+    assert calls == [d, d ** 2, d ** 4, d ** 8]
+    assert report.delta_used == d ** 4
+    with pytest.raises(atlas.DegenerateEliminationError):
+        run_atlas(base, [], 1, delta=d, refine_rounds=2)
+
+
+def test_run_atlas_needs_a_refinement_round():
+    base = (P("X1^2 + Y1 - 1"),)
+    with pytest.raises(ValueError):
+        run_atlas(base, [SignCondition(base, (0,))], 1, refine_rounds=0)

@@ -207,3 +207,14 @@ def test_atlas_nonpositive_omega_exits_2(tmp_path, capsys):
                        QUADRIC + f"option boxed=1\noption omega={omega}\n")
         assert main(["atlas", boxed]) == 2
         assert "omega must be positive" in capsys.readouterr().err
+
+
+def test_atlas_refine_rounds_below_one_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    for rounds in ("0", "-1"):
+        assert main(["atlas", problem, "--refine-rounds", rounds]) == 2
+        assert "bad option value: refine_rounds must be at least 1" \
+            in capsys.readouterr().err
+        opt = _write(tmp_path, "opt.txt", QUADRIC + f"option refine_rounds={rounds}\n")
+        assert main(["atlas", opt]) == 2
+        assert "refine_rounds must be at least 1" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from conftest import BUNDLED
 
-from fiberatlas.critical import enumerate_strata, systems_for_strata
+from fiberatlas.critical import CriticalSystem, enumerate_strata, systems_for_strata
 from fiberatlas.eliminate import (
     DegenerateEliminationError,
     UnsupportedModeError,
@@ -125,3 +126,50 @@ def test_roots_refer_to_vanishing_defining_polys():
         p = G.defining[idx]
         vals = [p.eval_at((Q(0), lo)), p.eval_at((Q(0), hi))]
         assert any(v == 0 for v in vals) or vals[0] * vals[1] < 0
+
+
+SEXTIC = (  # a census-elim sextic: a degree-20 discriminant at delta = 1/64
+    "X1^6 - 12288*X1^5*Y1^2 + 192*X1^5*Y1 + 8192*X1^4*Y1^2 + 192*X1^4*Y1"
+    " - 3*X1^4 - 8192*X1^3*Y1^2 - 64*X1^3*Y1 + 3*X1^3 + 4096*X1^2*Y1^2"
+    " + 3*X1^2 - 12288*X1*Y1^2 - 128*X1*Y1 - X1 + 4096*Y1^2 + 64*Y1 + 1"
+)
+
+
+def _systems_of(base, sigma):
+    closed = construct_S_prime([SignCondition(base, s) for s in sigma], base,
+                               build_ladder(len(base), Q(1, 64)))
+    members = []
+    for atom in atoms_of(closed.formula):
+        if atom.poly not in members:
+            members.append(atom.poly)
+    return systems_for_strata(enumerate_strata(members, base, 2), 1)
+
+
+def _c2(*texts):
+    active = tuple(P(t) for t in texts)
+    return CriticalSystem(SignCondition(active, (0,) * len(active)), active, (), "C2")
+
+
+@pytest.mark.parametrize("name", ["quadric", "twolines", "sextic", "shared root"])
+def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
+    """Every root interval holds a root of its defining polynomial, a
+    point where it vanishes or an interval over which it changes sign,
+    and every earlier defining polynomial has one nonzero sign at both
+    of its ends."""
+    if name == "shared root":  # Y1 - 1 and Y1^2 - 1 share the root 1
+        systems = [_c2("X1 - Y1", "X1 - 1"), _c2("X1 - Y1", "X1^2 - 1")]
+    elif name == "sextic":
+        systems = _systems_of((P(SEXTIC),), ((0,),))
+    else:
+        example = next(e for e in BUNDLED if e.name == name)
+        systems = _systems_of(example.base, example.sigma)
+    G = assemble_G(systems, R, 1)
+    assert G.roots
+    for lo, hi, idx in G.roots:
+        ends = [[p.eval_at((Q(0), x)) for x in (lo, hi)] for p in G.defining]
+        if lo == hi:
+            assert ends[idx][0] == 0
+        else:
+            assert ends[idx][0] * ends[idx][1] < 0
+        for a, b in ends[:idx]:
+            assert a * b > 0

@@ -24,8 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberatlas.atlas import fiber_b0
-from fiberatlas.polycore import Polynomial, Ring, parse_polynomial, univariate_to_poly
+from fiberatlas.atlas import FiberPlan, fiber_b0
+from fiberatlas.polycore import (
+    Polynomial,
+    Ring,
+    parse_polynomial,
+    primitive_signed,
+    univariate_to_poly,
+)
 from fiberatlas.semialg import RELATIONS, Atom, And, Or, formula_to_text, parse_formula
 
 R = Ring(1, 1)
@@ -293,3 +299,28 @@ def _write_golden():
 
 if __name__ == "__main__":
     _write_golden()
+
+
+# rationals with delta-ladder denominators 64^k, as in the atoms of S'
+_ladder_q = st.builds(lambda n, d, k: Q(n, d * 64 ** k),
+                      st.integers(-40, 40), st.integers(1, 12), st.integers(0, 3))
+_terms = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                         _ladder_q, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(_terms, min_size=1, max_size=4), y=_ladder_q)
+def test_plan_coefficients_match_substitution(atoms, y):
+    """The plan's integer coefficients at Y1 = y are those of the atom
+    polynomial with y substituted, made primitive by a positive factor."""
+    polys = [Polynomial(R, terms) for terms in atoms]
+    plan = FiberPlan(Or(tuple(Atom(p, "<=") for p in polys + polys[:1])))
+    distinct = []
+    for p in polys:
+        if p not in distinct:
+            distinct.append(p)
+    assert plan.polys == distinct
+    assert plan.coeffs_at(y) == [
+        primitive_signed([c.constant_value()
+                          for c in p.substitute({1: y}).coeffs_in(0)])
+        for p in distinct]
