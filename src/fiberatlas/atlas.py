@@ -21,6 +21,7 @@ from .critical import enumerate_strata, systems_for_strata
 from .eliminate import (
     DegenerateEliminationError,
     DiscriminantSet,
+    UnsupportedModeError,
     assemble_G,
 )
 from .perturb import build_ladder, construct_S_prime
@@ -28,6 +29,7 @@ from .polycore import (
     isolate_int_roots,
     q_text,
     refine_interval,
+    same_root,
     sign_int_at,
     ugcd_int,
     usquarefree_int,
@@ -341,11 +343,11 @@ class _Root:
 
 def _compare(x, y):
     """-1, 0 or 1 as the root x lies left of, at or right of the root y
-    of another core.  A point root cuts the other interval at itself;
-    two open intervals are cut at the midpoint of their overlap until
-    disjoint, unless the square-free gcd of the two atom polynomials
-    changes sign over the overlap: each interval holds one root of its
-    polynomial, so that root is both x and y."""
+    of another core.  `polycore.same_root` decides a tie, with the
+    square-free gcd of the two atom polynomials for two open intervals.
+    Otherwise a point root cuts the other interval at itself, and two
+    open intervals are cut at the midpoint of their overlap until
+    disjoint."""
     g = None
     while True:
         (a, b), (c, d) = x.iv, y.iv
@@ -353,19 +355,16 @@ def _compare(x, y):
             return -1
         if d < a or d == a and (c < d or a < b):
             return 1
+        if g is None and a < b and c < d:
+            g = usquarefree_int(ugcd_int(x.P, y.P))
+        if same_root(x.refiner, x.iv, y.refiner, y.iv, g):
+            return 0
         if a == b:
-            if c == d:
-                return 0
             y.cut(a)
         elif c == d:
             x.cut(c)
         else:
-            lo, hi = max(a, c), min(b, d)
-            if g is None:
-                g = usquarefree_int(ugcd_int(x.P, y.P))
-            if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
-                return 0
-            t = (lo + hi) / 2
+            t = (max(a, c) + min(b, d)) / 2
             x.cut(t)
             y.cut(t)
 
@@ -444,11 +443,23 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     return FiberReport(y, b0, "exact-univariate")
 
 
+# The grid oracle refuses a fiber of more samples than this.  2^20
+# samples of a one-atom m = 1 fiber already take seconds, and a census
+# samples one fiber per cell.
+GRID_SAMPLE_CAP = 1 << 20
+
+
 def _fiber_b0_grid(plan, y, m, resolution, box_radius):
     """Grid oracle: regular samples at the given resolution, components
-    by axis adjacency (union-find for m >= 2, run counting for m = 1)."""
+    by axis adjacency (union-find for m >= 2, run counting for m = 1).
+    Refuses a grid of more than GRID_SAMPLE_CAP samples."""
     step = Q(resolution)
     n_steps = int(2 * box_radius / step)
+    if (n_steps + 1) ** m > GRID_SAMPLE_CAP:
+        raise UnsupportedModeError(
+            f"a grid of pitch {step} over radius {box_radius} has "
+            f"{(n_steps + 1) ** m} samples per fiber, above the cap of "
+            f"{GRID_SAMPLE_CAP}")
     if m == 1:
         coeffs = plan.coeffs_at(y)
         b0 = 0
@@ -505,9 +516,8 @@ def _single_run(base, sigma_set, m, n, delta, fiber_mode, grid_res):
     systems = systems_for_strata(strata, m) if strata else []
     G = assemble_G(systems, ring, m, n)
     cells = components_complement(G)
-    mode = "grid" if m != 1 else fiber_mode
     fibers = [
-        fiber_b0(plan, cell.sample, m, mode, grid_res)
+        fiber_b0(plan, cell.sample, m, fiber_mode, grid_res)
         for cell in cells
     ]
     return tuple(cells), tuple(fibers)
@@ -521,11 +531,16 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     Degenerate eliminations trigger a delta refinement; after
     refine_rounds the last report is returned with stabilization False.
     A round that refines delta to delta squared starts from the run at
-    delta squared it has just made.
+    delta squared it has just made.  Only m = 1 is counted exactly, so
+    any other m is refused before the first run.
     """
     base = tuple(base)
     if not base:
         raise ValueError("empty base family")
+    if m != 1:
+        raise UnsupportedModeError(
+            f"m = {m}: fibers are counted for m = 1 only; an exact planar "
+            "fiber count (m >= 2) is not implemented")
     if refine_rounds < 1:
         raise ValueError(f"refine_rounds must be at least 1, got {refine_rounds}")
     delta = Q(delta)

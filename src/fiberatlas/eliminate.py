@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from .critical import CriticalSystem
 from .polycore import (
     Ring,
-    coprime_basis,
     int_coeffs,
     isolate_basis_roots,
     q_text,
     resultant,
     square_free_part,
-    udivides_int,
     ugcd_int,
     univariate_to_poly,
 )
@@ -104,83 +102,32 @@ def project_system(cs: CriticalSystem, m: int, n: int):
     """Eliminants in the Y variables whose roots contain the projection
     of the system's solution set.
 
-    Minor handling: each minor is eliminated jointly with the active
-    equations; the per-minor eliminants are combined by gcd, falling back
-    to their product when the gcd is constant.  A nonzero-constant minor
-    makes the rank-deficiency conjunction empty; an identically zero
-    minor is trivially satisfied and dropped.
+    X1..Xm are eliminated from the active equations and every nonzero
+    Jacobian minor as one system, since the Jacobian is rank-deficient
+    where all of its minors vanish.  A nonzero-constant minor makes that
+    conjunction empty; an identically zero minor is trivially satisfied
+    and dropped.
     """
     if n != 1:
         raise UnsupportedModeError("exact projection requires n = 1")
     if m > 3:
         raise UnsupportedModeError("exact projection requires m <= 3")
-    ring = cs.active[0].ring
-    if cs.kind == "C2":
-        branches = [list(cs.active)]
-    else:
-        minors = [q for q in cs.minors if not q.is_zero()]
-        for q in minors:
-            if q.is_constant():
-                return []
-        if not minors:
-            branches = [list(cs.active)]
-        else:
-            branches = [list(cs.active) + [q] for q in minors]
-    eliminants = []
-    for branch in branches:
-        residuals = _eliminate_vars(branch, m)
-        combined = _combine_residuals(residuals, ring, m)
-        if combined is None:
-            # this branch is inconsistent; the conjunction over all
-            # minors is then empty for C1 with a single branch, but with
-            # several branches the remaining ones may still contribute
-            continue
-        eliminants.append(combined)
-    if not eliminants:
+    minors = [q for q in cs.minors if not q.is_zero()]
+    if any(q.is_constant() for q in minors):
         return []
-    if len(eliminants) == 1:
-        return eliminants
-    var, g = int_coeffs(eliminants[0])
-    for p in eliminants[1:]:
-        _, c = int_coeffs(p)
-        g = ugcd_int(g, c)
-        if len(g) == 1:
-            break
-    if len(g) > 1:
-        return [univariate_to_poly(ring, m, g)]
-    prod = eliminants[0]
-    for p in eliminants[1:]:
-        prod = prod * p
-    return [prod]
+    residuals = _eliminate_vars(list(cs.active) + minors, m)
+    combined = _combine_residuals(residuals, cs.active[0].ring, m)
+    return [] if combined is None else [combined]
 
 
 def assemble_G(systems, ring: Ring, m: int, n: int = 1) -> DiscriminantSet:
-    """Union of all projected root sets: square-freed, merged, isolated,
-    sorted, with intervals refined until pairwise disjoint."""
+    """Union of all projected root sets: square-freed, deduplicated,
+    isolated, sorted, with intervals refined until pairwise disjoint.
+    Each root is attributed to the first defining polynomial vanishing
+    there."""
     if n != 1:
         raise UnsupportedModeError("exact discriminant assembly requires n = 1")
-    defining = []
-    for cs in systems:
-        for p in project_system(cs, m, n):
-            if p.is_constant():
-                continue
-            sf = square_free_part(p)
-            if sf.is_constant():
-                continue
-            if sf not in defining:
-                defining.append(sf)
-    if not defining:
-        return DiscriminantSet((), (), "exact-n1")
-    int_defining = [int_coeffs(p)[1] for p in defining]
-    basis = coprime_basis(int_defining)
-    # every basis member divides some defining polynomial; its owner is
-    # the first one it divides
-    owner = {
-        tuple(bp): next((i for i, dc in enumerate(int_defining)
-                         if udivides_int(bp, dc)), 0)
-        for bp in basis
-    }
-    roots = []
-    for lo, hi, bp in isolate_basis_roots(basis):
-        roots.append((lo, hi, owner[tuple(bp)]))
-    return DiscriminantSet(tuple(defining), tuple(roots), "exact-n1")
+    defining = tuple(dict.fromkeys(
+        square_free_part(p) for cs in systems for p in project_system(cs, m, n)))
+    roots = isolate_basis_roots([int_coeffs(p)[1] for p in defining])
+    return DiscriminantSet(defining, tuple(roots), "exact-n1")

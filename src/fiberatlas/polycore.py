@@ -970,12 +970,6 @@ def usquarefree_int(coeffs):
     return _primitive_int(q)
 
 
-def udivides_int(b, a):
-    """Whether the integer coefficient list b divides a over Q: the
-    pseudo-remainder of a by b is zero."""
-    return not _pseudo_divmod(a, b)[1]
-
-
 def udiv_exact_int(a, b):
     """Exact quotient of integer coefficient lists, primitive part."""
     q, r = _pseudo_divmod(list(a), list(b))
@@ -1013,55 +1007,63 @@ def coprime_basis(polys):
     return basis
 
 
-def isolate_basis_roots(basis):
+def same_root(p, ivp, q, ivq, g):
+    """Whether two overlapping isolating intervals hold one and the same
+    root.  ivp holds one root of p and ivq one root of q, each a point or
+    an open interval with its polynomial nonzero at both ends.  A point
+    is that root when the other polynomial vanishes there.  Two open
+    intervals hold one root when g, the square-free gcd of the two
+    polynomials whose roots they are, changes sign over their overlap;
+    g is read only in that case."""
+    (a, b), (c, d) = ivp, ivq
+    if a == b:
+        return a == c if c == d else sign_int_at(q, a) == 0
+    if c == d:
+        return sign_int_at(p, c) == 0
+    lo, hi = max(a, c), min(b, d)
+    return len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi)
+
+
+def isolate_basis_roots(polys):
     """Sorted pairwise-disjoint isolating intervals for the union of the
-    roots of a coprime basis: list of (lo, hi, coeffs tuple)."""
-    items = []
-    for p in basis:
-        for lo, hi in isolate_int_roots(p):
-            items.append((lo, hi, tuple(p)))
+    real roots of square-free integer coefficient lists: a list of
+    (lo, hi, index), where polys[index] is the first of them vanishing
+    at the root.
+
+    Each pass sorts the intervals and separates every overlapping
+    adjacent pair; a pair holding one shared root keeps the lower index
+    and starts a new pass.  The roots of later polynomials are listed
+    first, so equal intervals sort with the later polynomial first."""
+    items = [(lo, hi, k) for k in reversed(range(len(polys)))
+             for lo, hi in isolate_int_roots(polys[k])]
     changed = True
     while changed:
         changed = False
         items.sort(key=lambda t: (t[0], t[1]))
         for i in range(len(items) - 1):
-            a, b, p = items[i]
-            c, d, q = items[i + 1]
+            a, b, k = items[i]
+            c, d, l = items[i + 1]
             if b >= c:
-                iv1, iv2 = _separate_pair(p, (a, b), q, (c, d))
-                items[i] = iv1 + (p,)
-                items[i + 1] = iv2 + (q,)
                 changed = True
+                ivs = _separate_pair(polys[k], (a, b), polys[l], (c, d))
+                if ivs is None:
+                    del items[i + (k < l)]
+                    break
+                items[i] = ivs[0] + (k,)
+                items[i + 1] = ivs[1] + (l,)
     return items
 
 
-def _bisect_cached(p, lo, hi, fl):
-    """One bisection step reusing the cached sign at lo; returns the new
-    interval and new lo-sign (0-length interval on an exact hit)."""
-    mid = (lo + hi) / 2
-    fm = sign_int_at(p, mid)
-    if fm == 0:
-        return mid, mid, 0
-    if fm != fl:
-        return lo, mid, fl
-    return mid, hi, fm
-
-
 def _separate_pair(p, ivp, q, ivq):
-    """Refine two isolating intervals of distinct roots until their
-    closures are disjoint."""
-    p = list(p)
-    q = list(q)
+    """Bisect the wider of two overlapping isolating intervals of p and q
+    until their closures are disjoint; None when they hold one shared
+    root.  Refining moves no root, so the tie rule is asked once."""
     (a, b), (c, d) = ivp, ivq
-    fp = sign_int_at(p, a) if a != b else 0
-    fq = sign_int_at(q, c) if c != d else 0
+    if same_root(p, ivp, q, ivq, ugcd_int(p, q) if a < b and c < d else None):
+        return None
     while max(a, c) <= min(b, d):
-        if b - a >= d - c and a != b:
-            a, b, fp = _bisect_cached(p, a, b, fp)
-        elif c != d:
-            c, d, fq = _bisect_cached(q, c, d, fq)
-        elif a != b:
-            a, b, fp = _bisect_cached(p, a, b, fp)
+        if b - a >= d - c:
+            a, b = refine_interval(p, a, b)
         else:
-            raise ValueError("coincident roots in a coprime basis")
+            c, d = refine_interval(q, c, d)
     return (a, b), (c, d)

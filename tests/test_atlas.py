@@ -12,7 +12,7 @@ from fiberatlas.atlas import (
     interior_points,
     run_atlas,
 )
-from fiberatlas.eliminate import DiscriminantSet
+from fiberatlas.eliminate import DiscriminantSet, UnsupportedModeError
 from fiberatlas.polycore import Ring, parse_polynomial
 from fiberatlas.semialg import SignCondition, parse_formula
 
@@ -187,3 +187,16 @@ def test_run_atlas_needs_a_refinement_round():
     base = (P("X1^2 + Y1 - 1"),)
     with pytest.raises(ValueError):
         run_atlas(base, [SignCondition(base, (0,))], 1, refine_rounds=0)
+
+
+def test_fiber_b0_grid_refuses_above_the_sample_cap():
+    """A grid has (2 * radius / pitch + 1)^m samples: 32,769 at m = 1 and
+    pitch 1/1024 are counted, 2^20 + 1 at pitch 1/32768 and 1025^2 at
+    m = 2 and pitch 1/32 are refused."""
+    f = parse_formula("X1^2 + Y1 - 1 <= 0", R)
+    assert fiber_b0(f, Q(0), 1, mode="grid", resolution=Q(1, 1024)).b0 == 1
+    with pytest.raises(UnsupportedModeError, match="above the cap"):
+        fiber_b0(f, Q(0), 1, mode="grid", resolution=Q(1, 32768))
+    g = parse_formula("X1^2 + X2^2 + Y1 - 1 <= 0", Ring(2, 1))
+    with pytest.raises(UnsupportedModeError):
+        fiber_b0(g, Q(0), 2, mode="grid", resolution=Q(1, 32))

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, deterministic output."""
 import json
+import time
 
 import pytest
 
@@ -218,3 +219,25 @@ def test_atlas_refine_rounds_below_one_exits_2(tmp_path, capsys):
         opt = _write(tmp_path, "opt.txt", QUADRIC + f"option refine_rounds={rounds}\n")
         assert main(["atlas", opt]) == 2
         assert "refine_rounds must be at least 1" in capsys.readouterr().err
+
+
+def test_atlas_planar_fiber_census_exits_2(tmp_path, capsys):
+    """m = 2 is refused before any run: the grid oracle is no exact count
+    of a thickened planar fiber."""
+    text = "vars m=2 n=1\npoly X1^2 + X2^2 + Y1 - 1\nsigma 0\n"
+    problem = _write(tmp_path, "circle.txt", text)
+    for flags in ([], ["--mode", "grid", "--grid-res", "1/4"]):
+        start = time.process_time()
+        assert main(["atlas", problem, *flags]) == 2
+        assert time.process_time() - start < 1
+        err = capsys.readouterr().err
+        assert "unsupported mode" in err
+        assert "exact planar fiber count" in err
+
+
+def test_atlas_grid_above_the_sample_cap_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    start = time.process_time()
+    assert main(["atlas", problem, "--mode", "grid", "--grid-res", "1/1048576"]) == 2
+    assert time.process_time() - start < 1
+    assert "unsupported mode" in capsys.readouterr().err

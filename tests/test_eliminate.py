@@ -150,7 +150,8 @@ def _c2(*texts):
     return CriticalSystem(SignCondition(active, (0,) * len(active)), active, (), "C2")
 
 
-@pytest.mark.parametrize("name", ["quadric", "twolines", "sextic", "shared root"])
+@pytest.mark.parametrize("name", ["quadric", "twolines", "sextic", "shared root",
+                                  "shared irrational root", "root shared by three"])
 def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
     """Every root interval holds a root of its defining polynomial, a
     point where it vanishes or an interval over which it changes sign,
@@ -158,6 +159,11 @@ def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
     of its ends."""
     if name == "shared root":  # Y1 - 1 and Y1^2 - 1 share the root 1
         systems = [_c2("X1 - Y1", "X1 - 1"), _c2("X1 - Y1", "X1^2 - 1")]
+    elif name == "shared irrational root":  # both vanish at +-sqrt(2)
+        systems = [_c2("X1 - Y1", "(X1^2 - 2)*(X1 - 3)"), _c2("X1 - Y1", "X1^2 - 2")]
+    elif name == "root shared by three":  # all three vanish at 1
+        systems = [_c2("X1 - Y1", "(X1 - 1)*(X1 + 2)"), _c2("X1 - Y1", "X1^2 - 1"),
+                   _c2("X1 - Y1", "X1 - 1")]
     elif name == "sextic":
         systems = _systems_of((P(SEXTIC),), ((0,),))
     else:
@@ -173,3 +179,25 @@ def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
             assert ends[idx][0] * ends[idx][1] < 0
         for a, b in ends[:idx]:
             assert a * b > 0
+
+
+def test_circle_systems_project_to_its_critical_values():
+    """m = 2: the active equation and both Jacobian minors are eliminated
+    as one system, so the thickened circle X1^2 + X2^2 + Y1 - 1 = 0
+    projects to its critical values 63/64 and 65/64."""
+    ring = Ring(2, 1)
+    base = (parse_polynomial("X1^2 + X2^2 + Y1 - 1", ring),)
+    closed = construct_S_prime([SignCondition(base, (0,))], base,
+                               build_ladder(1, Q(1, 64)))
+    members = []
+    for atom in atoms_of(closed.formula):
+        if atom.poly not in members:
+            members.append(atom.poly)
+    systems = systems_for_strata(enumerate_strata(members, base, 3), 2)
+    roots = set()
+    for cs in systems:
+        for p in project_system(cs, 2, 1):
+            for y in (Q(63, 64), Q(65, 64)):
+                if p.eval_at((Q(0), Q(0), y)) == 0:
+                    roots.add(y)
+    assert roots == {Q(63, 64), Q(65, 64)}

@@ -18,6 +18,7 @@ GOLDEN = ROOT / "tests" / "golden"
     (["atlas", "problems/quadric.txt"], "quadric.json"),
     (["atlas", "problems/twolines.txt"], "twolines.json"),
     (["lift", "problems/cube.txt"], "cube_lift.json"),
+    (["atlas", "tests/golden/sextic.txt"], "sextic.json"),
 ])
 def test_json_report_matches_golden(tmp_path, capsys, argv, golden):
     out = tmp_path / golden

@@ -15,12 +15,14 @@ from fiberatlas.polycore import (
     coprime_basis,
     determinant,
     int_coeffs,
+    isolate_basis_roots,
     isolate_int_roots,
     isolate_real_roots,
     parse_polynomial,
     primitive_signed,
     refine_interval,
     resultant,
+    same_root,
     sign_at,
     sign_int_at,
     square_free_part,
@@ -300,3 +302,31 @@ def test_sign_at_multivariate():
     assert sign_at(p, (Q(0), Q(0))) == -1
     assert sign_at(p, (Q(1), Q(0))) == 0
     assert sign_at(p, (Q(2), Q(0))) == 1
+
+
+def test_same_root_tie_rule():
+    p, q = [-2, 0, 1], [6, -2, -3, 1]  # x^2 - 2 and (x^2 - 2)(x - 3)
+    g = ugcd_int(p, q)
+    # open intervals around sqrt(2): the gcd changes sign over the overlap
+    assert same_root(p, (Q(1), Q(2)), q, (Q(5, 4), Q(2)), g)
+    # around sqrt(2) and 3: no sign change of the gcd over [5/2, 7/2]
+    assert not same_root(p, (Q(1), Q(4)), q, (Q(5, 2), Q(7, 2)), g)
+    # a point is the other's root exactly when the other vanishes there
+    assert same_root([-1, 1], (Q(1), Q(1)), [-1, 0, 1], (Q(1, 2), Q(3, 2)), None)
+    assert not same_root([-1, 1], (Q(1), Q(1)), [-2, 0, 1], (Q(1), Q(2)), None)
+    assert not same_root([-2, 0, 1], (Q(1), Q(2)), [-3, 2], (Q(3, 2), Q(3, 2)), None)
+    assert same_root([-1, 1], (Q(1), Q(1)), [-2, 2], (Q(1), Q(1)), None)
+
+
+def test_isolate_basis_roots_keeps_the_first_polynomial_of_a_shared_root():
+    polys = [[-2, 0, 1], [-1, 0, 1], [2, -3, 1], [-4, 0, 0, 1], [6, -2, -3, 1]]
+    roots = isolate_basis_roots(polys)
+    # -sqrt2, -1, 1, sqrt2, cbrt4, 2, 3: each once, at its first polynomial
+    assert [k for _, _, k in roots] == [0, 1, 1, 0, 3, 2, 4]
+    for (a, b, _), (c, d, _) in zip(roots, roots[1:]):
+        assert b < c
+    for lo, hi, k in roots:
+        if lo == hi:
+            assert sign_int_at(polys[k], lo) == 0
+        else:
+            assert sign_int_at(polys[k], lo) * sign_int_at(polys[k], hi) < 0
