@@ -271,14 +271,16 @@ class _Iv:
         return self.lo == self.hi and (self.lo_s or self.hi_s)
 
 
-def _core_and_bound(atom: Atom):
+def _core_and_bound(atom: Atom, splits):
     """Split the atom polynomial into base part and shift: p = core + k,
-    so p REL 0 reads (value of core) REL -k."""
+    so p REL 0 reads (value of core) REL -k.  Memoised in the dict
+    `splits`, keyed by atom polynomial."""
     p = atom.poly
-    zero = (0,) * p.ring.nvars
-    k = p.terms.get(zero, Q(0))
-    core = p - k
-    return core, -k
+    split = splits.get(p)
+    if split is None:
+        k = p.terms.get((0,) * p.ring.nvars, Q(0))
+        split = splits[p] = (p - k, -k)
+    return split
 
 
 def _all_satisfy(iv: _Iv, rel, b) -> bool:
@@ -320,13 +322,17 @@ def _none_satisfy(iv: _Iv, rel, b) -> bool:
     return below or above
 
 
-def simplify_shift_formula(formula, ctx=None):
+def simplify_shift_formula(formula):
     """Prune a formula whose atoms are shifts of base polynomials, using
     exact per-base interval reasoning.  Semantics-preserving."""
-    if ctx is None:
-        ctx = {}
+    return _prune(formula, {}, {})
+
+
+def _prune(formula, ctx, splits):
+    """One pruning pass: ctx maps each core to the interval its value is
+    known to lie in; splits memoises _core_and_bound for the pass."""
     if isinstance(formula, Atom):
-        core, b = _core_and_bound(formula)
+        core, b = _core_and_bound(formula, splits)
         iv = ctx.get(core)
         if iv is not None:
             if _all_satisfy(iv, formula.rel, b):
@@ -335,7 +341,7 @@ def simplify_shift_formula(formula, ctx=None):
                 return FALSE
         return formula
     if isinstance(formula, Or):
-        return disj(simplify_shift_formula(c, ctx) for c in formula.children)
+        return disj(_prune(c, ctx, splits) for c in formula.children)
     if isinstance(formula, And):
         children = list(formula.children)
         for _ in range(4):
@@ -345,7 +351,7 @@ def simplify_shift_formula(formula, ctx=None):
             progressed = False
             for c in children:
                 if isinstance(c, Atom):
-                    core, b = _core_and_bound(c)
+                    core, b = _core_and_bound(c, splits)
                     if core not in merged:
                         merged[core] = _Iv()
                     else:
@@ -362,7 +368,7 @@ def simplify_shift_formula(formula, ctx=None):
                     return FALSE
             new_others = []
             for c in others:
-                sc = simplify_shift_formula(c, merged)
+                sc = _prune(c, merged, splits)
                 if sc == FALSE:
                     return FALSE
                 if sc == TRUE:

@@ -1,9 +1,9 @@
 """Exact arithmetic foundation.
 
 Sparse multivariate polynomials over the rationals, polynomial matrices with
-exact determinants, Sylvester resultants, and univariate real root isolation
-by Descartes'-rule bisection.  No floating point anywhere: every sign
-decision is made over Q.
+cofactor determinants, Sylvester resultants by integer evaluation and exact
+interpolation, and univariate real root isolation by Descartes'-rule
+bisection.  No floating point anywhere: every sign decision is made over Q.
 """
 from __future__ import annotations
 
@@ -500,7 +500,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices, determinants, resultants.
+# Polynomial matrices and cofactor determinants; resultants by evaluation at
+# integers, integer Sylvester determinants and exact interpolation.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -532,35 +533,6 @@ class PolyMatrix:
         return len(self.entries[0])
 
 
-def exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Divide num by den assuming the division is exact (used by Bareiss)."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if den.is_constant():
-        c = den.constant_value()
-        return Polynomial(num.ring, {m: v / c for m, v in num.terms.items()})
-    ring = num.ring
-    lead_den = max(den.terms)  # lex-largest exponent tuple
-    cd = den.terms[lead_den]
-    rem = dict(num.terms)
-    quo = {}
-    while rem:
-        lead = max(rem)
-        diff = tuple(a - b for a, b in zip(lead, lead_den))
-        if any(e < 0 for e in diff):
-            raise ArithmeticError("inexact polynomial division")
-        c = rem[lead] / cd
-        quo[diff] = quo.get(diff, Q(0)) + c
-        for mono, v in den.terms.items():
-            m = tuple(a + b for a, b in zip(diff, mono))
-            nv = rem.get(m, Q(0)) - c * v
-            if nv == 0:
-                rem.pop(m, None)
-            else:
-                rem[m] = nv
-    return Polynomial(ring, quo)
-
-
 def _det_cofactor(rows) -> Polynomial:
     n = len(rows)
     if n == 1:
@@ -576,38 +548,12 @@ def _det_cofactor(rows) -> Polynomial:
     return total
 
 
-def _det_bareiss(rows) -> Polynomial:
-    n = len(rows)
-    ring = rows[0][0].ring
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = Polynomial.constant(ring, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return Polynomial(ring)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = Polynomial(ring)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def determinant(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant; cofactor expansion up to 4x4, fraction-free
-    elimination beyond that."""
+    """Exact determinant by cofactor expansion along the first row (the
+    Jacobian minors it serves are at most 3x3)."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in matrix.entries]
-    if matrix.rows <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    return _det_cofactor([list(r) for r in matrix.entries])
 
 
 def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
@@ -615,6 +561,9 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
 
     When one argument is constant in `var`, returns that argument raised to
     the other's degree (res(f, g) = g^deg_var(f) for deg_var(g) = 0).
+    Otherwise both are scaled to primitive integer polynomials, using
+    res(a*f, b*g) = a^dg * b^df * res(f, g), and the integer resultant is
+    found by evaluation and interpolation (_resultant_int).
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -626,23 +575,119 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
         return g ** df
     if df == 0:
         return f ** dg
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    ring = f.ring
-    zero = Polynomial(ring)
-    size = df + dg
-    rows = []
-    for i in range(dg):  # dg shifted copies of f
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(df):  # df shifted copies of g
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return determinant(PolyMatrix.from_rows(rows))
+    a, fi = _integer_terms(f)
+    b, gi = _integer_terms(g)
+    scale = a ** dg * b ** df
+    res = _resultant_int(fi, gi, var, df, dg)
+    return Polynomial(f.ring, {mono: scale * c for mono, c in res.items()})
+
+
+def _integer_terms(f: Polynomial):
+    """(a, terms) with f = a * (the integer polynomial `terms`)."""
+    ints = _primitive_int(list(f.terms.values()))
+    return next(iter(f.terms.values())) / ints[0], dict(zip(f.terms, ints))
+
+
+def _resultant_int(f, g, var, df, dg):
+    """Resultant in `var` of integer term dicts f and g, taken with the
+    formal degrees df and dg, as an integer term dict.
+
+    With no other variable left it is the determinant of the Sylvester
+    matrix of the coefficient lists padded to df and dg.  Otherwise one
+    remaining variable y is set to each integer 0..D, where
+    D = dg*deg_y(f) + df*deg_y(g) bounds the resultant's degree in y,
+    and the D + 1 resultants are interpolated exactly (Collins 1971).
+    The formal degrees are kept at every node, so a node where a leading
+    coefficient vanishes still gives the specialised resultant."""
+    if not f or not g:
+        return {}
+    ys = {i for mono in (*f, *g) for i, e in enumerate(mono) if e and i != var}
+    if not ys:
+        fc = [0] * (df + 1)
+        for mono, c in f.items():
+            fc[mono[var]] = c
+        gc = [0] * (dg + 1)
+        for mono, c in g.items():
+            gc[mono[var]] = c
+        rows = [[0] * i + fc[::-1] + [0] * (dg - 1 - i) for i in range(dg)]
+        rows += [[0] * i + gc[::-1] + [0] * (df - 1 - i) for i in range(df)]
+        det = _det_int(rows)
+        return {(0,) * len(next(iter(f))): det} if det else {}
+    y = max(ys)
+    bound = dg * max(mono[y] for mono in f) + df * max(mono[y] for mono in g)
+    values = [_resultant_int(_specialize(f, y, t), _specialize(g, y, t), var, df, dg)
+              for t in range(bound + 1)]
+    return _interpolate(values, y)
+
+
+def _specialize(f, y, t):
+    """The integer term dict f with variable y set to the integer t."""
+    out = {}
+    for mono, c in f.items():
+        e = mono[y]
+        if e:
+            if not t:
+                continue
+            c *= t ** e
+            mono = mono[:y] + (0,) + mono[y + 1:]
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _interpolate(values, y):
+    """The integer term dict R with R(y = t) = values[t] for t = 0..D.
+
+    Newton's forward-difference form, scaled by D! so that it stays
+    integral: D! R(t) = sum_j diff_j(0) * (D!/j!) * t(t-1)...(t-j+1),
+    followed by one exact division by D!."""
+    deg = len(values) - 1
+    basis = [[1]]  # t(t-1)...(t-j+1), then scaled by D!/j!
+    for j in range(deg):
+        prev = basis[-1]
+        basis.append([0] + prev)
+        for i, c in enumerate(prev):
+            basis[-1][i] -= j * c
+    fact = 1
+    for j in range(deg, -1, -1):
+        basis[j] = [c * fact for c in basis[j]]
+        fact *= j or 1
+    out = {}
+    for key in {mono for v in values for mono in v}:
+        row = [v.get(key, 0) for v in values]
+        acc = [0] * (deg + 1)
+        for j in range(deg + 1):
+            if row[0]:
+                for i, c in enumerate(basis[j]):
+                    acc[i] += row[0] * c
+            row = [b - a for a, b in zip(row, row[1:])]
+        for e, c in enumerate(acc):
+            if c:
+                out[key[:y] + (e,) + key[y + 1:]] = c // fact
+    return out
+
+
+def _det_int(a):
+    """Determinant of a square integer matrix (list of row lists, changed
+    in place) by fraction-free Bareiss elimination."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rk = a[k]
+        akk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (akk * ri[j] - aik * rk[j]) // prev
+        prev = akk
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +743,7 @@ def _primitive_int(coeffs):
         lcm = 1
         for c in rats:
             lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in rats]
+        ints = [c.numerator * (lcm // c.denominator) for c in rats]
         g = _igcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:

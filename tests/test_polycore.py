@@ -154,6 +154,96 @@ def test_resultant_degree_zero_convention():
     assert resultant(g, f, 0) == f ** 3
 
 
+def _sylvester_oracle(f, g, var, point):
+    """The Sylvester determinant of f and g in `var` after every other
+    variable is set to point[i], with the rows padded to the formal
+    degrees of f and g; Fraction Gaussian elimination."""
+    df, dg = f.degree_in(var), g.degree_in(var)
+
+    def descending(p, d):
+        c = [Q(0)] * (d + 1)
+        for mono, v in p.terms.items():
+            for i, e in enumerate(mono):
+                if i != var:
+                    v *= point[i] ** e
+            c[d - mono[var]] += v
+        return c
+
+    size = df + dg
+    fc, gc = descending(f, df), descending(g, dg)
+    a = [[Q(0)] * i + fc + [Q(0)] * (dg - 1 - i) for i in range(dg)]
+    a += [[Q(0)] * i + gc + [Q(0)] * (df - 1 - i) for i in range(df)]
+    det = Q(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if a[i][k] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, size):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, size):
+                a[i][j] -= factor * a[k][j]
+    return det
+
+
+def _random_rational(rng):
+    return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 64)))
+
+
+# (ring, eliminated variable, f, g): leading coefficients in the
+# eliminated variable that vanish at Y1 = 0 or 1, an argument that
+# vanishes identically at Y1 = 1, denominators 64^k, more than one
+# fiber variable with var != 0, and a common factor
+RESULTANT_CASES = [
+    (Ring(1, 1), 0, "Y1*X1^2 + X1 + 1", "3*X1^2 - Y1 + 2"),
+    (Ring(1, 1), 0, "(Y1 - 1)*X1^3 + 2*X1 - Y1", "5*X1^2 + X1 - 3"),
+    (Ring(1, 1), 0, "(Y1 - 1)*(X1 + 2)", "2*X1^2 + Y1*X1 - 1"),
+    (Ring(1, 1), 1, "Y1^2*X1 - 1/64", "3*Y1 - X1^2 + 1/4096"),
+    (Ring(1, 1), 0, "1/64*X1^2 + 1/4096*Y1 - 1", "1/64*X1*Y1 - 1/262144"),
+    (Ring(2, 1), 1, "X1*X2^2 + Y1*X2 - 1/64", "X2 - X1*Y1 + 2"),
+    (Ring(2, 1), 0, "Y1*X1^2 + X2*X1 + 1", "7*X1^2 - X2*Y1 + 1"),
+    (Ring(3, 1), 2, "X1*X3^2 + X2*X3 - Y1", "X3^2*Y1 + X1*X2 - 1/64"),
+    (Ring(3, 1), 1, "X1*X2 - X3 + Y1", "X2^2 - X3*Y1 + 3"),
+    (Ring(1, 1), 0, "(X1 - Y1)*(X1 + 1)", "(X1 - Y1)*(X1^2 + Y1)"),
+]
+
+
+def test_resultant_against_sylvester_oracle():
+    rng = random.Random(17)
+    for ring, var, ftext, gtext in RESULTANT_CASES:
+        f, g = P(ftext, ring), P(gtext, ring)
+        res = resultant(f, g, var)
+        for _ in range(4):
+            point = [_random_rational(rng) for _ in range(ring.nvars)]
+            assert res.eval_at(point) == _sylvester_oracle(f, g, var, point), (
+                ftext, gtext, point)
+    assert resultant(P("(X1 - Y1)*(X1 + 1)"), P("(X1 - Y1)*(X1^2 + Y1)"), 0).is_zero()
+
+
+def test_resultant_against_sylvester_oracle_random():
+    rng = random.Random(23)
+    for ring in (Ring(1, 1), Ring(2, 1), Ring(3, 1)):
+        for _ in range(12):
+            var = rng.randrange(ring.nvars)
+            f, g = (
+                Polynomial(ring, {
+                    tuple(rng.randint(0, 3 if i == var else 1)
+                          for i in range(ring.nvars)):
+                    Q(rng.randint(-4, 4), 64 ** rng.randint(0, 2))
+                    for _ in range(rng.randint(2, 4))
+                })
+                for _ in range(2)
+            )
+            if f.degree_in(var) == 0 or g.degree_in(var) == 0:
+                continue
+            res = resultant(f, g, var)
+            point = [_random_rational(rng) for _ in range(ring.nvars)]
+            assert res.eval_at(point) == _sylvester_oracle(f, g, var, point)
+
+
 # -- univariate integer machinery ---------------------------------------
 
 def _udiv_frac(a, b):
