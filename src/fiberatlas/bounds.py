@@ -7,6 +7,7 @@ than silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from math import comb
 
 
@@ -23,6 +24,14 @@ def _check_positive(**kwargs):
             raise TypeError(f"{name} must be an integer")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_nonnegative(**kwargs):
+    for name, value in kwargs.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def bound_main(m: int, n: int, s: int, d: int, c: int = 1) -> int:
@@ -53,10 +62,7 @@ def bound_fewnomial(m: int, r: int, c: int = 1) -> int:
 def bound_additive(m: int, a: int, c: int = 1) -> int:
     """2^((c*(m+a)*a)^4); a = 0 is allowed and gives 2^0 = 1."""
     _check_positive(m=m, c=c)
-    if not isinstance(a, int):
-        raise TypeError("a must be an integer")
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
+    _check_nonnegative(a=a)
     return 1 << ((c * (m + a) * a) ** 4)
 
 
@@ -64,10 +70,7 @@ def bound_pfaffian(m: int, n: int, s: int, r: int, alpha: int, beta: int,
                    c: int = 1) -> int:
     """s^(c*n*m) * 2^(c*n*(m^2 + n*r^2)) * (n*m*(alpha+beta))^(c*n*(m+r))."""
     _check_positive(m=m, n=n, s=s, alpha=alpha, beta=beta, c=c)
-    if not isinstance(r, int):
-        raise TypeError("r must be an integer")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    _check_nonnegative(r=r)
     return (
         s ** (c * n * m)
         * (1 << (c * n * (m ** 2 + n * r ** 2)))
@@ -156,3 +159,72 @@ def evaluate_bound(name: str, **params) -> int:
     if fn is None:
         raise ValueError(f"unknown bound {name!r}")
     return fn(**params)
+
+
+# -- exponent forms: the bounds as products of powers, never evaluated ---
+
+# Bases and exponents of an exponent form stop at _CAP: a bit count past
+# 2^64 fits in no memory, so nothing is lost.
+_CAP = 1 << 64
+
+
+def _form_main(m, n, s, d, c=1):
+    return [(2, m * c * n * m), (s * n * d, c * n * m)]
+
+
+def _form_main_precise(m, n, s, d, c=1):
+    return [(s, 2 * (m + 1) * n), (2, m * c * n * m), (n * d, c * n * m)]
+
+
+def _form_lists(m, s, d, c=1):
+    # C(m+d, d) >= 2^min(m, d), so a larger min(m, d) passes _CAP
+    big_n = _CAP if min(m, d) > 64 else min(s * comb(m + d, d), _CAP)
+    return [(big_n, c * big_n * m)]
+
+
+def _form_fewnomial(m, r, c=1):
+    return [(2, (c * m * r) ** 4)]
+
+
+def _form_additive(m, a, c=1):
+    return [(2, (c * (m + a) * a) ** 4)]
+
+
+def _form_pfaffian(m, n, s, r, alpha, beta, c=1):
+    return [(s, c * n * m), (2, c * n * (m ** 2 + n * r ** 2)),
+            (n * m * (alpha + beta), c * n * (m + r))]
+
+
+def _form_metric(M, d, m, c=1):
+    return [(M, _CAP if d >= 2 and c * m > 64 else min(d ** (c * m), _CAP))]
+
+
+_FORMS = {
+    "main": _form_main,
+    "main_precise": _form_main_precise,
+    "lists": _form_lists,
+    "fewnomial": _form_fewnomial,
+    "additive": _form_additive,
+    "pfaffian": _form_pfaffian,
+    "metric": _form_metric,
+}
+
+
+def bit_length_floor(name: str, **params):
+    """(bits, exact): the named bound's value has at least `bits` bits,
+    and exactly that many when `exact`.  Read from the exponent form
+    prod base^e as 1 + sum (bit_length(base) - 1) * e, without forming a
+    power.  Parameters must be integers >= 1, a and r integers >= 0; the
+    evaluators check the rest.  A base or exponent that reaches _CAP
+    counts as _CAP, so the work stays small for any parameters, and the
+    count is then not exact."""
+    form = _FORMS.get(name)
+    if form is None:
+        raise ValueError(f"unknown bound {name!r}")
+    signature(form).bind(**params)  # TypeError naming a missing or unknown one
+    _check_nonnegative(**params)
+    _check_positive(**{k: v for k, v in params.items() if k not in ("a", "r")})
+    powers = form(**params)
+    bits = 1 + sum((b.bit_length() - 1) * e for b, e in powers)
+    exact = all(b & (b - 1) == 0 and _CAP not in (b, e) for b, e in powers)
+    return bits, exact

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .atlas import run_atlas
-from .bounds import BOUNDS, count_family, evaluate_bound, metric_radius
+from .bounds import BOUNDS, bit_length_floor, count_family, evaluate_bound, metric_radius
 from .eliminate import DegenerateEliminationError, UnsupportedModeError
 from .polycore import ParseError, Polynomial, Ring, parse_polynomial
 from .semialg import And, Atom, SignCondition, eval_signs, formula_to_text, parse_formula
@@ -241,6 +241,13 @@ def cmd_atlas(args) -> int:
     return 0
 
 
+def _printable_bits():
+    """A bit length above which an integer has more decimal digits than
+    str() converts (sys.get_int_max_str_digits); None when unlimited."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return (10 ** digits).bit_length() if digits else None
+
+
 def cmd_bounds(args) -> int:
     params = {}
     for part in args.params:
@@ -263,20 +270,28 @@ def cmd_bounds(args) -> int:
             value = count_family(params["s"], params["m"], scheme)
             symbolic = f"count_family[{scheme}]"
             shown = dict(params, scheme=scheme)
-        elif args.name == "metric":
-            rep = metric_radius(**params)
-            value = rep.value
-            symbolic = BOUNDS["metric"].symbolic
-            shown = dict(params)
-            if rep.warning:
-                print(f"warning: {rep.warning}", file=sys.stderr)
         else:
             if args.name not in BOUNDS:
                 print(f"error: unknown bound {args.name!r}", file=sys.stderr)
                 return 2
-            value = evaluate_bound(args.name, **params)
             symbolic = BOUNDS[args.name].symbolic
             shown = dict(params)
+            limit = _printable_bits()
+            if limit is not None:
+                bits, exact = bit_length_floor(args.name, **params)
+                if bits > limit:
+                    param_text = " ".join(f"{k}={v}" for k, v in sorted(shown.items()))
+                    print(f"error: value has {'' if exact else 'at least '}{bits} "
+                          f"bits, too large to print in decimal: {args.name} "
+                          f"{symbolic} [{param_text}]", file=sys.stderr)
+                    return 2
+            if args.name == "metric":
+                rep = metric_radius(**params)
+                value = rep.value
+                if rep.warning:
+                    print(f"warning: {rep.warning}", file=sys.stderr)
+            else:
+                value = evaluate_bound(args.name, **params)
         c = shown.get("c", 1)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -797,13 +797,42 @@ def _pseudo_divmod(a, b):
     return q, a
 
 
+_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_prime(a, b):
+    """Whether Euclid's algorithm modulo _PRIME ends in a nonzero
+    constant, for integer coefficient lists whose leading coefficients
+    _PRIME does not divide.  Then a and b are coprime over Q: a common
+    factor of positive degree would have a leading coefficient dividing
+    both, so it would keep its degree modulo _PRIME (Brown 1971)."""
+    a = [c % _PRIME for c in a]
+    b = [c % _PRIME for c in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _PRIME)
+        b = [c * inv % _PRIME for c in b]
+        db = len(b) - 1
+        while len(a) > db:
+            la = a.pop()
+            if la:
+                shift = len(a) - db
+                a[shift:] = [(x - la * y) % _PRIME for x, y in zip(a[shift:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
 def ugcd_int(a, b):
     """Gcd of two integer coefficient lists, primitive with positive lead.
-    Primitive pseudo-remainder sequence; no rational arithmetic."""
+    [1] at once when Euclid modulo a prime shows them coprime, otherwise
+    the primitive pseudo-remainder sequence; no rational arithmetic."""
     a = _primitive_int(a)
     b = _primitive_int(b)
     if len(a) < len(b):
         a, b = b, a
+    if b and a[-1] % _PRIME and b[-1] % _PRIME and _coprime_mod_prime(a, b):
+        return [1]
     while b:
         _, r = _pseudo_divmod(a, b)
         a, b = b, _primitive_int(r)
@@ -834,16 +863,27 @@ def _sign_variations(coeffs):
 
 
 def _shift_by(p, c):
-    """p(x+c) for integer c, via Horner."""
-    r = []
+    """p(x+c) for integer c, by Kronecker substitution: p is evaluated
+    at 2^k + c as one integer, whose balanced base-2^k digits are the
+    coefficients of p(x+c).  Those are at most B = sum |a_i| (1+|c|)^i
+    in absolute value, and k is a whole number of bytes with 2^k > 4B."""
+    if not p:
+        return []
+    bound = 0
     for a in reversed(p):
-        nr = [0] * (len(r) + 1)
-        for i, cc in enumerate(r):
-            nr[i] += cc * c
-            nr[i + 1] += cc
-        nr[0] += a
-        r = nr
-    return _trim(r)
+        bound = bound * (1 + abs(c)) + abs(a)
+    nbytes = (bound.bit_length() + 9) // 8
+    k = 8 * nbytes
+    v = 0
+    for a in reversed(p):
+        v = (v << k) + v * c + a
+    # adding half of 2^k to every digit makes all digits nonnegative
+    half = b"\0" * (nbytes - 1) + b"\x80"
+    raw = (v + int.from_bytes(half * len(p), "little")).to_bytes(
+        nbytes * len(p), "little")
+    off = 1 << (k - 1)
+    return _trim([int.from_bytes(raw[i:i + nbytes], "little") - off
+                  for i in range(0, len(raw), nbytes)])
 
 
 def _mobius_count(p):
@@ -1010,6 +1050,8 @@ def usquarefree_int(coeffs):
     if len(p) <= 1:
         return p
     g = ugcd_int(p, _uderiv(p))
+    if g == [1]:
+        return p
     q, r = _pseudo_divmod(p, g)
     assert not r
     return _primitive_int(q)

@@ -12,6 +12,7 @@ from fiberatlas.bounds import (
     bound_main,
     bound_main_precise,
     bound_pfaffian,
+    bit_length_floor,
     count_family,
     evaluate_bound,
     metric_radius,
@@ -104,3 +105,34 @@ def test_monotone_in_every_parameter():
 def test_reevaluation_is_identical():
     for _ in range(3):
         assert bound_lists(3, 2, 2, 2) == bound_lists(3, 2, 2, 2)
+
+
+def test_bit_length_floor_against_the_value():
+    rng = random.Random(3)
+    for name, bound in BOUNDS.items():
+        for _ in range(25):
+            params = {k: rng.randint(1, 3) for k in bound.params}
+            if name in ("additive", "pfaffian"):  # a and r may be 0
+                params["a" if name == "additive" else "r"] = rng.randint(0, 3)
+            bits = evaluate_bound(name, **params).bit_length()
+            floor, exact = bit_length_floor(name, **params)
+            assert floor <= bits
+            assert floor == bits or not exact
+    assert bit_length_floor("fewnomial", m=3, r=3, c=2) == (104977, True)
+    assert bit_length_floor("main", m=2, n=1, s=1, d=2, c=1) == (7, True)
+
+
+def test_bit_length_floor_never_forms_the_power():
+    # M^(d^(c m)) with d^(c m) = 5^25 exactly, and with d^(c m) capped
+    assert bit_length_floor("metric", M=5, d=5, m=5, c=5) == (2 * 5 ** 25 + 1, False)
+    bits, exact = bit_length_floor("metric", M=2, d=10 ** 6, m=10 ** 6)
+    assert bits > 2 ** 64 and not exact
+    bits, exact = bit_length_floor("lists", m=10 ** 9, s=1, d=10 ** 9)
+    assert bits > 2 ** 64 and not exact
+    assert bit_length_floor("metric", M=1, d=10 ** 6, m=10 ** 6)[0] == 1
+    with pytest.raises(ValueError):
+        bit_length_floor("main", m=0, n=1, s=1, d=1)
+    with pytest.raises(ValueError):
+        bit_length_floor("pfaffian", m=1, n=1, s=1, r=-1, alpha=1, beta=1)
+    with pytest.raises(ValueError):
+        bit_length_floor("nope")

@@ -199,6 +199,23 @@ def test_bounds_value_too_long_to_print_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bounds_refused_from_the_exponent_form_exits_2(tmp_path, capsys):
+    """metric M=5 d=5 m=5 c=5 has about 6e17 bits: refused before it is
+    evaluated."""
+    out = tmp_path / "b.json"
+    start = time.process_time()
+    argv = ["bounds", "metric", "M=5", "d=5", "m=5", "c=5", "--json", str(out)]
+    assert main(argv) == 2
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err
+    assert ("value has at least 596046447753906251 bits, too large to print "
+            "in decimal: metric M^(d^(c m)) [M=5 c=5 d=5 m=5]") in err
+    assert not out.exists()
+    # 3^(2^13) has 12984 bits but only 3909 digits: it still prints
+    assert main(["bounds", "metric", "M=3", "d=2", "m=13"]) == 0
+    assert "value=37784933609751067409" in capsys.readouterr().out
+
+
 def test_atlas_nonpositive_omega_exits_2(tmp_path, capsys):
     problem = _write(tmp_path, "q.txt", QUADRIC)
     for omega in ("0", "-4"):

@@ -2,10 +2,12 @@
 import random
 from fractions import Fraction as Q
 from itertools import permutations
+from math import gcd
 
 import pytest
 
 from fiberatlas.polycore import (
+    NotSquareFreeError,
     ParseError,
     PolyMatrix,
     Polynomial,
@@ -29,6 +31,9 @@ from fiberatlas.polycore import (
     ugcd_int,
     usquarefree_int,
 )
+from fiberatlas.polycore import _shift_by
+
+MERSENNE_61 = (1 << 61) - 1
 
 R11 = Ring(1, 1)
 R20 = Ring(2, 0)
@@ -380,6 +385,87 @@ def test_usquarefree_int_is_square_free():
     sf = usquarefree_int(p)
     g = ugcd_int(list(sf), [i * c for i, c in enumerate(sf)][1:])
     assert len(g) == 1
+    # a square-free primitive input comes back as it is
+    assert usquarefree_int([-2, 0, 1]) == [-2, 0, 1]
+    assert usquarefree_int([6, -4, -2]) == [-3, 2, 1]
+
+
+def _gcd_oracle(a, b):
+    """Gcd by Euclid over the rationals, scaled to a primitive integer
+    list with positive leading coefficient."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        a, b = b, _udiv_frac(a, b)[1]
+    if not a:
+        return []
+    lcm = 1
+    for c in a:
+        lcm = lcm * Q(c).denominator // gcd(lcm, Q(c).denominator)
+    ints = [int(Q(c) * lcm) for c in a]
+    g = gcd(*ints)
+    return [c // g * (1 if ints[-1] > 0 else -1) for c in ints]
+
+
+def test_ugcd_int_falls_back_when_the_modular_check_cannot_decide():
+    m = MERSENNE_61
+    cases = [
+        # leading coefficient a multiple of the prime: no modular pass
+        ([3, m], [1, 2, 5]),
+        (_umul([3, 2 * m], [-1, 1]), _umul([-1, 1], [7, 0, 1])),
+        (_umul([1, m], [1, 1]), _umul([1, m], [3, 1])),
+        # x and x - m share the root 0 modulo the prime but are coprime
+        ([0, 1], [-m, 1]),
+        (_umul([-m, 1], [2, 1]), _umul([0, 1], [2, 1])),
+        # a shared factor: the modular sequence ends in zero
+        (_umul([-2, 0, 1], [1, 3]), _umul([-2, 0, 1], [-5, 0, 0, 2])),
+        (_umul([m + 4, 1], [1, 1]), _umul([m + 4, 1], [3, 1])),
+    ]
+    for a, b in cases:
+        assert ugcd_int(a, b) == _gcd_oracle(a, b)
+        assert ugcd_int(b, a) == _gcd_oracle(a, b)
+    assert ugcd_int([0, 1], [-m, 1]) == [1]
+
+
+def test_ugcd_int_against_rational_euclid():
+    rng = random.Random(61)
+    for _ in range(150):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 9)]
+        a = [rng.randint(-(1 << 70), 1 << 70) for _ in range(rng.randint(1, 8))]
+        b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            a, b = _umul(a, h), _umul(b, h)
+        if not any(a) or not any(b):
+            continue
+        assert ugcd_int(a, b) == _gcd_oracle(a, b)
+
+
+def _shift_oracle(p, c):
+    """p(x + c) by Horner's rule on coefficient lists: r -> r * (x + c) + a."""
+    r = []
+    for a in reversed(p):
+        r = [c * s + t for s, t in zip(r + [0], [0] + r)]
+        r[0] += a
+    return _trimmed(r)
+
+
+def test_shift_by_against_horner():
+    rng = random.Random(17)
+    assert _shift_by([], 5) == []
+    assert _shift_by([0, 0], 1) == []
+    for _ in range(400):
+        bits = rng.choice((1, 8, 64, 200))
+        p = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 26))]
+        if rng.random() < 0.25:
+            p += [0] * rng.randint(1, 3)  # trailing zeros
+        c = rng.choice((1, -1, -(1 << rng.randint(0, 80)),
+                        rng.randint(-(1 << 100), 1 << 100)))
+        assert _shift_by(p, c) == _shift_oracle(p, c)
+
+
+def test_isolation_still_refuses_a_square():
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
+    with pytest.raises(NotSquareFreeError):
+        isolate_int_roots([2, -3, 0, 1])
 
 
 def test_as_univariate_rejects_mixed():
