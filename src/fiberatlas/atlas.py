@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .critical import enumerate_strata, systems_for_strata
@@ -155,9 +155,10 @@ class FiberPlan:
     `polys` are its distinct atom polynomials in first-seen order, and
     `indexed` is the formula with each atom polynomial replaced by its
     index there, so `eval_signs(indexed, signs.__getitem__)` evaluates it
-    over a list of signs.  For m = 1, the first `coeffs_at` builds
-    `tables`: atom k as rows of integers t[i][j], the coefficients of
-    X1^i * Y1^j times one positive factor that clears their denominators.
+    over a list of signs; `truth` memoises that per sign vector for the
+    life of the plan.  For m = 1, the first `coeffs_at` builds `tables`:
+    atom k as rows of integers t[i][j], the coefficients of X1^i * Y1^j
+    times one positive factor that clears their denominators.
     """
 
     def __init__(self, formula):
@@ -167,6 +168,15 @@ class FiberPlan:
             formula, lambda a: Atom(index.setdefault(a.poly, len(index)), a.rel))
         self.polys = list(index)
         self.tables = None
+        self.truths = {}
+
+    def truth(self, signs):
+        """The formula's value when atom polynomial k has sign signs[k]."""
+        key = tuple(signs)
+        t = self.truths.get(key)
+        if t is None:
+            t = self.truths[key] = eval_signs(self.indexed, key.__getitem__)
+        return t
 
     def coeffs_at(self, y):
         """Per atom, its coefficients in X1 at Y1 = y as primitive integers
@@ -275,28 +285,24 @@ class _Core:
                     self._refine_crit(i)
 
     def crossings(self, entries):
-        """The real roots of K - T over the thresholds T of `entries`
-        (T -> (P, atom indices)), sorted, as _Root objects."""
-        ts = sorted(entries)
+        """The real roots of K - T, sorted, as _Root objects, where
+        `entries` lists (P, atom indices) by ascending distinct T."""
         irrational = any(lo != hi for lo, hi in self.crit)
-        value_signs = {}  # sign of K - T at -oo, at each critical point, at +oo
-        for t in ts:
-            P = entries[t][0]
+        value_signs = []  # sign of K - T at -oo, at each critical point, at +oo
+        for P, _ in entries:
             g = ugcd_int(P, self.q) if irrational else []
-            value_signs[t] = ([1 if self.even else -1]
-                              + [self._value_sign(i, P, g) for i in range(len(self.crit))]
-                              + [1])
+            value_signs.append([1 if self.even else -1]
+                               + [self._value_sign(i, P, g) for i in range(len(self.crit))]
+                               + [1])
         out = []
         for j, up in enumerate(self.rising):
-            on_piece = [t for t in ts if value_signs[t][j] * value_signs[t][j + 1] < 0]
-            for t in (on_piece if up else reversed(on_piece)):
-                P, atoms = entries[t]
+            on_piece = [e for e, v in zip(entries, value_signs) if v[j] * v[j + 1] < 0]
+            for P, atoms in (on_piece if up else reversed(on_piece)):
                 out.append(_Root(self, P, atoms, self._piece_interval(j, P), P, True))
             if j < len(self.crit):
-                for t in ts:
-                    if value_signs[t][j + 1] == 0:
-                        P, atoms = entries[t]
-                        flips = up == self.rising[j + 1]
+                flips = up == self.rising[j + 1]
+                for (P, atoms), v in zip(entries, value_signs):
+                    if v[j + 1] == 0:
                         out.append(_Root(self, P, atoms, self.crit[j], self.q, flips))
         return out
 
@@ -382,12 +388,16 @@ def _fiber_roots(coeffs):
         s = 1 if c[-1] > 0 else -1
         g = gcd(*c[1:])
         K = (0,) + tuple(s * v // g for v in c[1:])
+        # T = -s*c[0]/g in lowest terms, since c is primitive
         entry = by_core.setdefault(K, {}).setdefault(
-            Q(-s * c[0], g), ([s * v for v in c], []))
+            (-s * c[0], g), ([s * v for v in c], []))
         entry[1].append(k)
-    merged = heapq.merge(
-        *(_Core(list(K)).crossings(entries) for K, entries in by_core.items()),
-        key=cmp_to_key(_compare))
+    crossings = []
+    for K, by_t in by_core.items():
+        L = lcm(*(g for _, g in by_t))
+        ts = sorted(by_t, key=lambda t: t[0] * (L // t[1]))
+        crossings.append(_Core(list(K)).crossings([by_t[t] for t in ts]))
+    merged = heapq.merge(*crossings, key=cmp_to_key(_compare))
     events = []
     for r in merged:
         if events and events[-1][0].core is not r.core \
@@ -422,18 +432,18 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     signs = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1) if c else 0
              for c in coeffs]
     # alternating sequence: open piece, root, open piece, ..., open piece
-    truths = [eval_signs(plan.indexed, signs.__getitem__)]
+    truths = [plan.truth(signs)]
     for event in _fiber_roots(coeffs):
         at_root = list(signs)
         for r in event:
             for k in r.atoms:
                 at_root[k] = 0
-        truths.append(eval_signs(plan.indexed, at_root.__getitem__))
+        truths.append(plan.truth(at_root))
         for r in event:
             if r.flips:
                 for k in r.atoms:
                     signs[k] = -signs[k]
-        truths.append(eval_signs(plan.indexed, signs.__getitem__))
+        truths.append(plan.truth(signs))
     b0 = 0
     prev = False
     for t in truths:
@@ -466,8 +476,7 @@ def _fiber_b0_grid(plan, y, m, resolution, box_radius):
         prev = False
         for k in range(n_steps + 1):
             x = -box_radius + k * step
-            signs = [sign_int_at(c, x) for c in coeffs]
-            t = eval_signs(plan.indexed, signs.__getitem__)
+            t = plan.truth([sign_int_at(c, x) for c in coeffs])
             if t and not prev:
                 b0 += 1
             prev = t

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from inspect import signature
 from math import comb
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -86,22 +87,31 @@ def count_family(s: int, m: int, scheme: str) -> int:
 
     pprime_paper: 2*s^2 distinct shift magnitudes.
     pprime_impl: 4*s^2 stored members (both signs per shift).
-    minors_paper: sum over l of C(2*s^2, l) * C(m, l).
+    minors_paper: sum over l = 1..m of C(2*s^2, l) * C(m, l).
     zsets: sum over l = 0..m+1 of C(2*s^2, l).
+    Both sums stop at l = 2*s^2, past which C(2*s^2, l) = 0.
     """
     _check_positive(s=s, m=m)
+    n = 2 * s ** 2
     if scheme == "pprime_paper":
-        return 2 * s ** 2
+        return n
     if scheme == "pprime_impl":
-        return 4 * s ** 2
+        return 2 * n
     if scheme == "minors_paper":
-        return sum(
-            comb(2 * s ** 2, ell) * comb(m, ell)
-            for ell in range(1, m + 1)
-        )
+        top = min(m, n)
+        return sum(map(mul, _binomials(n, top), _binomials(m, top))) - 1
     if scheme == "zsets":
-        return sum(comb(2 * s ** 2, ell) for ell in range(m + 2))
+        return sum(_binomials(n, min(m + 1, n)))
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _binomials(n, k):
+    """C(n, 0), ..., C(n, k), each from the one before."""
+    c = 1
+    yield c
+    for ell in range(1, k + 1):
+        c = c * (n - ell + 1) // ell
+        yield c
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,23 @@ def _form_metric(M, d, m, c=1):
     return [(M, _CAP if d >= 2 and c * m > 64 else min(d ** (c * m), _CAP))]
 
 
+def _form_count(s, m, scheme):
+    # one term of each sum, with C(n, k) >= (n // k)^k; k at most half
+    # of n keeps every base at least 2
+    n = 2 * s ** 2
+    if scheme == "pprime_paper":
+        return [(n, 1)]
+    if scheme == "pprime_impl":
+        return [(2 * n, 1)]
+    if scheme == "minors_paper":
+        k = max(1, min(m, n) // 2)
+        return [(n // k, k), (m // k, k)]
+    if scheme == "zsets":
+        k = min(m + 1, n) // 2
+        return [(n // k, k)]
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 _FORMS = {
     "main": _form_main,
     "main_precise": _form_main_precise,
@@ -207,24 +234,29 @@ _FORMS = {
     "additive": _form_additive,
     "pfaffian": _form_pfaffian,
     "metric": _form_metric,
+    "count": _form_count,
 }
 
 
 def bit_length_floor(name: str, **params):
-    """(bits, exact): the named bound's value has at least `bits` bits,
-    and exactly that many when `exact`.  Read from the exponent form
-    prod base^e as 1 + sum (bit_length(base) - 1) * e, without forming a
-    power.  Parameters must be integers >= 1, a and r integers >= 0; the
-    evaluators check the rest.  A base or exponent that reaches _CAP
-    counts as _CAP, so the work stays small for any parameters, and the
-    count is then not exact."""
+    """(bits, exact): the named bound's value, or count_family's for
+    "count", has at least `bits` bits, and exactly that many when `exact`.
+    Read from the exponent form prod base^e as 1 + sum (bit_length(base)
+    - 1) * e, without forming a power; for "count" the form is a lower
+    bound on one term of the sum.  Parameters must be integers >= 1, a
+    and r integers >= 0, and scheme a string; the evaluators check the
+    rest.  A base or exponent that reaches _CAP counts as _CAP, so the
+    work stays small for any parameters, and the count is then not
+    exact."""
     form = _FORMS.get(name)
     if form is None:
         raise ValueError(f"unknown bound {name!r}")
     signature(form).bind(**params)  # TypeError naming a missing or unknown one
-    _check_nonnegative(**params)
-    _check_positive(**{k: v for k, v in params.items() if k not in ("a", "r")})
+    ints = {k: v for k, v in params.items() if k != "scheme"}
+    _check_nonnegative(**ints)
+    _check_positive(**{k: v for k, v in ints.items() if k not in ("a", "r")})
     powers = form(**params)
     bits = 1 + sum((b.bit_length() - 1) * e for b, e in powers)
-    exact = all(b & (b - 1) == 0 and _CAP not in (b, e) for b, e in powers)
+    exact = name != "count" and all(
+        b & (b - 1) == 0 and _CAP not in (b, e) for b, e in powers)
     return bits, exact

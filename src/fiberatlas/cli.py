@@ -243,9 +243,12 @@ def cmd_atlas(args) -> int:
 
 def _printable_bits():
     """A bit length above which an integer has more decimal digits than
-    str() converts (sys.get_int_max_str_digits); None when unlimited."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return (10 ** digits).bit_length() if digits else None
+    str() converts (sys.get_int_max_str_digits), or than the default
+    limit when that is off or missing, so the refusal does not depend on
+    the interpreter's settings."""
+    digits = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+              or getattr(sys.int_info, "default_max_str_digits", 4300))
+    return (10 ** digits).bit_length()
 
 
 def cmd_bounds(args) -> int:
@@ -266,33 +269,30 @@ def cmd_bounds(args) -> int:
                 return 2
     try:
         if args.name == "count":
-            scheme = params.pop("scheme", "pprime_paper")
-            value = count_family(params["s"], params["m"], scheme)
-            symbolic = f"count_family[{scheme}]"
-            shown = dict(params, scheme=scheme)
-        else:
-            if args.name not in BOUNDS:
-                print(f"error: unknown bound {args.name!r}", file=sys.stderr)
-                return 2
+            params.setdefault("scheme", "pprime_paper")
+            symbolic = f"count_family[{params['scheme']}]"
+        elif args.name in BOUNDS:
             symbolic = BOUNDS[args.name].symbolic
-            shown = dict(params)
-            limit = _printable_bits()
-            if limit is not None:
-                bits, exact = bit_length_floor(args.name, **params)
-                if bits > limit:
-                    param_text = " ".join(f"{k}={v}" for k, v in sorted(shown.items()))
-                    print(f"error: value has {'' if exact else 'at least '}{bits} "
-                          f"bits, too large to print in decimal: {args.name} "
-                          f"{symbolic} [{param_text}]", file=sys.stderr)
-                    return 2
-            if args.name == "metric":
-                rep = metric_radius(**params)
-                value = rep.value
-                if rep.warning:
-                    print(f"warning: {rep.warning}", file=sys.stderr)
-            else:
-                value = evaluate_bound(args.name, **params)
-        c = shown.get("c", 1)
+        else:
+            print(f"error: unknown bound {args.name!r}", file=sys.stderr)
+            return 2
+        bits, exact = bit_length_floor(args.name, **params)
+        if bits > _printable_bits():
+            param_text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+            print(f"error: value has {'' if exact else 'at least '}{bits} "
+                  f"bits, too large to print in decimal: {args.name} "
+                  f"{symbolic} [{param_text}]", file=sys.stderr)
+            return 2
+        if args.name == "count":
+            value = count_family(**params)
+        elif args.name == "metric":
+            rep = metric_radius(**params)
+            value = rep.value
+            if rep.warning:
+                print(f"warning: {rep.warning}", file=sys.stderr)
+        else:
+            value = evaluate_bound(args.name, **params)
+        c = params.get("c", 1)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -302,13 +302,13 @@ def cmd_bounds(args) -> int:
         print(f"error: value has {value.bit_length()} bits, too large to "
               f"print in decimal", file=sys.stderr)
         return 2
-    param_text = " ".join(f"{k}={v}" for k, v in sorted(shown.items()))
+    param_text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     print(f"{args.name}  {symbolic}  [{param_text}]  c={c}  value={value_text}")
     if args.json:
         payload = {
             "name": args.name,
             "symbolic": symbolic,
-            "params": {k: str(v) for k, v in sorted(shown.items())},
+            "params": {k: str(v) for k, v in sorted(params.items())},
             "c": c,
             "value": value_text,
         }

@@ -1,5 +1,7 @@
 """Exact bound evaluation and monotonicity."""
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -47,6 +49,38 @@ def test_count_family_schemes():
         count_family(1, 1, "nope")
     assert set(COUNT_SCHEMES) == {
         "pprime_paper", "pprime_impl", "minors_paper", "zsets"}
+
+
+def test_count_family_sums_stop_at_two_s_squared():
+    """Equal to the sums over every l up to m, and cheap for a large m:
+    C(2 s^2, l) is 0 past l = 2 s^2."""
+    for s in (1, 2, 3):
+        n = 2 * s ** 2
+        for m in range(1, 25):
+            assert count_family(s, m, "minors_paper") == sum(
+                comb(n, ell) * comb(m, ell) for ell in range(1, m + 1))
+            assert count_family(s, m, "zsets") == sum(
+                comb(n, ell) for ell in range(m + 2))
+    start = time.process_time()
+    assert count_family(1, 10 ** 8, "zsets") == 4
+    assert count_family(1, 10 ** 8, "minors_paper") == 2 * 10 ** 8 + comb(10 ** 8, 2)
+    assert time.process_time() - start < 1
+
+
+def test_bit_length_floor_of_count():
+    for s in (1, 2, 3, 5):
+        for m in (1, 2, 3, 7, 40, 200):
+            for scheme in COUNT_SCHEMES:
+                bits = count_family(s, m, scheme).bit_length()
+                floor, exact = bit_length_floor("count", s=s, m=m, scheme=scheme)
+                assert floor <= bits and not exact
+    start = time.process_time()
+    bits, _ = bit_length_floor("count", s=1000, m=100000, scheme="minors_paper")
+    assert bits > 100000 and time.process_time() - start < 1
+    with pytest.raises(ValueError):
+        bit_length_floor("count", s=1, m=1, scheme="nope")
+    with pytest.raises(TypeError):
+        bit_length_floor("count", s=1, m=1, c=1)
 
 
 def test_parameter_validation():

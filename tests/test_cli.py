@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, deterministic output."""
 import json
+import sys
 import time
 
 import pytest
@@ -214,6 +215,32 @@ def test_bounds_refused_from_the_exponent_form_exits_2(tmp_path, capsys):
     # 3^(2^13) has 12984 bits but only 3909 digits: it still prints
     assert main(["bounds", "metric", "M=3", "d=2", "m=13"]) == 0
     assert "value=37784933609751067409" in capsys.readouterr().out
+
+
+def test_bounds_count_cut_off_and_refused(capsys):
+    """The count sums stop at l = 2 s^2, and a count too large to print
+    is refused from a lower bound on its bit length, before summing."""
+    start = time.process_time()
+    assert main(["bounds", "count", "s=1", "m=100000000", "scheme=zsets"]) == 0
+    assert "value=4" in capsys.readouterr().out
+    assert main(["bounds", "count", "s=1000", "m=100000", "scheme=minors_paper"]) == 2
+    assert time.process_time() - start < 1
+    assert ("value has at least 300001 bits, too large to print in decimal: "
+            "count count_family[minors_paper]") in capsys.readouterr().err
+
+
+def test_bounds_refusal_without_an_int_digit_limit(capsys):
+    """With the interpreter's int-to-decimal limit switched off the
+    refusal still uses the default limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.process_time()
+        assert main(["bounds", "metric", "M=5", "d=5", "m=5", "c=5"]) == 2
+        assert time.process_time() - start < 1
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert "too large to print in decimal" in capsys.readouterr().err
 
 
 def test_atlas_nonpositive_omega_exits_2(tmp_path, capsys):

@@ -129,9 +129,28 @@ def test_fiber_b0_matches_golden_corpus():
     ("(X1^2 - 2 = 0) and (X1^3 - 2*X1 = 0)", 0, 2),
     ("(X1^2 - 2 = 0) and (X1^4 - 4*X1^2 + 4 = 0)", 0, 2),
     ("(X1^2 - 2 >= 0) and (X1^4 - 4*X1^2 + 4 <= 0)", 0, 2),
+    # one core, thresholds 1/3, -1/2 and 1/2 of different denominators
+    ("((X1 - 1/3 <= 0) and (2*X1 + 1 >= 0)) or (X1 - 1/2 >= 0)", 0, 2),
+    ("(X1 - 1/3 = 0) or (2*X1 + 1 = 0) or (X1 - 1/2 = 0)", 0, 3),
+    ("(X1 - 1/2 > 0) and (X1 - 1/3 < 0)", 0, 0),
+    ("(X1^2 - 1/9 >= 0) and (3*X1^2 - 1 <= 0)", 0, 2),
+    ("(X1^2 - 1/4 > 0) and (3*X1^2 - 1 < 0) and (9*X1^2 - 1 > 0)", 0, 2),
+    # one atom written twice, up to a negative or scaled factor
+    ("(X1 - 1/3 >= 0) and (1 - 3*X1 >= 0)", 0, 1),
+    ("(X1 - 1/3 > 0) or (2 - 6*X1 > 0)", 0, 2),
 ])
 def test_roots_shared_across_cores_are_one_point(text, y, b0):
     assert fiber_b0(parse_formula(text, R), Q(y), 1).b0 == b0
+
+
+def test_one_plan_for_every_fiber_matches_fresh_plans():
+    """A plan reused across fibers, its truth memo already warm, gives
+    the b0 of a fresh plan at every y."""
+    for text, _ in corpus():
+        formula = parse_formula(text, R)
+        plan = FiberPlan(formula)
+        for y in Y_VALUES:
+            assert fiber_b0(plan, y, 1).b0 == fiber_b0(FiberPlan(formula), y, 1).b0
 
 
 # -- independent count for one atom: Sturm-Tarski over Fractions ------
