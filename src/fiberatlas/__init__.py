@@ -4,12 +4,10 @@ lifting toolchain.  All arithmetic is exact rational."""
 
 from .polycore import (
     ParseError,
-    PolyMatrix,
     Polynomial,
     Ring,
     RingMismatchError,
     determinant,
-    isolate_real_roots,
     parse_polynomial,
     refine_interval,
     resultant,
@@ -25,16 +23,13 @@ from .semialg import (
     level,
     parse_formula,
     realization_formula,
-    sample_sign_conditions,
 )
 from .perturb import (
     ClosedSetDescription,
     EpsilonLadder,
-    PerturbedFamily,
     build_ladder,
     check_rank_genericity,
     construct_S_prime,
-    perturb_family,
     sigma_minus,
     sigma_plus,
 )

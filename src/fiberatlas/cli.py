@@ -45,6 +45,8 @@ class ProblemFile:
 
 
 _SIGN_TOKENS = {"1": 1, "+1": 1, "+": 1, "0": 0, "-1": -1, "-": -1}
+_OPTIONS = ("delta", "refine_rounds", "mode", "grid_res", "boxed", "omega")
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -62,12 +64,19 @@ def parse_problem_file(text: str) -> ProblemFile:
         if key == "vars":
             for part in rest.split():
                 name, _, val = part.partition("=")
-                if name == "m":
-                    m = int(val)
-                elif name == "n":
-                    n = int(val)
-                else:
+                if name not in ("m", "n"):
                     raise ProblemParseError(f"unknown vars field {name!r}", lineno)
+                try:
+                    count = int(val)
+                except ValueError:
+                    count = -1
+                if count < 0:
+                    raise ProblemParseError(
+                        f"vars {name} must be an integer >= 0, got {val!r}", lineno)
+                if name == "m":
+                    m = count
+                else:
+                    n = count
             if m is None or n is None:
                 raise ProblemParseError("vars line must set m and n", lineno)
         elif key == "poly":
@@ -83,9 +92,15 @@ def parse_problem_file(text: str) -> ProblemFile:
             formula_text = rest
         elif key == "option":
             name, eq, val = rest.partition("=")
+            name, val = name.strip(), val.strip()
             if not eq:
                 raise ProblemParseError("option lines use key=value", lineno)
-            options[name.strip()] = val.strip()
+            if name not in _OPTIONS:
+                raise ProblemParseError(f"unknown option {name!r}", lineno)
+            if name == "boxed" and val.lower() not in _TRUE + _FALSE:
+                raise ProblemParseError(f"boxed must be one of {', '.join(_TRUE + _FALSE)}, "
+                                        f"got {val!r}", lineno)
+            options[name] = val
         else:
             raise ProblemParseError(f"unknown directive {key!r}", lineno)
     if m is None or n is None:
@@ -151,18 +166,24 @@ def boxed_problem(base, rows, m: int, n: int, omega):
     return new_base, new_rows
 
 
+class _UnwritableOutput(Exception):
+    pass
+
+
 def _write_atomic(path: str, content: str):
     # no partial files on failure: write to a sibling temp file and rename
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-fiberatlas-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-fiberatlas-")
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _opt(args_value, options, key, default, conv):
@@ -189,7 +210,7 @@ def cmd_atlas(args) -> int:
         rounds = int(_opt(args.refine_rounds, opts, "refine_rounds", 3, int))
         mode = _opt(args.mode, opts, "mode", "exact", str)
         grid_res = Q(_opt(args.grid_res, opts, "grid_res", "1/1024", str))
-        boxed = args.boxed or opts.get("boxed", "").lower() in ("1", "true", "yes")
+        boxed = args.boxed or opts.get("boxed", "").lower() in _TRUE
         omega = int(_opt(args.omega, opts, "omega", 2 ** 20, int))
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
@@ -418,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

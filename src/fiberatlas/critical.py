@@ -8,11 +8,10 @@ low-dimensional outright.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .polycore import PolyMatrix, determinant
+from .polycore import determinant
 from .semialg import SignCondition, level
 
 
@@ -22,17 +21,6 @@ class CriticalSystem:
     active: tuple  # zero-signed members, as equations
     minors: tuple  # Jacobian minor determinants (kind C1 only)
     kind: str  # "C1" or "C2"
-
-    def to_json_dict(self):
-        return {
-            "stratum": [s if s is not None else "*" for s in self.stratum.signs],
-            "equations": [p.to_text() for p in self.active],
-            "minors": [p.to_text() for p in self.minors],
-            "kind": self.kind,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def base_index_map(members, base):
@@ -86,13 +74,9 @@ def critical_system(sc: SignCondition, m: int) -> CriticalSystem:
     if ell > m:
         return CriticalSystem(sc, active, (), "C2")
     jac = [[p.derivative(i) for i in range(m)] for p in active]
-    minors = []
-    for cols in combinations(range(m), ell):
-        sub = PolyMatrix.from_rows(
-            [[row[c] for c in cols] for row in jac]
-        )
-        minors.append(determinant(sub))
-    return CriticalSystem(sc, active, tuple(minors), "C1")
+    minors = tuple(determinant([[row[c] for c in cols] for row in jac])
+                   for cols in combinations(range(m), ell))
+    return CriticalSystem(sc, active, minors, "C1")
 
 
 def systems_for_strata(strata, m: int):

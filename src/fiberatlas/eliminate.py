@@ -8,7 +8,6 @@ fiber types.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .critical import CriticalSystem
@@ -16,7 +15,6 @@ from .polycore import (
     Ring,
     int_coeffs,
     isolate_basis_roots,
-    q_text,
     resultant,
     square_free_part,
     ugcd_int,
@@ -37,20 +35,6 @@ class UnsupportedModeError(ValueError):
 class DiscriminantSet:
     defining: tuple  # square-free univariate polynomials in Y1
     roots: tuple  # (lo, hi, defining index) sorted, pairwise disjoint
-    mode: str
-
-    def to_json_dict(self):
-        return {
-            "defining": [p.to_text() for p in self.defining],
-            "roots": [
-                {"lo": q_text(lo), "hi": q_text(hi), "poly": idx}
-                for lo, hi, idx in self.roots
-            ],
-            "mode": self.mode,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _eliminate_vars(polys, m: int):
@@ -130,4 +114,4 @@ def assemble_G(systems, ring: Ring, m: int, n: int = 1) -> DiscriminantSet:
     defining = tuple(dict.fromkeys(
         square_free_part(p) for cs in systems for p in project_system(cs, m, n)))
     roots = isolate_basis_roots([int_coeffs(p)[1] for p in defining])
-    return DiscriminantSet(defining, tuple(roots), "exact-n1")
+    return DiscriminantSet(defining, tuple(roots))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .polycore import Polynomial, Ring
+from .polycore import Ring
 from .semialg import (
     And,
     Atom,
@@ -58,51 +58,6 @@ class EpsilonLadder:
 
 def build_ladder(s: int, delta) -> EpsilonLadder:
     return EpsilonLadder(s, Q(delta))
-
-
-@dataclass(frozen=True)
-class PerturbedFamily:
-    """All shifted members P_j +/- eps(i, j).
-
-    Both signs of every (i, j) pair are stored, giving 4s^2 members; the
-    construction's own count of distinct shift magnitudes is 2s^2.
-    """
-
-    base: tuple  # tuple of Polynomial
-    ladder: EpsilonLadder
-
-    def __post_init__(self):
-        if len(self.base) != self.ladder.s:
-            raise ValueError("ladder size must match family size")
-
-    def member(self, i: int, j: int, sign: int) -> Polynomial:
-        """P_j - eps(i,j) for sign -1, P_j + eps(i,j) for sign +1.
-        Indices i, j are 1-based as in the ladder."""
-        if sign not in (-1, 1):
-            raise ValueError("sign must be -1 or +1")
-        return self.base[j - 1] + sign * self.ladder.value(i, j)
-
-    def members(self):
-        """All members with their (i, j, sign) labels, deterministic order."""
-        out = []
-        for j in range(1, self.ladder.s + 1):
-            for i in range(1, 2 * self.ladder.s + 1):
-                for sign in (-1, 1):
-                    out.append(((i, j, sign), self.member(i, j, sign)))
-        return out
-
-    @property
-    def member_count(self) -> int:
-        return 4 * self.ladder.s ** 2
-
-    @property
-    def shift_count(self) -> int:
-        """Distinct shift magnitudes: the 2s^2 of the construction."""
-        return 2 * self.ladder.s ** 2
-
-
-def perturb_family(base, ladder: EpsilonLadder) -> PerturbedFamily:
-    return PerturbedFamily(tuple(base), ladder)
 
 
 # -- the sigma_+ / sigma_- neighborhoods -------------------------------

@@ -1,9 +1,9 @@
 """Exact arithmetic foundation.
 
-Sparse multivariate polynomials over the rationals, polynomial matrices with
-cofactor determinants, Sylvester resultants by integer evaluation and exact
-interpolation, and univariate real root isolation by Descartes'-rule
-bisection.  No floating point anywhere: every sign decision is made over Q.
+Sparse multivariate polynomials over the rationals, cofactor determinants,
+Sylvester resultants by integer evaluation and exact interpolation, and
+univariate real root isolation by Descartes'-rule bisection.  No floating
+point anywhere: every sign decision is made over Q.
 """
 from __future__ import annotations
 
@@ -350,7 +350,11 @@ def tokenize(text: str):
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if mo.group("num"):
             lit = mo.group("num").replace(" ", "")
-            tokens.append(("num", Q(lit), mo.start()))
+            try:
+                value = Q(lit)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {lit}", mo.start("num")) from None
+            tokens.append(("num", value, mo.start()))
         elif mo.group("var"):
             tokens.append(("var", mo.group("var"), mo.start()))
         else:
@@ -500,60 +504,27 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices and cofactor determinants; resultants by evaluation at
-# integers, integer Sylvester determinants and exact interpolation.
+# Cofactor determinants; resultants by evaluation at integers, integer
+# Sylvester determinants and exact interpolation.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    entries: tuple  # tuple of tuples of Polynomial
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("empty matrix")
-        width = len(self.entries[0])
-        ring = self.entries[0][0].ring
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("matrix is not rectangular")
-            for e in row:
-                if e.ring != ring:
-                    raise RingMismatchError("matrix entries in different rings")
-
-    @staticmethod
-    def from_rows(rows) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-
-def _det_cofactor(rows) -> Polynomial:
+def determinant(rows) -> Polynomial:
+    """Exact determinant of a square list of rows of polynomials, by
+    cofactor expansion along the first row (the Jacobian minors it serves
+    are at most 3x3)."""
     n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("determinant of an empty or non-square matrix")
     if n == 1:
         return rows[0][0]
-    ring = rows[0][0].ring
-    total = Polynomial(ring)
+    total = Polynomial(rows[0][0].ring)
     for j in range(n):
         if rows[0][j].is_zero():
             continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = rows[0][j] * _det_cofactor(minor)
+        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        cof = rows[0][j] * determinant(minor)
         total = total + cof if j % 2 == 0 else total - cof
     return total
-
-
-def determinant(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant by cofactor expansion along the first row (the
-    Jacobian minors it serves are at most 3x3)."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    return _det_cofactor([list(r) for r in matrix.entries])
 
 
 def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
@@ -927,24 +898,14 @@ class NotSquareFreeError(ValueError):
     pass
 
 
-def isolate_real_roots(f: Polynomial):
-    """Isolating intervals for all real roots of a square-free univariate f.
+def isolate_int_roots(p):
+    """Isolating intervals for all real roots of a square-free primitive
+    integer coefficient list.
 
     Returns a sorted list of (lo, hi) Fraction pairs; lo == hi marks an
-    exact rational root.  Open intervals carry a sign change of f and
+    exact rational root.  Open intervals carry a sign change of p and
     contain exactly one root; all intervals are pairwise disjoint.
     """
-    if f.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    var, coeffs = as_univariate(f)
-    if var is None or len(coeffs) == 1:
-        return []
-    return isolate_int_roots(_primitive_int(coeffs))
-
-
-def isolate_int_roots(p):
-    """Isolating intervals for a square-free primitive integer
-    coefficient list; same contract as isolate_real_roots."""
     if len(p) <= 1:
         return []
     g = ugcd_int(p, _uderiv(p))

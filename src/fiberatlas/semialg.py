@@ -2,27 +2,16 @@
 polynomial sign atoms.
 
 Formulas are negation-free by construction: negation is pushed to the
-atoms by flipping relations.  A formula is closed-form when every atom
-uses one of =, <=, >=.
+atoms by flipping relations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
-from .polycore import (
-    ParseError,
-    Polynomial,
-    Ring,
-    isolate_real_roots,
-    parse_polynomial,
-    sign_at,
-    square_free_part,
-)
+from .polycore import ParseError, Polynomial, Ring, parse_polynomial, sign_at
 
 RELATIONS = ("<", ">", "=", "<=", ">=")
 
-_FLIP = {"<": ">=", ">": "<=", "=": "=", "<=": ">", ">=": "<"}
 _NEGATE = {"<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
@@ -152,10 +141,6 @@ def map_atoms(formula, fn):
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def is_closed_form(formula) -> bool:
-    return all(a.rel in ("=", "<=", ">=") for a in atoms_of(formula))
-
-
 def _sign_atom(p: Polynomial, sign: int) -> Atom:
     if sign == 0:
         return Atom(p, "=")
@@ -168,13 +153,6 @@ def realization_formula(sc: SignCondition):
         _sign_atom(p, s)
         for p, s in zip(sc.family, sc.signs)
         if s is not None
-    )
-
-
-def zset_formula(sc: SignCondition):
-    """Conjunction of equations for the zero-signed members only."""
-    return conj(
-        Atom(p, "=") for p, s in zip(sc.family, sc.signs) if s == 0
     )
 
 
@@ -226,8 +204,6 @@ def parse_formula(text: str, ring: Ring):
 
 
 class _FormulaParser:
-    _ATOM_SPLIT = None
-
     def __init__(self, text, ring):
         self.text = text
         self.ring = ring
@@ -318,113 +294,3 @@ class _FormulaParser:
                 poly = parse_polynomial(expr, self.ring)
                 return Atom(poly, rel)
         self.error("expected an atom `p REL 0`")
-
-
-# -- witness-based sign-condition sampling -----------------------------
-
-@dataclass(frozen=True)
-class SampledCellSet:
-    """Realizable sign conditions with exact rational witnesses."""
-
-    cells: tuple  # tuple of (witness point tuple, SignCondition)
-    complete: bool
-
-
-def _signs_at(family, point):
-    return tuple(sign_at(p, point) for p in family)
-
-
-def sample_sign_conditions(family, box, budget: int) -> SampledCellSet:
-    """Deterministic sweep of the box, with midpoint refinement near sign
-    changes.  Every returned condition has an exact witness; completeness
-    is only guaranteed (and flagged) on exact univariate slices.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    for lo, hi in box:
-        if Q(lo) > Q(hi):
-            raise ValueError("empty box")
-    family = tuple(family)
-    if not family:
-        witness = tuple(Q(lo) for lo, _ in box)
-        return SampledCellSet(((witness, SignCondition(family, ())),), True)
-    if len(box) == 1:
-        return _sample_univariate(family, box[0], budget)
-    return _sample_grid(family, box, budget)
-
-
-def _axis_points(lo, hi, budget):
-    lo, hi = Q(lo), Q(hi)
-    if lo == hi:
-        return [lo]
-    return [lo + (hi - lo) * k / budget for k in range(budget + 1)]
-
-
-def _sample_grid(family, box, budget):
-    axes = [_axis_points(lo, hi, budget) for lo, hi in box]
-    points = [()]
-    for axis in axes:
-        points = [p + (v,) for p in points for v in axis]
-    seen = {}
-    frontier = list(points)
-    rounds = 2  # midpoint refinement passes near sign changes
-    for _ in range(rounds + 1):
-        new = []
-        for p in frontier:
-            sv = _signs_at(family, p)
-            if sv not in seen:
-                seen[sv] = p
-        if _ == rounds:
-            break
-        # refine between axis-adjacent points whose sign vectors differ
-        for p in frontier:
-            for q in frontier:
-                if p < q and sum(a != b for a, b in zip(p, q)) == 1:
-                    if _signs_at(family, p) != _signs_at(family, q):
-                        mid = tuple((a + b) / 2 for a, b in zip(p, q))
-                        new.append(mid)
-        if not new:
-            break
-        frontier = new
-    cells = tuple(
-        (pt, SignCondition(family, sv)) for sv, pt in sorted(seen.items())
-    )
-    return SampledCellSet(cells, False)
-
-
-def _sample_univariate(family, interval, budget):
-    """Exact enumeration on a line via root isolation of the family."""
-    lo, hi = Q(interval[0]), Q(interval[1])
-    breakpoints = set()
-    complete = True
-    for p in family:
-        if p.is_zero() or p.is_constant():
-            continue
-        sf = square_free_part(p)
-        for a, b in isolate_real_roots(sf):
-            if a == b:
-                if lo < a < hi:
-                    breakpoints.add(a)
-            else:
-                # irrational root: no exact rational witness exists for
-                # the zero level there
-                if a < hi and b > lo:
-                    complete = False
-    pts = sorted(breakpoints)
-    samples = [lo]
-    prev = lo
-    for r in pts:
-        samples.append((prev + r) / 2)
-        samples.append(r)
-        prev = r
-    samples.append((prev + hi) / 2)
-    samples.append(hi)
-    seen = {}
-    for x in samples:
-        sv = _signs_at(family, (x,))
-        if sv not in seen:
-            seen[sv] = (x,)
-    cells = tuple(
-        (pt, SignCondition(family, sv)) for sv, pt in sorted(seen.items())
-    )
-    return SampledCellSet(cells, complete)

@@ -24,7 +24,7 @@ def P(text, ring=R):
 
 
 def _disc(roots):
-    return DiscriminantSet((), tuple(roots), "exact-n1")
+    return DiscriminantSet((), tuple(roots))
 
 
 def test_components_no_roots_single_cell():

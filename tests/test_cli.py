@@ -285,3 +285,49 @@ def test_atlas_grid_above_the_sample_cap_exits_2(tmp_path, capsys):
     assert main(["atlas", problem, "--mode", "grid", "--grid-res", "1/1048576"]) == 2
     assert time.process_time() - start < 1
     assert "unsupported mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vars m=abc n=1\npoly X1\nsigma 0\n",
+     "line 1: vars m must be an integer >= 0, got 'abc'"),
+    ("vars m=-1 n=1\npoly Y1\nsigma 0\n",
+     "line 1: vars m must be an integer >= 0, got '-1'"),
+    ("vars m=1 n=1\npoly X1 + 1/0\nsigma 0\n",
+     "line 2: zero denominator in 1/0 (at position 5)"),
+    ("vars m=1 n=1\npoly X1\nformula X1 + 1/0 > 0\n",
+     "zero denominator in 1/0 (at position 5)"),
+    (QUADRIC + "option detla=1/128\n", "line 4: unknown option 'detla'"),
+    (QUADRIC + "option boxed=maybe\n", "line 4: boxed must be one of"),
+], ids=["m-not-integer", "m-negative", "poly-zero-denominator",
+        "formula-zero-denominator", "unknown-option", "boxed-not-boolean"])
+def test_atlas_malformed_problem_exits_2(tmp_path, capsys, text, message):
+    problem = _write(tmp_path, "bad.txt", text)
+    assert main(["atlas", problem]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_lift_zero_denominator_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path, "bad.txt", "poly 1/0 + X1\n")
+    assert main(["lift", problem]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator in 1/0 (at position 0)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("atlas", "--json"), ("atlas", "--dump-csv"), ("bounds", "--json"),
+    ("lift", "--json"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
+    inputs = {
+        "atlas": [_write(tmp_path, "q.txt", QUADRIC)],
+        "bounds": ["main", "m=2", "n=1", "s=1", "d=2", "c=1"],
+        "lift": [_write(tmp_path, "cube.txt", "poly (X1+1)^3\nformula X1 > 0\n")],
+    }
+    target = str(tmp_path / "absent" / "out")
+    assert main([command, *inputs[command], flag, target]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target}: No such file or directory" in err
+    assert "Traceback" not in err

@@ -1,5 +1,4 @@
 """Projection to the parameter line and discriminant assembly."""
-import json
 from fractions import Fraction as Q
 
 import pytest
@@ -95,7 +94,6 @@ def test_project_rejects_unsupported_modes():
 def test_assemble_quadric_discriminant():
     systems, ring = _quadric_systems()
     G = assemble_G(systems, ring, 1)
-    assert G.mode == "exact-n1"
     assert len(G.roots) == 2
     (lo1, hi1, _), (lo2, hi2, _) = G.roots
     assert lo1 <= Q(63, 64) <= hi1
@@ -107,16 +105,6 @@ def test_assemble_empty_systems():
     G = assemble_G([], Ring(1, 1), 1)
     assert G.roots == ()
     assert G.defining == ()
-
-
-def test_discriminant_json_round_trip():
-    systems, ring = _quadric_systems()
-    G = assemble_G(systems, ring, 1)
-    data = json.loads(G.to_json())
-    assert data["mode"] == "exact-n1"
-    assert len(data["roots"]) == 2
-    for r in data["roots"]:
-        assert set(r) == {"lo", "hi", "poly"}
 
 
 def test_roots_refer_to_vanishing_defining_polys():

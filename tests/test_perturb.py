@@ -11,7 +11,6 @@ from fiberatlas.perturb import (
     check_rank_genericity,
     construct_S_prime,
     construct_S_prime_raw,
-    perturb_family,
     sigma_minus,
     sigma_plus,
     simplify_shift_formula,
@@ -54,22 +53,6 @@ def test_ladder_rejects_bad_delta():
         EpsilonLadder(1, Q(2))
     with pytest.raises(ValueError):
         EpsilonLadder(1, Q(0))
-
-
-def test_family_counts():
-    base = (P("X1^2 + Y1 - 1"), P("X1 - Y1"))
-    pf = perturb_family(base, build_ladder(2, Q(1, 64)))
-    assert pf.member_count == 16
-    assert pf.shift_count == 8
-    assert len(pf.members()) == 16
-
-
-def test_member_shifts_by_ladder_value():
-    base = (P("X1^2 + Y1 - 1"),)
-    ladder = build_ladder(1, Q(1, 64))
-    pf = perturb_family(base, ladder)
-    assert pf.member(1, 1, -1) == base[0] - ladder.value(1, 1)
-    assert pf.member(2, 1, 1) == base[0] + ladder.value(2, 1)
 
 
 def test_thickenings_contain_the_realization():

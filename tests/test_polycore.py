@@ -9,7 +9,6 @@ import pytest
 from fiberatlas.polycore import (
     NotSquareFreeError,
     ParseError,
-    PolyMatrix,
     Polynomial,
     Ring,
     RingMismatchError,
@@ -19,7 +18,6 @@ from fiberatlas.polycore import (
     int_coeffs,
     isolate_basis_roots,
     isolate_int_roots,
-    isolate_real_roots,
     parse_polynomial,
     primitive_signed,
     refine_interval,
@@ -125,14 +123,12 @@ def test_determinant_against_permanent_expansion():
             ]
             for _ in range(n)
         ]
-        m = PolyMatrix.from_rows(rows)
-        assert determinant(m) == _det_oracle(rows)
+        assert determinant(rows) == _det_oracle(rows)
 
 
 def test_determinant_singular_matrix_is_zero():
     row = [P("X1"), P("Y1 + 1")]
-    m = PolyMatrix.from_rows([row, row])
-    assert determinant(m).is_zero()
+    assert determinant([row, row]).is_zero()
 
 
 # -- resultants ---------------------------------------------------------
@@ -334,7 +330,7 @@ def test_isolation_finds_exactly_the_rational_roots():
     p = Polynomial.constant(ring, 1)
     for r in roots:
         p = p * (Polynomial.variable(ring, 0) - r)
-    intervals = isolate_real_roots(p)
+    intervals = isolate_int_roots(int_coeffs(p)[1])
     assert len(intervals) == len(roots)
     for (lo, hi), r in zip(intervals, sorted(roots)):
         assert lo <= r <= hi
@@ -344,7 +340,7 @@ def test_isolation_separates_close_roots():
     ring = Ring(1, 0)
     a, b = Q(1), Q(1) + Q(1, 10 ** 6)
     p = (Polynomial.variable(ring, 0) - a) * (Polynomial.variable(ring, 0) - b)
-    intervals = isolate_real_roots(p)
+    intervals = isolate_int_roots(int_coeffs(p)[1])
     assert len(intervals) == 2
     assert intervals[0][1] <= intervals[1][0]
     assert intervals[0][0] <= a <= intervals[0][1]
@@ -354,7 +350,7 @@ def test_isolation_separates_close_roots():
 def test_isolation_irrational_roots_counted():
     # X^2 - 2 has two real roots, neither rational
     p = P("X1^2 - 2", Ring(1, 0))
-    intervals = isolate_real_roots(p)
+    intervals = isolate_int_roots(int_coeffs(p)[1])
     assert len(intervals) == 2
     for lo, hi in intervals:
         assert lo < hi

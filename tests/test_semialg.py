@@ -7,19 +7,15 @@ from fiberatlas.polycore import Ring, parse_polynomial
 from fiberatlas.semialg import (
     And,
     Atom,
-    Or,
     SignCondition,
     conj,
     disj,
     eval_formula,
     formula_to_text,
-    is_closed_form,
     level,
     negate,
     parse_formula,
     realization_formula,
-    sample_sign_conditions,
-    zset_formula,
     FALSE,
     TRUE,
 )
@@ -84,12 +80,6 @@ def test_negate_de_morgan():
             assert eval_formula(nf, (x, y)) == (not eval_formula(f, (x, y)))
 
 
-def test_closed_form_detection():
-    closed = And((Atom(P("X1"), ">="), Atom(P("Y1"), "=")))
-    assert is_closed_form(closed)
-    assert not is_closed_form(Or((Atom(P("X1"), ">"),)))
-
-
 def test_realization_formula_matches_signs():
     fam = (P("X1"), P("X1 - Y1"))
     sc = SignCondition(fam, (1, 0))
@@ -97,14 +87,6 @@ def test_realization_formula_matches_signs():
     assert eval_formula(f, (Q(2), Q(2)))
     assert not eval_formula(f, (Q(2), Q(1)))
     assert not eval_formula(f, (Q(-1), Q(-1)))
-
-
-def test_zset_formula_only_zeros():
-    fam = (P("X1"), P("X1 - Y1"))
-    sc = SignCondition(fam, (1, 0))
-    f = zset_formula(sc)
-    # the zero set ignores the nonzero entries
-    assert eval_formula(f, (Q(-3), Q(-3)))
 
 
 def test_formula_text_round_trip():
@@ -129,33 +111,3 @@ def test_parse_formula_rejects_garbage():
         parse_formula("X1 >=", R)
     with pytest.raises(ParseError):
         parse_formula("X1 >= 1", R)
-
-
-def test_sampling_univariate_is_complete():
-    ring = Ring(1, 0)
-    fam = (
-        parse_polynomial("X1 - 1", ring),
-        parse_polynomial("X1 + 1", ring),
-    )
-    cells = sample_sign_conditions(fam, ((Q(-3), Q(3)),), 64)
-    assert cells.complete
-    seen = {sc.signs for _, sc in cells.cells}
-    # -1 and 1 split the line into five sign patterns
-    assert seen == {
-        (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1),
-    }
-    for witness, sc in cells.cells:
-        for p, s in zip(fam, sc.signs):
-            v = p.eval_at(witness)
-            assert (v > 0) - (v < 0) == s
-
-
-def test_sampling_grid_witnesses_are_exact():
-    fam = (P("X1^2 + Y1 - 1"),)
-    cells = sample_sign_conditions(fam, ((Q(-2), Q(2)), (Q(-2), Q(2))), 9)
-    assert not cells.complete or cells.complete
-    seen = {sc.signs for _, sc in cells.cells}
-    assert (1,) in seen and (-1,) in seen
-    for witness, sc in cells.cells:
-        v = fam[0].eval_at(witness)
-        assert (v > 0) - (v < 0) == sc.signs[0]
