@@ -27,6 +27,8 @@ from .eliminate import (
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
     isolate_int_roots,
+    q_cmp,
+    q_mid,
     q_text,
     refine_interval,
     same_root,
@@ -232,11 +234,12 @@ class _Core:
         # refined in place; a root at a critical point shares its interval
         self.crit = [list(iv) for iv in isolate_int_roots(self.q)]
         if self.crit:
-            gaps = ([self.crit[0][0] - 1]
-                    + [(a[1] + b[0]) / 2 for a, b in zip(self.crit, self.crit[1:])]
-                    + [self.crit[-1][1] + 1])
+            (ln, ld), (hn, hd) = self.crit[0][0], self.crit[-1][1]
+            gaps = ([(ln - ld, ld)]
+                    + [q_mid(a[1], b[0]) for a, b in zip(self.crit, self.crit[1:])]
+                    + [(hn + hd, hd)])
         else:
-            gaps = [Q(0)]
+            gaps = [(0, 1)]
         self.rising = [sign_int_at(dK, x) > 0 for x in gaps]
 
     def _refine_crit(self, i):
@@ -264,14 +267,14 @@ class _Core:
     def _piece_interval(self, j, P):
         """Isolating interval of the one root of P on piece j, where P is
         nonzero at both ends and changes sign."""
-        if len(P) == 2:
-            x = Q(-P[0], P[1])
+        if len(P) == 2:  # primitive with positive lead: in lowest terms
+            x = (-P[0], P[1])
             return [x, x]
         bound = 2 + max(abs(c) for c in P[:-1]) // abs(P[-1])  # Cauchy
         last = len(self.crit)
         while True:
-            lo = self.crit[j - 1][1] if j else Q(-bound)
-            hi = self.crit[j][0] if j < last else Q(bound)
+            lo = self.crit[j - 1][1] if j else (-bound, 1)
+            hi = self.crit[j][0] if j < last else (bound, 1)
             sl, sh = sign_int_at(P, lo), sign_int_at(P, hi)
             if sl == 0:
                 return [lo, lo]
@@ -311,8 +314,9 @@ def _sign_on(p, lo, hi):
     """Sign p takes on all of [lo, hi], or 0 when the interval Horner
     enclosure of p over [lo, hi] contains 0.  Integer arithmetic on
     d^deg * p(X/d), X in [d*lo, d*hi]."""
-    d = lo.denominator * hi.denominator
-    A, B = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    (ln, ld), (hn, hd) = lo, hi
+    d = ld * hd
+    A, B = ln * hd, hn * ld
     a = b = p[-1]
     pw = 1
     for c in reversed(p[:-1]):
@@ -357,11 +361,11 @@ def _compare(x, y):
     g = None
     while True:
         (a, b), (c, d) = x.iv, y.iv
-        if b < c or b == c and (a < b or c < d):
+        if q_cmp(b, c) < 0 or b == c and (a != b or c != d):
             return -1
-        if d < a or d == a and (c < d or a < b):
+        if q_cmp(d, a) < 0 or d == a and (c != d or a != b):
             return 1
-        if g is None and a < b and c < d:
+        if g is None and a != b and c != d:
             g = usquarefree_int(ugcd_int(x.P, y.P))
         if same_root(x.refiner, x.iv, y.refiner, y.iv, g):
             return 0
@@ -370,7 +374,7 @@ def _compare(x, y):
         elif c == d:
             x.cut(c)
         else:
-            t = (max(a, c) + min(b, d)) / 2
+            t = q_mid(a if q_cmp(a, c) > 0 else c, b if q_cmp(b, d) < 0 else d)
             x.cut(t)
             y.cut(t)
 
@@ -475,7 +479,7 @@ def _fiber_b0_grid(plan, y, m, resolution, box_radius):
         b0 = 0
         prev = False
         for k in range(n_steps + 1):
-            x = -box_radius + k * step
+            x = (k * step.numerator - box_radius * step.denominator, step.denominator)
             t = plan.truth([sign_int_at(c, x) for c in coeffs])
             if t and not prev:
                 b0 += 1

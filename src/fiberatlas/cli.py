@@ -36,7 +36,7 @@ class ProblemFile:
     n: int
     polys: tuple
     sigma_rows: tuple  # raw sign tuples over the polynomial list
-    formula_text: str  # alternative to sigma rows
+    formula: object  # the parsed formula line, alternative to sigma rows, or None
     options: dict = field(default_factory=dict)
 
     @property
@@ -53,7 +53,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     m = n = None
     poly_texts = []
     sigma_rows = []
-    formula_text = ""
+    formula_line = (0, "")
     options = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -89,7 +89,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                 row.append(_SIGN_TOKENS[tok])
             sigma_rows.append((lineno, tuple(row)))
         elif key == "formula":
-            formula_text = rest
+            formula_line = (lineno, rest)
         elif key == "option":
             name, eq, val = rest.partition("=")
             name, val = name.strip(), val.strip()
@@ -108,12 +108,8 @@ def parse_problem_file(text: str) -> ProblemFile:
     if not poly_texts:
         raise ProblemParseError("no poly lines", 1)
     ring = Ring(m, n)
-    polys = []
-    for lineno, src in poly_texts:
-        try:
-            polys.append(parse_polynomial(src, ring))
-        except (ParseError, ValueError) as exc:
-            raise ProblemParseError(str(exc), lineno) from exc
+    polys = [_parse_line(parse_polynomial, lineno, src, ring) for lineno, src in poly_texts]
+    formula = _parse_line(parse_formula, *formula_line, ring) if formula_line[1] else None
     rows = []
     for lineno, row in sigma_rows:
         if len(row) != len(polys):
@@ -121,9 +117,17 @@ def parse_problem_file(text: str) -> ProblemFile:
                 f"sigma vector length {len(row)} differs from family size "
                 f"{len(polys)}", lineno)
         rows.append(row)
-    if rows and formula_text:
+    if rows and formula is not None:
         raise ProblemParseError("give sigma rows or a formula, not both", 1)
-    return ProblemFile(m, n, tuple(polys), tuple(rows), formula_text, options)
+    return ProblemFile(m, n, tuple(polys), tuple(rows), formula, options)
+
+
+def _parse_line(parse, lineno, src, ring):
+    """parse(src, ring), its errors tagged with the line number."""
+    try:
+        return parse(src, ring)
+    except (ParseError, ValueError) as exc:
+        raise ProblemParseError(str(exc), lineno) from exc
 
 
 def sigma_from_formula(formula, base) -> tuple:
@@ -228,11 +232,10 @@ def cmd_atlas(args) -> int:
         return 2
     base = pf.polys
     rows = pf.sigma_rows
-    if pf.formula_text:
+    if pf.formula is not None:
         try:
-            formula = parse_formula(pf.formula_text, pf.ring)
-            rows = sigma_from_formula(formula, base)
-        except (ParseError, ValueError) as exc:
+            rows = sigma_from_formula(pf.formula, base)
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if boxed:
@@ -345,7 +348,7 @@ def cmd_lift(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     expr_texts = []
-    formula_text = ""
+    formula_line = (0, "")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -354,7 +357,7 @@ def cmd_lift(args) -> int:
         if key == "poly":
             expr_texts.append((lineno, rest.strip()))
         elif key == "formula":
-            formula_text = rest.strip()
+            formula_line = (lineno, rest.strip())
         elif key == "vars":
             continue
         else:
@@ -370,11 +373,12 @@ def cmd_lift(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fring = Ring(len(progs), 0)
+    lineno, formula_text = formula_line
     if formula_text:
         try:
             formula = parse_formula(formula_text, fring)
         except (ParseError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return 2
     else:
         formula = And(tuple(

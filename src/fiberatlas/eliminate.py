@@ -9,6 +9,7 @@ fiber types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .critical import CriticalSystem
 from .polycore import (
@@ -34,7 +35,7 @@ class UnsupportedModeError(ValueError):
 @dataclass(frozen=True)
 class DiscriminantSet:
     defining: tuple  # square-free univariate polynomials in Y1
-    roots: tuple  # (lo, hi, defining index) sorted, pairwise disjoint
+    roots: tuple  # (lo, hi, defining index), Fraction ends, sorted, disjoint
 
 
 def _eliminate_vars(polys, m: int):
@@ -114,4 +115,5 @@ def assemble_G(systems, ring: Ring, m: int, n: int = 1) -> DiscriminantSet:
     defining = tuple(dict.fromkeys(
         square_free_part(p) for cs in systems for p in project_system(cs, m, n)))
     roots = isolate_basis_roots([int_coeffs(p)[1] for p in defining])
-    return DiscriminantSet(defining, tuple(roots))
+    return DiscriminantSet(defining, tuple((Fraction(*lo), Fraction(*hi), k)
+                                           for lo, hi, k in roots))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd as _igcd
 
 Q = Fraction
@@ -331,7 +332,7 @@ def q_text(q):
 class ParseError(ValueError):
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 _TOKEN_RE = re.compile(
@@ -347,6 +348,7 @@ def tokenize(text: str):
         if mo is None or mo.end() == pos:
             if text[pos:].strip() == "":
                 break
+            pos = len(text) - len(text[pos:].lstrip())  # the failing character
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if mo.group("num"):
             lit = mo.group("num").replace(" ", "")
@@ -727,11 +729,11 @@ def _uderiv(p):
 
 
 def sign_int_at(p, x):
-    """Sign of the integer coefficient list p at the rational x, computed
-    entirely in integer arithmetic (sign of den^deg * p(x))."""
+    """Sign of the integer coefficient list p at the rational x = (a, b),
+    b > 0, computed entirely in integer arithmetic (sign of b^deg * p(a/b))."""
     if not p:
         return 0
-    a, b = x.numerator, x.denominator
+    a, b = x
     acc = p[-1]
     pw = 1
     for c in reversed(p[:-1]):
@@ -874,6 +876,21 @@ def _div_linear_at_one(p):
     return _trim(out)
 
 
+def q_cmp(x, y):
+    """-1, 0 or 1 as the rational x = (n, d), d > 0, lies below, at or
+    above y.  Interval ends are such pairs in lowest terms, so that tuple
+    equality is numeric equality."""
+    u, v = x[0] * y[1], y[0] * x[1]
+    return (u > v) - (u < v)
+
+
+def q_mid(x, y):
+    """The midpoint of the rationals x and y, in lowest terms."""
+    n, d = x[0] * y[1] + y[0] * x[1], 2 * x[1] * y[1]
+    g = _igcd(n, d)
+    return n // g, d // g
+
+
 def _isolate_rec(q, lo, hi, out):
     v = _mobius_count(q)
     if v == 0:
@@ -881,16 +898,18 @@ def _isolate_rec(q, lo, hi, out):
     if v == 1:
         out.append((lo, hi))
         return
-    mid = (lo + hi) / 2
+    mid = q_mid(lo, hi)
     n = len(q) - 1
     ql = [c * (1 << (n - i)) for i, c in enumerate(q)]  # 2^n q(x/2)
     qr = _shift_by(ql, 1)
-    if qr and qr[0] == 0:  # exact root at the midpoint
-        out.append((mid, mid))
+    at_mid = qr and qr[0] == 0  # exact root at the midpoint
+    if at_mid:
         ql = _div_linear_at_one(ql)
         while qr and qr[0] == 0:
             qr = qr[1:]
     _isolate_rec(ql, lo, mid, out)
+    if at_mid:
+        out.append((mid, mid))
     _isolate_rec(qr, mid, hi, out)
 
 
@@ -902,36 +921,36 @@ def isolate_int_roots(p):
     """Isolating intervals for all real roots of a square-free primitive
     integer coefficient list.
 
-    Returns a sorted list of (lo, hi) Fraction pairs; lo == hi marks an
-    exact rational root.  Open intervals carry a sign change of p and
-    contain exactly one root; all intervals are pairwise disjoint.
+    Returns a sorted list of (lo, hi) rational pairs (n, d); lo == hi
+    marks an exact rational root.  Open intervals carry a sign change of
+    p and contain exactly one root; all intervals are pairwise disjoint.
     """
     if len(p) <= 1:
         return []
     g = ugcd_int(p, _uderiv(p))
     if len(g) > 1:
         raise NotSquareFreeError("input is not square-free")
+    zero = p[0] == 0  # a simple root at 0: stripped here, inserted below
+    p = p[1:] if zero else p
     out = []
-    # strip roots at zero
-    while p[0] == 0:
-        p = p[1:]
-        out.append((Q(0), Q(0)))
-    if len(p) == 1:
-        return sorted(out)
     if len(p) == 2:
-        root = Q(-p[0], p[1])
-        out.append((root, root))
-        return sorted(out)
-    # dyadic root bound
-    bound = 1 + max(abs(Q(c, p[-1])) for c in p[:-1])
-    b = 1
-    while b < bound:
-        b <<= 1
-    # map (-b, b) to (0, 1): q(x) = p(-b + 2b*x) = t(2b*x) with t = p(x - b)
-    t = _shift_by(p, -b)
-    q = [c * (2 * b) ** i for i, c in enumerate(t)]
-    _isolate_rec(q, Q(-b), Q(b), out)
-    out.sort()
+        c = _igcd(p[0], p[1]) if p[1] > 0 else -_igcd(p[0], p[1])
+        out.append(((-p[0] // c, p[1] // c),) * 2)
+    elif len(p) > 2:
+        # dyadic root bound b >= 1 + max |c / lead|
+        lead = abs(p[-1])
+        bound = lead + max(abs(c) for c in p[:-1])
+        b = 1
+        while b * lead < bound:
+            b <<= 1
+        # map (-b, b) to (0, 1): q(x) = p(-b + 2b*x) = t(2b*x), t = p(x - b)
+        t = _shift_by(p, -b)
+        q = [c * (2 * b) ** i for i, c in enumerate(t)]
+        _isolate_rec(q, (-b, 1), (b, 1), out)
+    if zero:
+        out.insert(sum(lo[0] < 0 for lo, _ in out), ((0, 1), (0, 1)))
+    if len(p) <= 2:
+        return out
     # separation must bisect against a polynomial that is nonzero at the
     # exact point roots, or the shared endpoint can never move past them
     p_sep = p
@@ -942,16 +961,16 @@ def isolate_int_roots(p):
 
 
 def _deflate_rational(p, t):
-    """Divide an integer coefficient list by (x - t) for the known
-    rational root t; returns a primitive integer list."""
-    t = Q(t)
-    acc = Q(0)
-    vals = []
-    for c in reversed(p):
-        acc = Q(c) + t * acc
-        vals.append(acc)
-    assert vals[-1] == 0, "not a root"
-    return _primitive_int(list(reversed(vals[:-1])))
+    """Divide an integer coefficient list by (b*x - a) for its known
+    rational root t = (a, b); returns a primitive integer list."""
+    a, b = t
+    q = []
+    acc = 0
+    for c in reversed(p[1:]):  # p_k = b*q_(k-1) - a*q_k, exact over Z
+        acc = (c + a * acc) // b
+        q.append(acc)
+    assert p[0] + a * acc == 0, "not a root"
+    return _primitive_int(q[::-1])
 
 
 def refine_interval(p_int, lo, hi):
@@ -959,7 +978,7 @@ def refine_interval(p_int, lo, hi):
     rational roots found at the midpoint."""
     if lo == hi:
         return lo, hi
-    mid = (lo + hi) / 2
+    mid = q_mid(lo, hi)
     fm = sign_int_at(p_int, mid)
     if fm == 0:
         return mid, mid
@@ -979,7 +998,7 @@ def _separate_intervals(p_int, intervals):
         changed = False
         for i in range(len(ivs) - 1):
             a, b = ivs[i], ivs[i + 1]
-            if a[1] >= b[0]:
+            if q_cmp(a[1], b[0]) >= 0:
                 ivs[i] = refine_interval(p_int, *a)
                 ivs[i + 1] = refine_interval(p_int, *b)
                 changed = True
@@ -1068,7 +1087,8 @@ def same_root(p, ivp, q, ivq, g):
         return a == c if c == d else sign_int_at(q, a) == 0
     if c == d:
         return sign_int_at(p, c) == 0
-    lo, hi = max(a, c), min(b, d)
+    lo = a if q_cmp(a, c) > 0 else c
+    hi = b if q_cmp(b, d) < 0 else d
     return len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi)
 
 
@@ -1087,11 +1107,11 @@ def isolate_basis_roots(polys):
     changed = True
     while changed:
         changed = False
-        items.sort(key=lambda t: (t[0], t[1]))
+        items.sort(key=cmp_to_key(lambda s, t: q_cmp(s[0], t[0]) or q_cmp(s[1], t[1])))
         for i in range(len(items) - 1):
             a, b, k = items[i]
             c, d, l = items[i + 1]
-            if b >= c:
+            if q_cmp(b, c) >= 0:
                 changed = True
                 ivs = _separate_pair(polys[k], (a, b), polys[l], (c, d))
                 if ivs is None:
@@ -1107,10 +1127,11 @@ def _separate_pair(p, ivp, q, ivq):
     until their closures are disjoint; None when they hold one shared
     root.  Refining moves no root, so the tie rule is asked once."""
     (a, b), (c, d) = ivp, ivq
-    if same_root(p, ivp, q, ivq, ugcd_int(p, q) if a < b and c < d else None):
+    if same_root(p, ivp, q, ivq, ugcd_int(p, q) if a != b and c != d else None):
         return None
-    while max(a, c) <= min(b, d):
-        if b - a >= d - c:
+    while q_cmp(a, d) <= 0 and q_cmp(c, b) <= 0:
+        if (b[0] * a[1] - a[0] * b[1]) * c[1] * d[1] \
+                >= (d[0] * c[1] - c[0] * d[1]) * a[1] * b[1]:  # b - a >= d - c
             a, b = refine_interval(p, a, b)
         else:
             c, d = refine_interval(q, c, d)

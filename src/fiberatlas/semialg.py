@@ -255,8 +255,10 @@ class _FormulaParser:
         if w == "false":
             self.pos += 5
             return FALSE
+        inner = None
         if self.pos < len(self.text) and self.text[self.pos] == "(":
-            # could be a parenthesised formula or a parenthesised polynomial
+            # could be a parenthesised formula or a parenthesised polynomial;
+            # when both readings fail, report the one that got further
             saved = self.pos
             try:
                 self.pos += 1
@@ -265,10 +267,13 @@ class _FormulaParser:
                 if self.pos < len(self.text) and self.text[self.pos] == ")":
                     self.pos += 1
                     return f
-            except ParseError:
-                pass
+            except ParseError as exc:
+                inner = exc
             self.pos = saved
-        return self.parse_atom()
+        try:
+            return self.parse_atom()
+        except ParseError as exc:
+            raise exc if inner is None or exc.pos >= inner.pos else inner from None
 
     def parse_atom(self):
         rest = self.text[self.pos:]
@@ -289,8 +294,11 @@ class _FormulaParser:
                 tail = rest[j:].lstrip()
                 if not tail.startswith("0"):
                     self.error("atom right-hand side must be 0")
-                consumed = j + (len(rest[j:]) - len(tail)) + 1
-                self.pos += consumed
-                poly = parse_polynomial(expr, self.ring)
+                start = self.pos
+                self.pos += j + (len(rest[j:]) - len(tail)) + 1
+                try:
+                    poly = parse_polynomial(expr, self.ring)
+                except ParseError as exc:  # a position in the whole formula
+                    raise ParseError(exc.message, start + exc.pos) from None
                 return Atom(poly, rel)
         self.error("expected an atom `p REL 0`")

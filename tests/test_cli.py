@@ -298,13 +298,38 @@ def test_atlas_grid_above_the_sample_cap_exits_2(tmp_path, capsys):
      "zero denominator in 1/0 (at position 5)"),
     (QUADRIC + "option detla=1/128\n", "line 4: unknown option 'detla'"),
     (QUADRIC + "option boxed=maybe\n", "line 4: boxed must be one of"),
+    # the failing character, not the whitespace before it
+    ("vars m=1 n=1\npoly X1 + Z\nsigma 0\n",
+     "line 2: unexpected character 'Z' (at position 5)"),
+    ("vars m=1 n=1\npoly X1 ? 2\nsigma 0\n",
+     "line 2: unexpected character '?' (at position 3)"),
+    # a formula error names its line and the cause inside the parentheses,
+    # with its position in the whole formula
+    ("vars m=1 n=1\npoly X1\nformula (X1 > 0) and (X1 + 1/0 > 0)\n",
+     "line 3: zero denominator in 1/0 (at position 19)"),
+    ("vars m=1 n=1\npoly X1\nformula (X1 > 0) and (X1 + Z > 0)\n",
+     "line 3: unexpected character 'Z' (at position 19)"),
+    # ... or the cause in a parenthesised polynomial, which got further
+    ("vars m=1 n=1\npoly X1\nformula (X1 + 1)*(X1 + 1/0) > 0\n",
+     "line 3: zero denominator in 1/0 (at position 15)"),
 ], ids=["m-not-integer", "m-negative", "poly-zero-denominator",
-        "formula-zero-denominator", "unknown-option", "boxed-not-boolean"])
+        "formula-zero-denominator", "unknown-option", "boxed-not-boolean",
+        "poly-bad-character", "poly-bad-operator", "formula-parenthesised-cause",
+        "formula-parenthesised-bad-character", "formula-parenthesised-polynomial"])
 def test_atlas_malformed_problem_exits_2(tmp_path, capsys, text, message):
     problem = _write(tmp_path, "bad.txt", text)
     assert main(["atlas", problem]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_lift_formula_error_names_its_line(tmp_path, capsys):
+    problem = _write(tmp_path, "bad.txt",
+                     "poly X1\nformula (X1 > 0) and (X1 + 1/0 > 0)\n")
+    assert main(["lift", problem]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: zero denominator in 1/0 (at position 19)" in err
     assert "Traceback" not in err
 
 

@@ -295,6 +295,16 @@ def _trimmed(c):
     return c
 
 
+def _pair(x):
+    """A Fraction as the (numerator, denominator) pair root isolation uses."""
+    return x.numerator, x.denominator
+
+
+def _ends(iv):
+    """An isolating interval's (n, d) ends as Fractions."""
+    return tuple(Q(*x) for x in iv)
+
+
 def test_sign_int_at_matches_fraction_eval():
     rng = random.Random(13)
     for _ in range(40):
@@ -303,7 +313,7 @@ def test_sign_int_at_matches_fraction_eval():
             continue
         x = Q(rng.randint(-9, 9), rng.randint(1, 7))
         value = sum(Q(c) * x ** k for k, c in enumerate(coeffs))
-        assert sign_int_at(coeffs, x) == (value > 0) - (value < 0)
+        assert sign_int_at(coeffs, _pair(x)) == (value > 0) - (value < 0)
 
 
 def test_primitive_signed_keeps_sign():
@@ -311,7 +321,7 @@ def test_primitive_signed_keeps_sign():
     p = primitive_signed(coeffs)
     for x in (Q(0), Q(2), Q(-2), Q(1, 2)):
         value = sum(Q(c) * x ** k for k, c in enumerate(coeffs))
-        assert sign_int_at(p, x) == (value > 0) - (value < 0)
+        assert sign_int_at(p, _pair(x)) == (value > 0) - (value < 0)
 
 
 def test_square_free_part_removes_multiplicity():
@@ -330,7 +340,7 @@ def test_isolation_finds_exactly_the_rational_roots():
     p = Polynomial.constant(ring, 1)
     for r in roots:
         p = p * (Polynomial.variable(ring, 0) - r)
-    intervals = isolate_int_roots(int_coeffs(p)[1])
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
     assert len(intervals) == len(roots)
     for (lo, hi), r in zip(intervals, sorted(roots)):
         assert lo <= r <= hi
@@ -340,7 +350,7 @@ def test_isolation_separates_close_roots():
     ring = Ring(1, 0)
     a, b = Q(1), Q(1) + Q(1, 10 ** 6)
     p = (Polynomial.variable(ring, 0) - a) * (Polynomial.variable(ring, 0) - b)
-    intervals = isolate_int_roots(int_coeffs(p)[1])
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
     assert len(intervals) == 2
     assert intervals[0][1] <= intervals[1][0]
     assert intervals[0][0] <= a <= intervals[0][1]
@@ -350,7 +360,7 @@ def test_isolation_separates_close_roots():
 def test_isolation_irrational_roots_counted():
     # X^2 - 2 has two real roots, neither rational
     p = P("X1^2 - 2", Ring(1, 0))
-    intervals = isolate_int_roots(int_coeffs(p)[1])
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
     assert len(intervals) == 2
     for lo, hi in intervals:
         assert lo < hi
@@ -361,7 +371,7 @@ def test_refine_interval_keeps_the_root():
     lo, hi = isolate_int_roots(list(coeffs))[1]
     for _ in range(20):
         lo, hi = refine_interval(list(coeffs), lo, hi)
-    assert hi - lo <= Q(1, 2 ** 18)
+    assert Q(*hi) - Q(*lo) <= Q(1, 2 ** 18)
     assert sign_int_at(list(coeffs), lo) * sign_int_at(list(coeffs), hi) <= 0
 
 
@@ -480,14 +490,14 @@ def test_same_root_tie_rule():
     p, q = [-2, 0, 1], [6, -2, -3, 1]  # x^2 - 2 and (x^2 - 2)(x - 3)
     g = ugcd_int(p, q)
     # open intervals around sqrt(2): the gcd changes sign over the overlap
-    assert same_root(p, (Q(1), Q(2)), q, (Q(5, 4), Q(2)), g)
+    assert same_root(p, ((1, 1), (2, 1)), q, ((5, 4), (2, 1)), g)
     # around sqrt(2) and 3: no sign change of the gcd over [5/2, 7/2]
-    assert not same_root(p, (Q(1), Q(4)), q, (Q(5, 2), Q(7, 2)), g)
+    assert not same_root(p, ((1, 1), (4, 1)), q, ((5, 2), (7, 2)), g)
     # a point is the other's root exactly when the other vanishes there
-    assert same_root([-1, 1], (Q(1), Q(1)), [-1, 0, 1], (Q(1, 2), Q(3, 2)), None)
-    assert not same_root([-1, 1], (Q(1), Q(1)), [-2, 0, 1], (Q(1), Q(2)), None)
-    assert not same_root([-2, 0, 1], (Q(1), Q(2)), [-3, 2], (Q(3, 2), Q(3, 2)), None)
-    assert same_root([-1, 1], (Q(1), Q(1)), [-2, 2], (Q(1), Q(1)), None)
+    assert same_root([-1, 1], ((1, 1), (1, 1)), [-1, 0, 1], ((1, 2), (3, 2)), None)
+    assert not same_root([-1, 1], ((1, 1), (1, 1)), [-2, 0, 1], ((1, 1), (2, 1)), None)
+    assert not same_root([-2, 0, 1], ((1, 1), (2, 1)), [-3, 2], ((3, 2), (3, 2)), None)
+    assert same_root([-1, 1], ((1, 1), (1, 1)), [-2, 2], ((1, 1), (1, 1)), None)
 
 
 def test_isolate_basis_roots_keeps_the_first_polynomial_of_a_shared_root():
@@ -496,7 +506,7 @@ def test_isolate_basis_roots_keeps_the_first_polynomial_of_a_shared_root():
     # -sqrt2, -1, 1, sqrt2, cbrt4, 2, 3: each once, at its first polynomial
     assert [k for _, _, k in roots] == [0, 1, 1, 0, 3, 2, 4]
     for (a, b, _), (c, d, _) in zip(roots, roots[1:]):
-        assert b < c
+        assert Q(*b) < Q(*c)
     for lo, hi, k in roots:
         if lo == hi:
             assert sign_int_at(polys[k], lo) == 0
