@@ -119,6 +119,10 @@ def parse_problem_file(text: str) -> ProblemFile:
         rows.append(row)
     if rows and formula is not None:
         raise ProblemParseError("give sigma rows or a formula, not both", 1)
+    if not rows and formula is None:
+        if formula_line[0]:
+            raise ProblemParseError("empty formula", formula_line[0])
+        raise ProblemParseError("no sigma rows and no formula line", 1)
     return ProblemFile(m, n, tuple(polys), tuple(rows), formula, options)
 
 

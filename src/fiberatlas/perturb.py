@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 
 from .polycore import Ring
 from .semialg import (
@@ -65,34 +66,42 @@ def build_ladder(s: int, delta) -> EpsilonLadder:
 def sigma_plus(sc: SignCondition, ladder: EpsilonLadder):
     """Closed thickening: two-sided eps(2l, i) bands around the zero-signed
     members, weak inequalities elsewhere."""
-    ell = level(sc)
-    parts = []
-    for idx, (p, s) in enumerate(zip(sc.family, sc.signs), start=1):
-        if s == 0:
-            e = ladder.value(2 * ell, idx)
-            parts.append(Atom(p + e, ">="))
-            parts.append(Atom(p - e, "<="))
-        elif s == 1:
-            parts.append(Atom(p, ">="))
-        elif s == -1:
-            parts.append(Atom(p, "<="))
-    return conj(parts)
+    return _thickening(sc, _shifts(sc.family, ladder), True)
 
 
 def sigma_minus(sc: SignCondition, ladder: EpsilonLadder):
     """Open thickening: strict eps(2l-1, i) bands, strict inequalities
     elsewhere.  Level-0 conditions give pure strict sign conjunctions."""
-    ell = level(sc)
+    return _thickening(sc, _shifts(sc.family, ladder), False)
+
+
+def _shifts(base, ladder: EpsilonLadder):
+    """shifted(j, i, sign) = P_j + sign * eps(i, j), each built once per
+    call of _shifts, so the equal atom polynomials of one S' run are one
+    object."""
+
+    @cache
+    def shifted(j, i, sign):
+        e = ladder.value(i, j)
+        return base[j - 1] + e if sign > 0 else base[j - 1] - e
+
+    return shifted
+
+
+def _thickening(sc: SignCondition, shifted, closed: bool):
+    """sigma_plus (closed) or sigma_minus of sc, its bands taken from
+    shifted = _shifts(sc.family, ladder)."""
+    i = 2 * level(sc) if closed else 2 * level(sc) - 1
+    ge, le = (">=", "<=") if closed else (">", "<")
     parts = []
-    for idx, (p, s) in enumerate(zip(sc.family, sc.signs), start=1):
+    for j, (p, s) in enumerate(zip(sc.family, sc.signs), start=1):
         if s == 0:
-            e = ladder.value(2 * ell - 1, idx)
-            parts.append(Atom(p + e, ">"))
-            parts.append(Atom(p - e, "<"))
+            parts.append(Atom(shifted(j, i, 1), ge))
+            parts.append(Atom(shifted(j, i, -1), le))
         elif s == 1:
-            parts.append(Atom(p, ">"))
+            parts.append(Atom(p, ge))
         elif s == -1:
-            parts.append(Atom(p, "<"))
+            parts.append(Atom(p, le))
     return conj(parts)
 
 
@@ -129,23 +138,24 @@ def construct_S_prime(sigma_set, base, ladder: EpsilonLadder) -> ClosedSetDescri
     P_j >= 0 (P_j <= 0) by P_j >= eps(2,j) (P_j <= -eps(2,j)).
     """
     base = tuple(base)
-    raw = construct_S_prime_raw(sigma_set, base, ladder)
-    formula = simplify_shift_formula(_rewrite_closed(raw, base, ladder))
+    shifted = _shifts(base, ladder)
+    raw = _level_induction(sigma_set, base, ladder, shifted)
+    formula = simplify_shift_formula(_rewrite_closed(raw, base, shifted))
     return ClosedSetDescription(formula, ladder)
 
 
-def _rewrite_closed(formula, base, ladder):
-    """Closed rewrite of bare sign atoms on the base family."""
+def _rewrite_closed(formula, base, shifted):
+    """Closed rewrite of bare sign atoms on the base family, with
+    shifted = _shifts(base, ladder)."""
     base_index = {p: j for j, p in enumerate(base, start=1)}
 
     def rewrite(atom):
         j = base_index.get(atom.poly)
         if j is not None:
-            e = ladder.value(2, j)
             if atom.rel == ">=":
-                return Atom(atom.poly - e, ">=")
+                return Atom(shifted(j, 2, -1), ">=")
             if atom.rel == "<=":
-                return Atom(atom.poly + e, "<=")
+                return Atom(shifted(j, 2, 1), "<=")
         return atom
 
     return map_atoms(formula, rewrite)
@@ -155,6 +165,10 @@ def construct_S_prime_raw(sigma_set, base, ladder: EpsilonLadder):
     """The induction result before the closed rewrite (for the rewrite
     equivalence checks)."""
     base = tuple(base)
+    return _level_induction(sigma_set, base, ladder, _shifts(base, ladder))
+
+
+def _level_induction(sigma_set, base, ladder, shifted):
     s = len(base)
     if ladder.s != s:
         raise ValueError("ladder size must match family size")
@@ -170,9 +184,9 @@ def construct_S_prime_raw(sigma_set, base, ladder: EpsilonLadder):
         for vec in all_sign_vectors(s, ell):
             sc = SignCondition(base, vec)
             if vec in wanted:
-                additions.append(sigma_plus(sc, ladder))
+                additions.append(_thickening(sc, shifted, True))
             else:
-                removals.append(negate(sigma_minus(sc, ladder)))
+                removals.append(negate(_thickening(sc, shifted, False)))
         formula = disj([conj([formula] + removals)] + additions)
     return formula
 
@@ -226,15 +240,24 @@ class _Iv:
         return self.lo == self.hi and (self.lo_s or self.hi_s)
 
 
+_ZERO = Q(0)
+
+
 def _core_and_bound(atom: Atom, splits):
     """Split the atom polynomial into base part and shift: p = core + k,
     so p REL 0 reads (value of core) REL -k.  Memoised in the dict
-    `splits`, keyed by atom polynomial."""
+    `splits`, keyed by atom polynomial; a core is its own split there,
+    so equal cores are one object."""
     p = atom.poly
     split = splits.get(p)
     if split is None:
-        k = p.terms.get((0,) * p.ring.nvars, Q(0))
-        split = splits[p] = (p - k, -k)
+        k = p.terms.get((0,) * p.ring.nvars)
+        if k is None:
+            split = splits[p] = (p, _ZERO)
+        else:
+            core = p - k
+            core = splits.setdefault(core, (core, _ZERO))[0]
+            split = splits[p] = (core, -k)
     return split
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _igcd
+from operator import add
 
 Q = Fraction
 
@@ -64,15 +65,26 @@ class Polynomial:
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: Ring, terms=None):
-        object.__setattr__(self, "ring", ring)
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Q(c)
-                if c != 0:
+                if not isinstance(c, Q):
+                    c = Q(c)
+                if c:
                     clean[tuple(mono)] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_ring(self, ring)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+
+    @classmethod
+    def _of(cls, ring: Ring, terms) -> "Polynomial":
+        """Trusted constructor: `terms` already maps exponent tuples to
+        nonzero Fractions and becomes the new polynomial's own dict."""
+        p = object.__new__(cls)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
+        _set_hash(p, None)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -81,7 +93,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: Ring, c) -> "Polynomial":
-        return Polynomial(ring, {(0,) * ring.nvars: Q(c)})
+        return Polynomial(ring, {(0,) * ring.nvars: c})
 
     @staticmethod
     def variable(ring: Ring, i: int) -> "Polynomial":
@@ -125,48 +137,77 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"{self.ring} vs {other.ring}")
-            return other
-        if isinstance(other, (int, Q)):
-            return Polynomial.constant(self.ring, other)
-        return NotImplemented
+    def _check_ring(self, other):
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _shift(self, k):
+        """self + k for a rational k: one dict copy with its constant
+        term adjusted."""
+        terms = dict(self.terms)
+        zero = (0,) * self.ring.nvars
+        c = terms.get(zero)
+        c = k if c is None else c + k
+        if c:
+            terms[zero] = c
+        else:
+            terms.pop(zero, None)
+        return Polynomial._of(self.ring, terms)
+
+    def _merge(self, other, sign):
+        """self + sign * other for a polynomial other; cancelled terms
+        are dropped."""
+        self._check_ring(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Q(0)) + c
-        return Polynomial(self.ring, terms)
+            s = terms.get(mono)
+            if s is None:
+                terms[mono] = c if sign > 0 else -c
+            else:
+                s = s + c if sign > 0 else s - c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+        return Polynomial._of(self.ring, terms)
+
+    def __add__(self, other):
+        if isinstance(other, Polynomial):
+            return self._merge(other, 1)
+        if isinstance(other, (int, Q)):
+            return self._shift(Q(other))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, Polynomial):
+            return self._merge(other, -1)
+        if isinstance(other, (int, Q)):
+            return self._shift(-Q(other))
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Q)):
+            k = Q(other)
+            terms = {m: c * k for m, c in self.terms.items()} if k else {}
+            return Polynomial._of(self.ring, terms)
+        if not isinstance(other, Polynomial):
             return NotImplemented
+        self._check_ring(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, Q(0)) + c1 * c2
-        return Polynomial(self.ring, terms)
+                mono = tuple(map(add, m1, m2))
+                c = terms.get(mono)
+                terms[mono] = c1 * c2 if c is None else c + c1 * c2
+        return Polynomial._of(self.ring, {m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -195,7 +236,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     # -- calculus and evaluation --------------------------------------
@@ -208,11 +249,9 @@ class Polynomial:
             e = mono[var]
             if e == 0:
                 continue
-            new = list(mono)
-            new[var] = e - 1
-            new = tuple(new)
-            terms[new] = terms.get(new, Q(0)) + c * e
-        return Polynomial(self.ring, terms)
+            # lowering one exponent maps distinct terms to distinct terms
+            terms[mono[:var] + (e - 1,) + mono[var + 1:]] = c * e
+        return Polynomial._of(self.ring, terms)
 
     def substitute(self, assignment) -> "Polynomial":
         """Substitute rationals for a subset of the variables.
@@ -223,20 +262,22 @@ class Polynomial:
         for i in assignment:
             if not 0 <= i < self.ring.nvars:
                 raise IndexError(f"variable index {i} out of range")
+        values = [(i, Q(val)) for i, val in assignment.items()]
         terms = {}
         for mono, c in self.terms.items():
             coeff = c
             new = list(mono)
-            for i, val in assignment.items():
+            for i, val in values:
                 e = mono[i]
                 if e:
-                    coeff *= Q(val) ** e
+                    coeff *= val ** e
                     new[i] = 0
-            if coeff == 0:
+            if not coeff:
                 continue
             new = tuple(new)
-            terms[new] = terms.get(new, Q(0)) + coeff
-        return Polynomial(self.ring, terms)
+            s = terms.get(new)
+            terms[new] = coeff if s is None else s + coeff
+        return Polynomial._of(self.ring, {m: c for m, c in terms.items() if c})
 
     def substitute_poly(self, assignment) -> "Polynomial":
         """Substitute polynomials (same ring) for variables."""
@@ -274,11 +315,9 @@ class Polynomial:
         buckets = [dict() for _ in range(d + 1)]
         for mono, c in self.terms.items():
             e = mono[var]
-            rest = list(mono)
-            rest[var] = 0
-            rest = tuple(rest)
-            buckets[e][rest] = buckets[e].get(rest, Q(0)) + c
-        return [Polynomial(self.ring, b) for b in buckets]
+            # distinct terms keep distinct exponents outside `var`
+            buckets[e][mono[:var] + (0,) + mono[var + 1:]] = c
+        return [Polynomial._of(self.ring, b) for b in buckets]
 
     # -- display ------------------------------------------------------
 
@@ -308,6 +347,12 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+# slot setters that bypass Polynomial.__setattr__, which refuses writes
+_set_ring = Polynomial.ring.__set__
+_set_terms = Polynomial.terms.__set__
+_set_hash = Polynomial._hash.__set__
 
 
 def sign_at(f: Polynomial, point) -> int:
@@ -552,7 +597,7 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     b, gi = _integer_terms(g)
     scale = a ** dg * b ** df
     res = _resultant_int(fi, gi, var, df, dg)
-    return Polynomial(f.ring, {mono: scale * c for mono, c in res.items()})
+    return Polynomial._of(f.ring, {mono: scale * c for mono, c in res.items()})
 
 
 def _integer_terms(f: Polynomial):
@@ -693,8 +738,8 @@ def univariate_to_poly(ring: Ring, var: int, coeffs) -> Polynomial:
             continue
         mono = [0] * ring.nvars
         mono[var] = e
-        terms[tuple(mono)] = Q(c)
-    return Polynomial(ring, terms)
+        terms[tuple(mono)] = c if isinstance(c, Q) else Q(c)
+    return Polynomial._of(ring, terms)
 
 
 def _trim(p):
@@ -712,11 +757,10 @@ def _primitive_int(coeffs):
     try:
         g = _igcd(*ints)
     except TypeError:  # math.gcd refuses Fractions: clear denominators
-        rats = [Q(c) for c in ints]
         lcm = 1
-        for c in rats:
+        for c in ints:
             lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-        ints = [c.numerator * (lcm // c.denominator) for c in rats]
+        ints = [c.numerator * (lcm // c.denominator) for c in ints]
         g = _igcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
@@ -991,8 +1035,12 @@ def refine_interval(p_int, lo, hi):
 
 
 def _separate_intervals(p_int, intervals):
-    """Refine until closed intervals are pairwise disjoint."""
+    """Refine until closed intervals are pairwise disjoint.  Only
+    neighbours are compared, so the intervals must come sorted by left
+    end; unsorted input is refused rather than refined forever."""
     ivs = list(intervals)
+    if any(q_cmp(a[0], b[0]) > 0 for a, b in zip(ivs, ivs[1:])):
+        raise ValueError("isolating intervals are not sorted by left end")
     changed = True
     while changed:
         changed = False

@@ -312,10 +312,14 @@ def test_atlas_grid_above_the_sample_cap_exits_2(tmp_path, capsys):
     # ... or the cause in a parenthesised polynomial, which got further
     ("vars m=1 n=1\npoly X1\nformula (X1 + 1)*(X1 + 1/0) > 0\n",
      "line 3: zero denominator in 1/0 (at position 15)"),
+    # nothing to count: no sign condition and no formula, or an empty one
+    ("vars m=1 n=1\npoly X1 - Y1\n", "line 1: no sigma rows and no formula line"),
+    ("vars m=1 n=1\npoly X1 - Y1\nformula\n", "line 3: empty formula"),
 ], ids=["m-not-integer", "m-negative", "poly-zero-denominator",
         "formula-zero-denominator", "unknown-option", "boxed-not-boolean",
         "poly-bad-character", "poly-bad-operator", "formula-parenthesised-cause",
-        "formula-parenthesised-bad-character", "formula-parenthesised-polynomial"])
+        "formula-parenthesised-bad-character", "formula-parenthesised-polynomial",
+        "no-sigma-no-formula", "empty-formula"])
 def test_atlas_malformed_problem_exits_2(tmp_path, capsys, text, message):
     problem = _write(tmp_path, "bad.txt", text)
     assert main(["atlas", problem]) == 2

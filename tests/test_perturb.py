@@ -15,11 +15,13 @@ from fiberatlas.perturb import (
     sigma_plus,
     simplify_shift_formula,
     _rewrite_closed,
+    _shifts,
 )
 from fiberatlas.polycore import Polynomial, Ring, parse_polynomial
 from fiberatlas.semialg import (
     FALSE,
     SignCondition,
+    atoms_of,
     eval_formula,
     formula_to_text,
 )
@@ -93,6 +95,20 @@ def test_pure_sign_s_prime_text():
     assert formula_to_text(down.formula) == "X1^2 + Y1 - 63/64 <= 0"
 
 
+def test_s_prime_atoms_with_equal_polynomials_share_one_object():
+    base = (P("X1^2 - 2*Y1"), P("X1 - 1"), P("X1 + 3"), P("X1 - Y1 - 2"))
+    sigma = [SignCondition(base, (-1, -1, 1, -1)), SignCondition(base, (0, 1, 1, 0))]
+    ladder = build_ladder(4, Q(1, 64))
+    for formula in (construct_S_prime(sigma, base, ladder).formula,
+                    construct_S_prime_raw(sigma, base, ladder)):
+        polys = [a.poly for a in atoms_of(formula)]
+        objects = {}
+        for p in polys:
+            objects.setdefault(p, set()).add(id(p))
+        assert len(objects) < len(polys)  # some polynomial is in several atoms
+        assert all(len(ids) == 1 for ids in objects.values())
+
+
 def test_empty_sigma_set_is_false():
     base = (P("X1^2 + Y1 - 1"),)
     ladder = build_ladder(1, Q(1, 64))
@@ -139,7 +155,7 @@ def test_simplification_preserves_membership():
         ladder = build_ladder(2, Q(1, 64))
         sigma = _random_sigma(rng, base)
         raw = _rewrite_closed(
-            construct_S_prime_raw(sigma, base, ladder), base, ladder)
+            construct_S_prime_raw(sigma, base, ladder), base, _shifts(base, ladder))
         simplified = simplify_shift_formula(raw)
         for _ in range(30):
             pt = tuple(Q(rng.randint(-8, 8), rng.choice((1, 2, 3)))

@@ -29,7 +29,7 @@ from fiberatlas.polycore import (
     ugcd_int,
     usquarefree_int,
 )
-from fiberatlas.polycore import _shift_by
+from fiberatlas.polycore import _separate_intervals, _shift_by
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -67,6 +67,46 @@ def test_arithmetic_identities():
         assert p * q == q * p
         assert (p - p).is_zero()
         assert p * 0 == Polynomial.constant(R11, 0)
+
+
+def _assert_clean(p):
+    """Every stored coefficient is a nonzero Fraction."""
+    for c in p.terms.values():
+        assert type(c) is Q and c != 0
+
+
+def test_arithmetic_keeps_nonzero_fraction_coefficients():
+    p = P("X1^2*Y1 - 2/3*X1 + Y1 - 1")
+    q = P("X1^2*Y1 + 2/3*X1 - 5")  # cancels two terms of p in p - q and p + (-q)
+    results = [p + q, p - q, q - p, p * q, -p, p + (-q), p * (p - p),
+               p + 1, p - Q(1, 2), 3 - p, p * 2, p * Q(-3, 4),
+               p.derivative(0), p.derivative(1), (p * q).derivative(0),
+               resultant(p, q, 0), resultant(p, P("X1 - Y1"), 0),
+               resultant(P("Y1 + 1"), p, 0)]
+    for r in results:
+        _assert_clean(r)
+    assert (p - q).terms == {(1, 0): Q(-4, 3), (0, 1): Q(1), (0, 0): Q(4)}
+
+
+def test_rational_shift_cancels_the_constant_term():
+    x = P("X1")
+    shifted = (x + 1) - 1
+    assert shifted.terms == {(1, 0): Q(1)}
+    assert shifted == x and hash(shifted) == hash(x)
+    assert (x + Q(1, 3)) - Q(1, 3) == x
+    p = P("X1^2*Y1 - 2/3*X1 + 7")
+    assert (p + (-p)).is_zero()
+    assert p + (-p) == Polynomial(R11)
+
+
+def test_fast_path_and_public_constructor_agree():
+    p = P("X1*Y1 - 2") * P("X1 + 1/3") + P("Y1")
+    q = Polynomial(R11, {(2, 1): 1, (1, 1): Q(1, 3), (1, 0): -2,
+                         (0, 0): Q(-2, 3), (0, 1): 1, (3, 0): 0})
+    _assert_clean(q)
+    assert p.terms == q.terms
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
 
 
 def test_eval_matches_expansion():
@@ -373,6 +413,14 @@ def test_refine_interval_keeps_the_root():
         lo, hi = refine_interval(list(coeffs), lo, hi)
     assert Q(*hi) - Q(*lo) <= Q(1, 2 ** 18)
     assert sign_int_at(list(coeffs), lo) * sign_int_at(list(coeffs), hi) <= 0
+
+
+def test_separate_intervals_refuses_unsorted_input():
+    p = [-2, 0, 1]  # X^2 - 2: two disjoint isolating intervals
+    ivs = isolate_int_roots(p)
+    assert _separate_intervals(p, ivs) == ivs
+    with pytest.raises(ValueError, match="not sorted"):
+        _separate_intervals(p, ivs[::-1])
 
 
 def test_coprime_basis_preserves_root_union():
