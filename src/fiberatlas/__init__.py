@@ -11,7 +11,6 @@ from .polycore import (
     parse_polynomial,
     refine_interval,
     resultant,
-    square_free_part,
 )
 from .semialg import (
     And,

@@ -519,15 +519,15 @@ def _fiber_b0_grid(plan, y, m, resolution, box_radius):
 
 # -- the end-to-end pipeline -------------------------------------------
 
-def _single_run(base, sigma_set, m, n, delta, fiber_mode, grid_res):
+def _single_run(base, sigma_set, m, delta, fiber_mode, grid_res):
     ring = base[0].ring
     ladder = build_ladder(len(base), delta)
     closed = construct_S_prime(sigma_set, base, ladder)
     plan = FiberPlan(closed.formula)
     members = plan.polys
-    strata = enumerate_strata(members, base, m + n) if members else []
+    strata = enumerate_strata(members, base, m + 1) if members else []
     systems = systems_for_strata(strata, m) if strata else []
-    G = assemble_G(systems, ring, m, n)
+    G = assemble_G(systems, ring, m)
     cells = components_complement(G)
     fibers = [
         fiber_b0(plan, cell.sample, m, fiber_mode, grid_res)
@@ -544,8 +544,9 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     Degenerate eliminations trigger a delta refinement; after
     refine_rounds the last report is returned with stabilization False.
     A round that refines delta to delta squared starts from the run at
-    delta squared it has just made.  Only m = 1 is counted exactly, so
-    any other m is refused before the first run.
+    delta squared it has just made.  Only m = 1 fibers over one
+    parameter (n = 1) are counted exactly, so any other m or n is refused
+    before the first run.
     """
     base = tuple(base)
     if not base:
@@ -554,6 +555,9 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
         raise UnsupportedModeError(
             f"m = {m}: fibers are counted for m = 1 only; an exact planar "
             "fiber count (m >= 2) is not implemented")
+    if n != 1:
+        raise UnsupportedModeError(
+            f"n = {n}: the census cuts one parameter line, so it needs n = 1")
     if refine_rounds < 1:
         raise ValueError(f"refine_rounds must be at least 1, got {refine_rounds}")
     delta = Q(delta)
@@ -561,7 +565,7 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     def attempt(d):
         """The run at d, or the DegenerateEliminationError it raised."""
         try:
-            return _single_run(base, sigma_set, m, n, d, fiber_mode, grid_res)
+            return _single_run(base, sigma_set, m, d, fiber_mode, grid_res)
         except DegenerateEliminationError as exc:
             return exc
 

@@ -8,6 +8,7 @@ survived every refinement round.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -410,6 +411,7 @@ def cmd_lift(args) -> int:
     return 0 if rep.passed else 3
 
 
+@functools.cache  # one parser per process: each would be left as cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberatlas",

@@ -1,7 +1,9 @@
 """Projection of critical loci to the parameter line.
 
-The exact pipeline is restricted to one parameter variable (n = 1) and at
-most three fiber variables.  Iterated resultants eliminate X1 upward;
+The exact pipeline is restricted to one parameter variable and at most
+three fiber variables.  `atlas.run_atlas` refuses n != 1 before any run,
+so every eliminant here is univariate in Y1 and is kept as a primitive
+integer coefficient list.  Iterated resultants eliminate X1 upward;
 dropping a constraint only enlarges the projection, so the output is a
 superset description: extra roots split cells but never merge distinct
 fiber types.
@@ -17,9 +19,9 @@ from .polycore import (
     int_coeffs,
     isolate_basis_roots,
     resultant,
-    square_free_part,
     ugcd_int,
     univariate_to_poly,
+    usquarefree_int,
 )
 
 
@@ -62,8 +64,9 @@ def _eliminate_vars(polys, m: int):
     return current
 
 
-def _combine_residuals(residuals, ring: Ring, m: int):
-    """Reduce the residual Y-polynomials to at most one by univariate gcd.
+def _combine_residuals(residuals):
+    """Reduce the residual Y1-polynomials to one primitive integer
+    coefficient list by univariate gcd.
 
     Returns None for an inconsistent system (a nonzero-constant residual
     or a constant gcd) and raises if everything vanished identically.
@@ -74,18 +77,17 @@ def _combine_residuals(residuals, ring: Ring, m: int):
     for p in nonzero:
         if p.is_constant():
             return None
-    var, g = int_coeffs(nonzero[0])
+    g = int_coeffs(nonzero[0])
     for p in nonzero[1:]:
-        _, c = int_coeffs(p)
-        g = ugcd_int(g, c)
+        g = ugcd_int(g, int_coeffs(p))
         if len(g) == 1:
             return None
-    return univariate_to_poly(ring, m, g)
+    return g
 
 
-def project_system(cs: CriticalSystem, m: int, n: int):
-    """Eliminants in the Y variables whose roots contain the projection
-    of the system's solution set.
+def project_system(cs: CriticalSystem, m: int):
+    """Eliminants in Y1, as integer coefficient lists, whose roots
+    contain the projection of the system's solution set: [] or [g].
 
     X1..Xm are eliminated from the active equations and every nonzero
     Jacobian minor as one system, since the Jacobian is rank-deficient
@@ -93,27 +95,23 @@ def project_system(cs: CriticalSystem, m: int, n: int):
     conjunction empty; an identically zero minor is trivially satisfied
     and dropped.
     """
-    if n != 1:
-        raise UnsupportedModeError("exact projection requires n = 1")
     if m > 3:
         raise UnsupportedModeError("exact projection requires m <= 3")
     minors = [q for q in cs.minors if not q.is_zero()]
     if any(q.is_constant() for q in minors):
         return []
-    residuals = _eliminate_vars(list(cs.active) + minors, m)
-    combined = _combine_residuals(residuals, cs.active[0].ring, m)
+    combined = _combine_residuals(_eliminate_vars(list(cs.active) + minors, m))
     return [] if combined is None else [combined]
 
 
-def assemble_G(systems, ring: Ring, m: int, n: int = 1) -> DiscriminantSet:
+def assemble_G(systems, ring: Ring, m: int) -> DiscriminantSet:
     """Union of all projected root sets: square-freed, deduplicated,
     isolated, sorted, with intervals refined until pairwise disjoint.
     Each root is attributed to the first defining polynomial vanishing
     there."""
-    if n != 1:
-        raise UnsupportedModeError("exact discriminant assembly requires n = 1")
-    defining = tuple(dict.fromkeys(
-        square_free_part(p) for cs in systems for p in project_system(cs, m, n)))
-    roots = isolate_basis_roots([int_coeffs(p)[1] for p in defining])
-    return DiscriminantSet(defining, tuple((Fraction(*lo), Fraction(*hi), k)
-                                           for lo, hi, k in roots))
+    basis = [list(p) for p in dict.fromkeys(
+        tuple(usquarefree_int(g)) for cs in systems for g in project_system(cs, m))]
+    roots = isolate_basis_roots(basis)
+    return DiscriminantSet(tuple(univariate_to_poly(ring, m, p) for p in basis),
+                           tuple((Fraction(*lo), Fraction(*hi), k)
+                                 for lo, hi, k in roots))

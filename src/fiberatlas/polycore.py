@@ -713,24 +713,6 @@ def _det_int(a):
 # root isolation.
 # ---------------------------------------------------------------------------
 
-def as_univariate(f: Polynomial):
-    """Return (var, ascending Fraction coefficients) for a univariate f.
-
-    Constants are reported as (None, [c]).  Raises if f involves more than
-    one variable.
-    """
-    used = f.variables()
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    if not used:
-        return None, [f.constant_value() if f.terms else Q(0)]
-    var = used[0]
-    coeffs = [Q(0)] * (f.degree_in(var) + 1)
-    for mono, c in f.terms.items():
-        coeffs[mono[var]] = c
-    return var, coeffs
-
-
 def univariate_to_poly(ring: Ring, var: int, coeffs) -> Polynomial:
     terms = {}
     for e, c in enumerate(coeffs):
@@ -854,16 +836,6 @@ def ugcd_int(a, b):
         _, r = _pseudo_divmod(a, b)
         a, b = b, _primitive_int(r)
     return a
-
-
-def square_free_part(f: Polynomial) -> Polynomial:
-    """f / gcd(f, f') for univariate f: primitive, positive leading coeff."""
-    if f.is_zero():
-        raise ValueError("square-free part of the zero polynomial")
-    var, coeffs = as_univariate(f)
-    if var is None or len(coeffs) == 1:
-        return Polynomial.constant(f.ring, 1)
-    return univariate_to_poly(f.ring, var, usquarefree_int(coeffs))
 
 
 def _sign_variations(coeffs):
@@ -1054,9 +1026,17 @@ def _separate_intervals(p_int, intervals):
 
 
 def int_coeffs(f: Polynomial):
-    """(var, primitive integer coefficient list) of a univariate f."""
-    var, coeffs = as_univariate(f)
-    return var, _primitive_int(coeffs)
+    """Primitive integer coefficient list of a univariate f, in ascending
+    degree: [1] for a nonzero constant, [] for zero.  Raises if f
+    involves more than one variable."""
+    used = f.variables()
+    if len(used) > 1:
+        raise ValueError("polynomial is not univariate")
+    var = used[0] if used else 0
+    coeffs = [0] * (f.degree_in(var) + 1)
+    for mono, c in f.terms.items():
+        coeffs[mono[var]] = c
+    return _primitive_int(coeffs)
 
 
 def primitive_signed(coeffs):

@@ -149,7 +149,7 @@ def _unstable_runs(monkeypatch, degenerate_at=()):
     returns the list of deltas it is called with."""
     calls = []
 
-    def fake(base, sigma_set, m, n, delta, fiber_mode, grid_res):
+    def fake(base, sigma_set, m, delta, fiber_mode, grid_res):
         calls.append(delta)
         if delta in degenerate_at:
             raise atlas.DegenerateEliminationError("stub")
@@ -181,6 +181,18 @@ def test_degenerate_delta_squared_run_is_not_repeated(monkeypatch):
     assert report.delta_used == d ** 4
     with pytest.raises(atlas.DegenerateEliminationError):
         run_atlas(base, [], 1, delta=d, refine_rounds=2)
+
+
+@pytest.mark.parametrize("n", [2, 0])
+def test_run_atlas_refuses_n_other_than_1_before_any_run(monkeypatch, n):
+    def never(*args):
+        raise AssertionError("_single_run called")
+
+    monkeypatch.setattr(atlas, "_single_run", never)
+    ring = Ring(1, n)
+    base = (P("X1 - 1", ring),)
+    with pytest.raises(UnsupportedModeError, match=f"n = {n}"):
+        run_atlas(base, [SignCondition(base, (0,))], 1, n)
 
 
 def test_run_atlas_needs_a_refinement_round():

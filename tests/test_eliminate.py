@@ -14,7 +14,7 @@ from fiberatlas.eliminate import (
     project_system,
 )
 from fiberatlas.perturb import build_ladder, construct_S_prime
-from fiberatlas.polycore import Ring, parse_polynomial
+from fiberatlas.polycore import Ring, parse_polynomial, sign_int_at
 from fiberatlas.semialg import SignCondition, atoms_of
 
 R = Ring(1, 1)
@@ -50,45 +50,40 @@ def test_eliminate_single_holder_dropped():
 
 
 def test_combine_residuals_gcd():
-    ring = Ring(1, 1)
     residuals = [P("(Y1 - 1)*(Y1 - 2)"), P("(Y1 - 1)*(Y1 + 3)")]
-    combined = _combine_residuals(residuals, ring, 1)
+    combined = _combine_residuals(residuals)
     assert combined is not None
-    assert combined.eval_at((Q(0), Q(1))) == 0
-    assert combined.total_degree() == 1
+    assert sign_int_at(combined, (1, 1)) == 0
+    assert len(combined) == 2  # degree 1
 
 
 def test_combine_residuals_inconsistent():
-    ring = Ring(1, 1)
-    assert _combine_residuals([P("3")], ring, 1) is None
-    assert _combine_residuals([P("Y1 - 1"), P("Y1 - 2")], ring, 1) is None
+    assert _combine_residuals([P("3")]) is None
+    assert _combine_residuals([P("Y1 - 1"), P("Y1 - 2")]) is None
 
 
 def test_combine_residuals_degenerate_raises():
-    ring = Ring(1, 1)
     with pytest.raises(DegenerateEliminationError):
-        _combine_residuals([P("0")], ring, 1)
+        _combine_residuals([P("0")])
 
 
 def test_project_quadric_critical_value():
     systems, ring = _quadric_systems()
     projections = []
     for cs in systems:
-        projections.extend(project_system(cs, 1, 1))
+        projections.extend(project_system(cs, 1))
     roots = set()
     for p in projections:
-        for y in (Q(63, 64), Q(65, 64)):
-            if p.eval_at((Q(0), y)) == 0:
+        for y in ((63, 64), (65, 64)):
+            if sign_int_at(p, y) == 0:
                 roots.add(y)
-    assert roots == {Q(63, 64), Q(65, 64)}
+    assert roots == {(63, 64), (65, 64)}
 
 
 def test_project_rejects_unsupported_modes():
     systems, _ = _quadric_systems()
     with pytest.raises(UnsupportedModeError):
-        project_system(systems[0], 1, 2)
-    with pytest.raises(UnsupportedModeError):
-        project_system(systems[0], 4, 1)
+        project_system(systems[0], 4)
 
 
 def test_assemble_quadric_discriminant():
@@ -184,8 +179,8 @@ def test_circle_systems_project_to_its_critical_values():
     systems = systems_for_strata(enumerate_strata(members, base, 3), 2)
     roots = set()
     for cs in systems:
-        for p in project_system(cs, 2, 1):
-            for y in (Q(63, 64), Q(65, 64)):
-                if p.eval_at((Q(0), Q(0), y)) == 0:
+        for p in project_system(cs, 2):
+            for y in ((63, 64), (65, 64)):
+                if sign_int_at(p, y) == 0:
                     roots.add(y)
-    assert roots == {Q(63, 64), Q(65, 64)}
+    assert roots == {(63, 64), (65, 64)}

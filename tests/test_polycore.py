@@ -12,7 +12,6 @@ from fiberatlas.polycore import (
     Polynomial,
     Ring,
     RingMismatchError,
-    as_univariate,
     coprime_basis,
     determinant,
     int_coeffs,
@@ -25,7 +24,6 @@ from fiberatlas.polycore import (
     same_root,
     sign_at,
     sign_int_at,
-    square_free_part,
     ugcd_int,
     usquarefree_int,
 )
@@ -366,10 +364,11 @@ def test_primitive_signed_keeps_sign():
 
 def test_square_free_part_removes_multiplicity():
     p = P("(X1 - 1)^3", Ring(1, 0)) * P("(X1 + 2)^2", Ring(1, 0))
-    sf = square_free_part(p)
-    assert sf.total_degree() == 2
-    assert sf.eval_at((Q(1),)) == 0
-    assert sf.eval_at((Q(-2),)) == 0
+    sf = usquarefree_int(int_coeffs(p))
+    assert len(sf) - 1 == 2
+    assert sign_int_at(sf, (1, 1)) == 0
+    assert sign_int_at(sf, (-2, 1)) == 0
+    assert sf == [-2, 1, 1]
 
 
 # -- root isolation -----------------------------------------------------
@@ -380,7 +379,7 @@ def test_isolation_finds_exactly_the_rational_roots():
     p = Polynomial.constant(ring, 1)
     for r in roots:
         p = p * (Polynomial.variable(ring, 0) - r)
-    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p))]
     assert len(intervals) == len(roots)
     for (lo, hi), r in zip(intervals, sorted(roots)):
         assert lo <= r <= hi
@@ -390,7 +389,7 @@ def test_isolation_separates_close_roots():
     ring = Ring(1, 0)
     a, b = Q(1), Q(1) + Q(1, 10 ** 6)
     p = (Polynomial.variable(ring, 0) - a) * (Polynomial.variable(ring, 0) - b)
-    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p))]
     assert len(intervals) == 2
     assert intervals[0][1] <= intervals[1][0]
     assert intervals[0][0] <= a <= intervals[0][1]
@@ -400,14 +399,14 @@ def test_isolation_separates_close_roots():
 def test_isolation_irrational_roots_counted():
     # X^2 - 2 has two real roots, neither rational
     p = P("X1^2 - 2", Ring(1, 0))
-    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p)[1])]
+    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p))]
     assert len(intervals) == 2
     for lo, hi in intervals:
         assert lo < hi
 
 
 def test_refine_interval_keeps_the_root():
-    _, coeffs = int_coeffs(P("X1^2 - 2", Ring(1, 0)))
+    coeffs = int_coeffs(P("X1^2 - 2", Ring(1, 0)))
     lo, hi = isolate_int_roots(list(coeffs))[1]
     for _ in range(20):
         lo, hi = refine_interval(list(coeffs), lo, hi)
@@ -522,9 +521,9 @@ def test_isolation_still_refuses_a_square():
         isolate_int_roots([2, -3, 0, 1])
 
 
-def test_as_univariate_rejects_mixed():
+def test_int_coeffs_rejects_mixed():
     with pytest.raises(ValueError):
-        as_univariate(P("X1*Y1"))
+        int_coeffs(P("X1*Y1"))
 
 
 def test_sign_at_multivariate():
