@@ -196,11 +196,15 @@ def _write_atomic(path: str, content: str):
 
 
 def _opt(args_value, options, key, default, conv):
-    if args_value is not None:
-        return args_value
-    if key in options:
-        return conv(options[key])
-    return default
+    """Option `key` from the command line, else the problem file, else
+    `default`, converted by conv; a bad value names the option."""
+    value = args_value if args_value is not None else options.get(key, default)
+    try:
+        return conv(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{key}: zero denominator in {value}") from None
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def cmd_atlas(args) -> int:
@@ -215,12 +219,12 @@ def cmd_atlas(args) -> int:
         return 2
     opts = pf.options
     try:
-        delta = Q(_opt(args.delta, opts, "delta", "1/64", str))
-        rounds = int(_opt(args.refine_rounds, opts, "refine_rounds", 3, int))
+        delta = _opt(args.delta, opts, "delta", "1/64", Q)
+        rounds = _opt(args.refine_rounds, opts, "refine_rounds", 3, int)
         mode = _opt(args.mode, opts, "mode", "exact", str)
-        grid_res = Q(_opt(args.grid_res, opts, "grid_res", "1/1024", str))
+        grid_res = _opt(args.grid_res, opts, "grid_res", "1/1024", Q)
         boxed = args.boxed or opts.get("boxed", "").lower() in _TRUE
-        omega = int(_opt(args.omega, opts, "omega", 2 ** 20, int))
+        omega = _opt(args.omega, opts, "omega", 2 ** 20, int)
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
         if grid_res <= 0:
@@ -229,7 +233,7 @@ def cmd_atlas(args) -> int:
             raise ValueError(f"omega must be positive, got {omega}")
         if rounds < 1:
             raise ValueError(f"refine_rounds must be at least 1, got {rounds}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
         return 2
     if mode not in ("exact", "grid"):

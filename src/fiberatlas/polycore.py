@@ -551,8 +551,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cofactor determinants; resultants by evaluation at integers, integer
-# Sylvester determinants and exact interpolation.
+# Cofactor determinants; resultants by evaluation at integers, the
+# subresultant PRS and exact interpolation.
 # ---------------------------------------------------------------------------
 
 def determinant(rows) -> Polynomial:
@@ -610,13 +610,13 @@ def _resultant_int(f, g, var, df, dg):
     """Resultant in `var` of integer term dicts f and g, taken with the
     formal degrees df and dg, as an integer term dict.
 
-    With no other variable left it is the determinant of the Sylvester
-    matrix of the coefficient lists padded to df and dg.  Otherwise one
-    remaining variable y is set to each integer 0..D, where
-    D = dg*deg_y(f) + df*deg_y(g) bounds the resultant's degree in y,
-    and the D + 1 resultants are interpolated exactly (Collins 1971).
-    The formal degrees are kept at every node, so a node where a leading
-    coefficient vanishes still gives the specialised resultant."""
+    With no other variable left it is the resultant of the coefficient
+    lists padded to df and dg (_resultant_leaf).  Otherwise one remaining
+    variable y is set to each integer 0..D, where D bounds the
+    resultant's degree in y (_degree_bound), and the D + 1 resultants are
+    interpolated exactly (Collins 1971).  The formal degrees are kept at
+    every node, so a node where a leading coefficient vanishes still
+    gives the specialised resultant."""
     if not f or not g:
         return {}
     ys = {i for mono in (*f, *g) for i, e in enumerate(mono) if e and i != var}
@@ -627,15 +627,82 @@ def _resultant_int(f, g, var, df, dg):
         gc = [0] * (dg + 1)
         for mono, c in g.items():
             gc[mono[var]] = c
-        rows = [[0] * i + fc[::-1] + [0] * (dg - 1 - i) for i in range(dg)]
-        rows += [[0] * i + gc[::-1] + [0] * (df - 1 - i) for i in range(df)]
-        det = _det_int(rows)
-        return {(0,) * len(next(iter(f))): det} if det else {}
+        res = _resultant_leaf(fc, gc)
+        return {(0,) * len(next(iter(f))): res} if res else {}
     y = max(ys)
-    bound = dg * max(mono[y] for mono in f) + df * max(mono[y] for mono in g)
     values = [_resultant_int(_specialize(f, y, t), _specialize(g, y, t), var, df, dg)
-              for t in range(bound + 1)]
+              for t in range(_degree_bound(f, g, var, y, df, dg) + 1)]
     return _interpolate(values, y)
+
+
+def _degree_bound(f, g, var, y, df, dg):
+    """A bound on the degree in y of the Sylvester determinant of f and g
+    in `var`: the smaller of its row sum and its column sum of y-degrees.
+    The column of x^c holds f_k for c - dg < k <= c and g_k for
+    c - df < k <= c."""
+    ef = [-1] * (df + 1)
+    for mono in f:
+        ef[mono[var]] = max(ef[mono[var]], mono[y])
+    eg = [-1] * (dg + 1)
+    for mono in g:
+        eg[mono[var]] = max(eg[mono[var]], mono[y])
+    rows = dg * max(ef) + df * max(eg)
+    cols = sum(max(0, *ef[max(c - dg + 1, 0):c + 1], *eg[max(c - df + 1, 0):c + 1])
+               for c in range(df + dg))
+    return min(rows, cols)
+
+
+def _resultant_leaf(f, g):
+    """Resultant of the integer coefficient lists f and g (constant term
+    first) taken with the formal degrees len(f) - 1 and len(g) - 1, that
+    is, the determinant of their padded Sylvester matrix.
+
+    A formal degree of 1 takes the PRS's one step in closed form.
+    Otherwise a vanished formal leading coefficient is taken out by
+    expanding the determinant along its first column, and the
+    subresultant PRS runs on the true degrees (Collins 1967; Brown-Traub
+    1971; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 3.3.7)."""
+    df, dg = len(f) - 1, len(g) - 1
+    if not df or not dg:
+        return f[0] ** dg if not df else g[0] ** df
+    if df == 1 or dg == 1:
+        # res(f, g) = sum f_i g0^i (-g1)^(df - i) when dg = 1, an identity
+        # in the coefficients, so it holds when a leading one vanishes
+        a, x, w = (f, g[0], -g[1]) if dg == 1 else (g, -f[0], f[1])
+        acc, pw = a[-1], 1
+        for c in reversed(a[:-1]):
+            pw *= w
+            acc = acc * x + c * pw
+        return acc
+    if not f[-1]:
+        if not g[-1]:
+            return 0
+        return (-g[-1] if dg & 1 else g[-1]) * _resultant_leaf(f[:-1], g)
+    if not g[-1]:
+        return f[-1] * _resultant_leaf(f, g[:-1])
+    sign = 1
+    if df < dg:
+        f, g = g, f
+        if df & dg & 1:
+            sign = -1
+    g_lead = h = 1
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if (len(f) - 1) & (len(g) - 1) & 1:
+            sign = -sign
+        q, r = _pseudo_divmod(f, g)
+        if not r:
+            return 0
+        # _pseudo_divmod scales by lc(g) once per step it takes, one per
+        # nonzero quotient coefficient; the PRS needs lc(g)^(delta + 1)
+        fill = g[-1] ** (delta + 1 - len(q) + q.count(0))
+        div = g_lead * h ** delta
+        f, g = g, [c * fill // div for c in r]
+        g_lead = f[-1]
+        h = g_lead ** delta * h // h ** delta
+    df = len(f) - 1
+    return sign * (g[0] ** df * h // h ** df)
 
 
 def _specialize(f, y, t):
@@ -682,30 +749,6 @@ def _interpolate(values, y):
             if c:
                 out[key[:y] + (e,) + key[y + 1:]] = c // fact
     return out
-
-
-def _det_int(a):
-    """Determinant of a square integer matrix (list of row lists, changed
-    in place) by fraction-free Bareiss elimination."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        rk = a[k]
-        akk = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            aik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (akk * ri[j] - aik * rk[j]) // prev
-        prev = akk
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +813,9 @@ def sign_int_at(p, x):
 
 def _pseudo_divmod(a, b):
     """Pseudo-quotient and -remainder of integer coefficient lists:
-    lc(b)^k * a = q*b + r with everything in integer arithmetic."""
+    lc(b)^k * a = q*b + r with everything in integer arithmetic, where k,
+    the number of reduction steps, is the number of nonzero entries of q
+    (at most deg a - deg b + 1; fewer when a leading term cancels)."""
     a = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -781,9 +826,8 @@ def _pseudo_divmod(a, b):
     while len(a) - 1 >= db:
         shift = len(a) - 1 - db
         la = a[-1]
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
+        # the top coefficient cancels: lb * la - la * lb
+        a = [c * lb for c in a[:shift]] + [x * lb - la * y for x, y in zip(a[shift:-1], b)]
         while a and a[-1] == 0:
             a.pop()
         steps.append((shift, la))

@@ -191,6 +191,24 @@ def test_atlas_out_of_range_delta_or_grid_res_exits_2(tmp_path, capsys):
         assert "bad option value" in capsys.readouterr().err
 
 
+def test_atlas_bad_option_value_names_the_option_and_cause(tmp_path, capsys):
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    for flags, message in (
+            (["--delta", "1/0"], "delta: zero denominator in 1/0"),
+            (["--grid-res", "1/0"], "grid_res: zero denominator in 1/0"),
+            (["--delta", "abc"], "delta: Invalid literal for Fraction: 'abc'")):
+        assert main(["atlas", problem, *flags]) == 2
+        assert f"error: bad option value: {message}\n" == capsys.readouterr().err
+    for option, message in (
+            ("delta=1/0", "delta: zero denominator in 1/0"),
+            ("grid_res=x", "grid_res: Invalid literal for Fraction: 'x'"),
+            ("omega=1/2", "omega: invalid literal for int() with base 10: '1/2'"),
+            ("refine_rounds=", "refine_rounds: invalid literal for int() with base 10: ''")):
+        opt = _write(tmp_path, "opt.txt", QUADRIC + f"option {option}\n")
+        assert main(["atlas", opt]) == 2
+        assert f"error: bad option value: {message}\n" == capsys.readouterr().err
+
+
 def test_bounds_value_too_long_to_print_exits_2(tmp_path, capsys):
     out = tmp_path / "b.json"
     argv = ["bounds", "fewnomial", "m=3", "r=3", "c=2", "--json", str(out)]

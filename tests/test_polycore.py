@@ -27,7 +27,7 @@ from fiberatlas.polycore import (
     ugcd_int,
     usquarefree_int,
 )
-from fiberatlas.polycore import _separate_intervals, _shift_by
+from fiberatlas.polycore import _resultant_leaf, _separate_intervals, _shift_by
 
 MERSENNE_61 = (1 << 61) - 1
 
@@ -196,7 +196,7 @@ def test_resultant_degree_zero_convention():
 def _sylvester_oracle(f, g, var, point):
     """The Sylvester determinant of f and g in `var` after every other
     variable is set to point[i], with the rows padded to the formal
-    degrees of f and g; Fraction Gaussian elimination."""
+    degrees of f and g."""
     df, dg = f.degree_in(var), g.degree_in(var)
 
     def descending(p, d):
@@ -208,8 +208,16 @@ def _sylvester_oracle(f, g, var, point):
             c[d - mono[var]] += v
         return c
 
+    return _sylvester_det(descending(f, df), descending(g, dg))
+
+
+def _sylvester_det(fc, gc):
+    """Determinant of the Sylvester matrix of the coefficient lists fc and
+    gc (leading coefficient first), padded to the formal degrees
+    len(fc) - 1 and len(gc) - 1; Fraction Gaussian elimination."""
+    df, dg = len(fc) - 1, len(gc) - 1
     size = df + dg
-    fc, gc = descending(f, df), descending(g, dg)
+    fc, gc = [Q(c) for c in fc], [Q(c) for c in gc]
     a = [[Q(0)] * i + fc + [Q(0)] * (dg - 1 - i) for i in range(dg)]
     a += [[Q(0)] * i + gc + [Q(0)] * (df - 1 - i) for i in range(df)]
     det = Q(1)
@@ -247,6 +255,16 @@ RESULTANT_CASES = [
     (Ring(3, 1), 2, "X1*X3^2 + X2*X3 - Y1", "X3^2*Y1 + X1*X2 - 1/64"),
     (Ring(3, 1), 1, "X1*X2 - X3 + Y1", "X2^2 - X3*Y1 + 3"),
     (Ring(1, 1), 0, "(X1 - Y1)*(X1 + 1)", "(X1 - Y1)*(X1^2 + Y1)"),
+    # column bound below the row bound: a monic sextic with Y1^2
+    # coefficients against its X1-derivative (degree 20 in Y1, row bound
+    # 22), and a (2, 1) case where it binds only at the inner level, X2
+    # (degree 2 in X2, row bound 3)
+    (Ring(1, 1), 0,
+     "X1^6 + (Y1^2 + 1)*X1^5 + (Y1^2 - 3)*X1^4 + (2*Y1^2 + Y1)*X1^3"
+     " + (Y1^2 - 2)*X1^2 - Y1^2*X1 + Y1^2 - 1",
+     "6*X1^5 + 5*(Y1^2 + 1)*X1^4 + 4*(Y1^2 - 3)*X1^3 + 3*(2*Y1^2 + Y1)*X1^2"
+     " + 2*(Y1^2 - 2)*X1 - Y1^2"),
+    (Ring(2, 1), 0, "X1^2 + X2*X1 + X2 - Y1", "2*X1 + X2"),
 ]
 
 
@@ -281,6 +299,45 @@ def test_resultant_against_sylvester_oracle_random():
             res = resultant(f, g, var)
             point = [_random_rational(rng) for _ in range(ring.nvars)]
             assert res.eval_at(point) == _sylvester_oracle(f, g, var, point)
+
+
+def test_resultant_leaf_against_padded_sylvester_determinant():
+    """The subresultant leaf against the Fraction determinant of the
+    padded Sylvester matrix, on integer lists of formal degree 0..8."""
+    rng = random.Random(29)
+
+    def rand(d):
+        return [rng.randint(-4, 4) for _ in range(d + 1)]
+
+    pairs = [
+        # pseudo-division where a leading term cancels: 2 steps, not 3
+        ([1, 1, 1, 2, 4], [1, 1, 2]),
+        # formal leading coefficient zero on one side, odd dg
+        ([1, 2, 0], [1, 1, 3, 2]),
+        ([3, -1, 0, 0, 0], [2, 0, 1, -5, 1, 3, 7]),
+        ([2, 5, 1, 3], [1, -2, 0]),
+    ]
+    for _ in range(300):
+        pairs.append((rand(rng.randint(0, 8)), rand(rng.randint(0, 8))))
+    for _ in range(60):  # the top k formal coefficients zeroed on one side
+        f, g = rand(rng.randint(1, 8)), rand(rng.randint(1, 8))
+        k = rng.randint(1, len(f) - 1)
+        f[-k:] = [0] * k
+        pairs.append((f, g) if rng.random() < 0.5 else (g, f))
+    for _ in range(30):  # odd x odd
+        pairs.append((rand(rng.choice((1, 3, 5, 7))), rand(rng.choice((1, 3, 5, 7)))))
+    zero = []
+    for _ in range(30):  # zeroed on both sides
+        f, g = rand(rng.randint(1, 8)), rand(rng.randint(1, 8))
+        zero.append((f[:-1] + [0], g[:-1] + [0]))
+    for _ in range(30):  # a common factor of positive degree
+        h = rand(rng.randint(1, 3))
+        h[-1] = h[-1] or 1
+        zero.append((_umul(h, rand(rng.randint(0, 5))), _umul(h, rand(rng.randint(0, 5)))))
+    for f, g in pairs + zero:
+        expected = _sylvester_det(f[::-1], g[::-1])
+        assert _resultant_leaf(f, g) == expected, (f, g)
+    assert all(_resultant_leaf(f, g) == 0 for f, g in zero)
 
 
 # -- univariate integer machinery ---------------------------------------
