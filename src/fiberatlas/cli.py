@@ -261,6 +261,15 @@ def cmd_atlas(args) -> int:
         print(f"error: degenerate after {rounds} refinement rounds: {exc}",
               file=sys.stderr)
         return 3
+    # the report prints every cell end, sample and the delta it used
+    shown = [report.delta_used] + [x for c in report.cells
+                                   for x in (c.left, c.right, c.sample) if x is not None]
+    bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in shown)
+    if bits > _printable_bits():
+        print(f"error: a cell end, sample or delta has {bits} bits, too large to "
+              f"print in decimal (delta's denominator has "
+              f"{delta.denominator.bit_length()} bits)", file=sys.stderr)
+        return 2
     print(report.to_table())
     if args.json:
         _write_atomic(args.json, report.to_json() + "\n")

@@ -596,7 +596,8 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     a, fi = _integer_terms(f)
     b, gi = _integer_terms(g)
     scale = a ** dg * b ** df
-    res = _resultant_int(fi, gi, var, df, dg)
+    ys = sorted({i for mono in (*fi, *gi) for i, e in enumerate(mono) if e and i != var})
+    res = _resultant_int(fi, gi, var, df, dg, ys)
     return Polynomial._of(f.ring, {mono: scale * c for mono, c in res.items()})
 
 
@@ -606,12 +607,13 @@ def _integer_terms(f: Polynomial):
     return next(iter(f.terms.values())) / ints[0], dict(zip(f.terms, ints))
 
 
-def _resultant_int(f, g, var, df, dg):
+def _resultant_int(f, g, var, df, dg, ys):
     """Resultant in `var` of integer term dicts f and g, taken with the
-    formal degrees df and dg, as an integer term dict.
+    formal degrees df and dg, as an integer term dict; ys lists the other
+    variables that f and g may hold, in increasing order.
 
     With no other variable left it is the resultant of the coefficient
-    lists padded to df and dg (_resultant_leaf).  Otherwise one remaining
+    lists padded to df and dg (_resultant_leaf).  Otherwise the last
     variable y is set to each integer 0..D, where D bounds the
     resultant's degree in y (_degree_bound), and the D + 1 resultants are
     interpolated exactly (Collins 1971).  The formal degrees are kept at
@@ -619,7 +621,6 @@ def _resultant_int(f, g, var, df, dg):
     gives the specialised resultant."""
     if not f or not g:
         return {}
-    ys = {i for mono in (*f, *g) for i, e in enumerate(mono) if e and i != var}
     if not ys:
         fc = [0] * (df + 1)
         for mono, c in f.items():
@@ -629,8 +630,9 @@ def _resultant_int(f, g, var, df, dg):
             gc[mono[var]] = c
         res = _resultant_leaf(fc, gc)
         return {(0,) * len(next(iter(f))): res} if res else {}
-    y = max(ys)
-    values = [_resultant_int(_specialize(f, y, t), _specialize(g, y, t), var, df, dg)
+    y, rest = ys[-1], ys[:-1]
+    fy, gy = _in_y(f, y), _in_y(g, y)
+    values = [_resultant_int(_specialize(fy, t), _specialize(gy, t), var, df, dg, rest)
               for t in range(_degree_bound(f, g, var, y, df, dg) + 1)]
     return _interpolate(values, y)
 
@@ -705,18 +707,28 @@ def _resultant_leaf(f, g):
     return sign * (g[0] ** df * h // h ** df)
 
 
-def _specialize(f, y, t):
-    """The integer term dict f with variable y set to the integer t."""
+def _in_y(f, y):
+    """The integer term dict f grouped by its monomials without y:
+    {monomial with y^0: coefficients in y, constant first}."""
     out = {}
     for mono, c in f.items():
-        e = mono[y]
-        if e:
-            if not t:
-                continue
-            c *= t ** e
-            mono = mono[:y] + (0,) + mono[y + 1:]
-        out[mono] = out.get(mono, 0) + c
-    return {mono: c for mono, c in out.items() if c}
+        cs = out.setdefault(mono[:y] + (0,) + mono[y + 1:], [])
+        cs += [0] * (mono[y] + 1 - len(cs))
+        cs[mono[y]] = c
+    return out
+
+
+def _specialize(groups, t):
+    """The term dict of _in_y's groups with y set to the integer t, each
+    group by Horner's rule."""
+    out = {}
+    for mono, cs in groups.items():
+        v = 0
+        for c in reversed(cs):
+            v = v * t + c
+        if v:
+            out[mono] = v
+    return out
 
 
 def _interpolate(values, y):
@@ -896,44 +908,14 @@ def _sign_variations(coeffs):
 
 
 def _shift_by(p, c):
-    """p(x+c) for integer c, by Kronecker substitution: p is evaluated
-    at 2^k + c as one integer, whose balanced base-2^k digits are the
-    coefficients of p(x+c).  Those are at most B = sum |a_i| (1+|c|)^i
-    in absolute value, and k is a whole number of bytes with 2^k > 4B."""
-    if not p:
-        return []
-    bound = 0
-    for a in reversed(p):
-        bound = bound * (1 + abs(c)) + abs(a)
-    nbytes = (bound.bit_length() + 9) // 8
-    k = 8 * nbytes
-    v = 0
-    for a in reversed(p):
-        v = (v << k) + v * c + a
-    # adding half of 2^k to every digit makes all digits nonnegative
-    half = b"\0" * (nbytes - 1) + b"\x80"
-    raw = (v + int.from_bytes(half * len(p), "little")).to_bytes(
-        nbytes * len(p), "little")
-    off = 1 << (k - 1)
-    return _trim([int.from_bytes(raw[i:i + nbytes], "little") - off
-                  for i in range(0, len(raw), nbytes)])
-
-
-def _mobius_count(p):
-    """Descartes bound on the number of roots of p in the open (0,1)."""
-    rev = list(reversed(p))
-    return _sign_variations(_shift_by(rev, 1))
-
-
-def _div_linear_at_one(p):
-    """p / (x - 1), exact."""
-    out = [0] * (len(p) - 1)
-    carry = 0
-    for i in range(len(p) - 1, 0, -1):
-        carry = carry + p[i]
-        out[i - 1] = carry
-    assert p[0] + carry == 0
-    return _trim(out)
+    """p(x+c) for integer c, by synthetic division in place: pass i
+    divides by x - c from the top down to i.  With c = 1 it is additions
+    only."""
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1] if c == 1 else c * a[j + 1]
+    return _trim(a)
 
 
 def q_cmp(x, y):
@@ -951,26 +933,39 @@ def q_mid(x, y):
     return n // g, d // g
 
 
-def _isolate_rec(q, lo, hi, out):
-    v = _mobius_count(q)
-    if v == 0:
-        return
-    if v == 1:
-        out.append((lo, hi))
-        return
-    mid = q_mid(lo, hi)
-    n = len(q) - 1
-    ql = [c * (1 << (n - i)) for i, c in enumerate(q)]  # 2^n q(x/2)
-    qr = _shift_by(ql, 1)
-    at_mid = qr and qr[0] == 0  # exact root at the midpoint
-    if at_mid:
-        ql = _div_linear_at_one(ql)
-        while qr and qr[0] == 0:
-            qr = qr[1:]
-    _isolate_rec(ql, lo, mid, out)
-    if at_mid:
-        out.append((mid, mid))
-    _isolate_rec(qr, mid, hi, out)
+def _halve(m):
+    """M(2x + 1): one shift by 1, then coefficient i times 2^i."""
+    return [c << i for i, c in enumerate(_shift_by(m, 1))]
+
+
+def _isolate_mobius(m, lo, hi, out):
+    """Descartes bisection of (lo, hi) (Collins-Akritas 1976) in the
+    form of Rouillier-Zimmermann (2004).  A node carries
+    M = (x+1)^n q(1/(x+1)), where q(x) on (0, 1) is the polynomial on
+    (lo, hi), so that M's sign variations are the node's Descartes
+    bound.  The halves are M(2x+1) and rev(rev(M)(2x+1)); both have
+    M(1), a multiple of q(1/2), at the midpoint's end, and an exact root
+    there is a zero coefficient that is dropped from each (the left one
+    comes out negated, which changes no count).  The tree runs on a
+    stack, left half first, so that `out` comes out sorted."""
+    stack = [(m, lo, hi)]
+    while stack:
+        m, lo, hi = stack.pop()
+        if m is None:  # the exact root at a midpoint
+            out.append((lo, lo))
+            continue
+        v = _sign_variations(m)
+        if v == 1:
+            out.append((lo, hi))
+        if v < 2:
+            continue
+        mid = q_mid(lo, hi)
+        left = _halve(m)
+        right = _halve(m[::-1])
+        if not left[0]:
+            stack += [(right[:0:-1], mid, hi), (None, mid, mid), (left[1:], lo, mid)]
+        else:
+            stack += [(right[::-1], mid, hi), (left, lo, mid)]
 
 
 class NotSquareFreeError(ValueError):
@@ -1006,7 +1001,7 @@ def isolate_int_roots(p):
         # map (-b, b) to (0, 1): q(x) = p(-b + 2b*x) = t(2b*x), t = p(x - b)
         t = _shift_by(p, -b)
         q = [c * (2 * b) ** i for i, c in enumerate(t)]
-        _isolate_rec(q, (-b, 1), (b, 1), out)
+        _isolate_mobius(_shift_by(q[::-1], 1), (-b, 1), (b, 1), out)
     if zero:
         out.insert(sum(lo[0] < 0 for lo, _ in out), ((0, 1), (0, 1)))
     if len(p) <= 2:

@@ -2,6 +2,7 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,21 @@ def test_atlas_bad_option_value_names_the_option_and_cause(tmp_path, capsys):
         opt = _write(tmp_path, "opt.txt", QUADRIC + f"option {option}\n")
         assert main(["atlas", opt]) == 2
         assert f"error: bad option value: {message}\n" == capsys.readouterr().err
+
+
+def test_atlas_cell_ends_too_long_to_print_exits_2(tmp_path, capsys):
+    """At delta = 2^-1100 the twolines cell ends have more decimal digits
+    than str() converts: refused before anything is printed or written."""
+    twolines = str(Path(__file__).resolve().parents[1] / "problems" / "twolines.txt")
+    out, csv = tmp_path / "t.json", tmp_path / "t.csv"
+    argv = ["atlas", twolines, "--delta", f"1/{2 ** 1100}",
+            "--json", str(out), "--dump-csv", str(csv)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("bits, too large to print in decimal (delta's denominator has "
+            "1101 bits)") in captured.err
+    assert not out.exists() and not csv.exists()
 
 
 def test_bounds_value_too_long_to_print_exits_2(tmp_path, capsys):

@@ -19,6 +19,7 @@ from fiberatlas.polycore import (
     isolate_int_roots,
     parse_polynomial,
     primitive_signed,
+    q_cmp,
     refine_interval,
     resultant,
     same_root,
@@ -443,14 +444,67 @@ def test_isolation_finds_exactly_the_rational_roots():
 
 
 def test_isolation_separates_close_roots():
+    # roots 2^-1100 apart need a bisection 1100 levels deep
     ring = Ring(1, 0)
-    a, b = Q(1), Q(1) + Q(1, 10 ** 6)
-    p = (Polynomial.variable(ring, 0) - a) * (Polynomial.variable(ring, 0) - b)
-    intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p))]
-    assert len(intervals) == 2
-    assert intervals[0][1] <= intervals[1][0]
-    assert intervals[0][0] <= a <= intervals[0][1]
-    assert intervals[1][0] <= b <= intervals[1][1]
+    for a, b in ((Q(1), Q(1) + Q(1, 10 ** 6)), (Q(1, 3), Q(1, 3) + Q(1, 2 ** 1100))):
+        p = (Polynomial.variable(ring, 0) - a) * (Polynomial.variable(ring, 0) - b)
+        intervals = [_ends(iv) for iv in isolate_int_roots(int_coeffs(p))]
+        assert len(intervals) == 2
+        assert intervals[0][1] < intervals[1][0]
+        assert intervals[0][0] <= a <= intervals[0][1]
+        assert intervals[1][0] <= b <= intervals[1][1]
+
+
+def _sturm_count(p):
+    """The number of distinct real roots of the integer list p, from the
+    sign changes of its Sturm sequence at -inf and +inf, over Fractions."""
+    seq = [[Q(c) for c in p], _trimmed([i * Q(c) for i, c in enumerate(p)][1:])]
+    while len(seq[-1]) > 1:
+        r, d = list(seq[-2]), seq[-1]
+        while len(r) >= len(d):
+            k, f = len(r) - len(d), r[-1] / d[-1]
+            r = _trimmed([c - f * d[i - k] if i >= k else c for i, c in enumerate(r)])
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def changes(signs):
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_minus = [(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in seq]
+    return changes(at_minus) - changes([1 if q[-1] > 0 else -1 for q in seq])
+
+
+def test_isolation_returns_midpoint_roots_as_points():
+    """Rational roots on bisection midpoints at depth 2 or more, each
+    with an irrational root in the same half, so that the bisection
+    splits exactly there.  Each root bound b below is the one
+    isolate_int_roots starts from: it bisects (-b, b)."""
+    cases = (
+        ([(1, 1)], [-2, 0, 1]),  # b = 4: 1 halves (0, 2), beside sqrt 2
+        ([(3, 1)], [-7, 0, 1]),  # b = 32: 3 halves (2, 4), beside sqrt 7
+        ([(-3, 2)], [-3, 0, 1]),  # b = 8: -3/2 halves (-2, -1), beside -sqrt 3
+        # b = 64 and 16: two such roots, beside (x^2 - 2)(x^2 - 7) and
+        # (x^2 - 2)(x^2 - 3)
+        ([(1, 1), (3, 1)], [14, 0, -9, 0, 1]),
+        ([(-3, 2), (1, 1)], [6, 0, -5, 0, 1]),
+    )
+    for rational, rest in cases:
+        p = rest
+        for n, d in rational:
+            p = [a - b for a, b in zip([0] + [d * c for c in p], [n * c for c in p] + [0])]
+        intervals = isolate_int_roots(p)
+        assert len(intervals) == _sturm_count(p), p
+        points = [lo for lo, hi in intervals if lo == hi]
+        assert points == rational, p
+        assert all(q_cmp(a[1], b[0]) < 0 for a, b in zip(intervals, intervals[1:]))
+    # (x - 8)(2x - 1)(2x - 11)(2x^2 - 3x + 2), b = 128: 8 halves (0, 16).
+    # A bisection that kept the root in both halves would carry a factor
+    # into every descendant, and the Descartes bounds, so the ends, change
+    # (1/2 in (0, 2))
+    assert isolate_int_roots([-176, 670, -897, 582, -124, 8]) == [
+        ((0, 1), (1, 1)), ((4, 1), (6, 1)), ((8, 1), (8, 1))]
 
 
 def test_isolation_irrational_roots_counted():
