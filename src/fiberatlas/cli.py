@@ -385,11 +385,13 @@ def cmd_lift(args) -> int:
     if not expr_texts:
         print("error: no poly lines", file=sys.stderr)
         return 2
-    try:
-        progs = [parse_slp(src) for _, src in expr_texts]
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    progs = []
+    for lineno, src in expr_texts:
+        try:
+            progs.append(parse_slp(src))
+        except ParseError as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            return 2
     fring = Ring(len(progs), 0)
     lineno, formula_text = formula_line
     if formula_text:

@@ -403,7 +403,7 @@ def tokenize(text: str):
                 raise ParseError(f"zero denominator in {lit}", mo.start("num")) from None
             tokens.append(("num", value, mo.start()))
         elif mo.group("var"):
-            tokens.append(("var", mo.group("var"), mo.start()))
+            tokens.append(("var", mo.group("var"), mo.start("var")))
         else:
             tokens.append(("op", mo.group("op"), mo.start()))
         pos = mo.end()

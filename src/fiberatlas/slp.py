@@ -20,6 +20,7 @@ from .polycore import (
     Polynomial,
     Ring,
     parse_expression,
+    tokenize,
 )
 from .semialg import Atom, atoms_of, eval_formula, map_atoms
 
@@ -124,8 +125,6 @@ class _Builder:
         if isinstance(node, ENum):
             return _mono_const(node.value, self.m)
         if isinstance(node, EVar):
-            if not node.name.startswith("X"):
-                raise ParseError(f"only X variables allowed, got {node.name}", 0)
             idx = int(node.name[1:]) - 1
             alpha = tuple(1 if i == idx else 0 for i in range(self.m))
             return _Mono(Q(1), alpha, ())
@@ -143,30 +142,25 @@ class _Builder:
         raise TypeError(f"unknown AST node {node!r}")
 
 
-def _max_var(node) -> int:
-    if isinstance(node, EVar):
-        if not node.name.startswith("X") or not node.name[1:].isdigit():
-            raise ParseError(f"only X variables allowed, got {node.name}", 0)
-        return int(node.name[1:])
-    if isinstance(node, (EAdd, ESub, EMul)):
-        return max(_max_var(node.left), _max_var(node.right))
-    if isinstance(node, EPow):
-        return _max_var(node.base)
-    if isinstance(node, ENeg):
-        return _max_var(node.operand)
-    return 0
-
-
 def parse_slp(text: str, m: int = None) -> SLPProgram:
     """Parse an expression into a straight-line program.
 
     A sum whose two sides share the same monomial shape, or where one
     side vanishes, is absorbed without a step; every other addition or
-    subtraction node becomes one step.
+    subtraction node becomes one step.  Only X1..Xm may occur, m being
+    the largest index present when not given.
     """
     node = parse_expression(text)
+    names = [(name, pos) for kind, name, pos in tokenize(text) if kind == "var"]
     if m is None:
-        m = max(_max_var(node), 1)
+        m = max((int(name[1:]) for name, _ in names), default=1)
+    for name, pos in names:
+        if name[0] != "X":
+            raise ParseError(f"only X variables allowed, got {name}", pos)
+        if int(name[1:]) == 0:
+            raise ParseError(f"bad variable name {name!r}", pos)
+        if int(name[1:]) > m:
+            raise ParseError(f"variable {name} not in ring with m={m}", pos)
     builder = _Builder(m)
     top = builder.walk(node)
     eta = [0] * len(builder.steps)
@@ -187,16 +181,19 @@ def _side_poly(ring: Ring, scalar, alpha, exps, values):
     return p
 
 
-def expand(prog: SLPProgram) -> Polynomial:
-    """Full symbolic expansion of the program over the rationals."""
+def _expansion(prog: SLPProgram):
+    """Expanded Q_1..Q_a of the program and its expanded value, over
+    Ring(prog.m, 0)."""
     ring = Ring(prog.m, 0)
     qs = []
     for st in prog.steps:
-        left = _side_poly(ring, st.left[0], st.left[1], st.left[2], qs)
-        right = _side_poly(ring, st.right[0], st.right[1], st.right[2], qs)
-        qs.append(left + right)
-    c, zeta, eta = prog.final
-    return _side_poly(ring, c, zeta, eta, qs)
+        qs.append(_side_poly(ring, *st.left, qs) + _side_poly(ring, *st.right, qs))
+    return qs, _side_poly(ring, *prog.final, qs)
+
+
+def expand(prog: SLPProgram) -> Polynomial:
+    """Full symbolic expansion of the program over the rationals."""
+    return _expansion(prog)[1]
 
 
 @dataclass(frozen=True)
@@ -243,6 +240,26 @@ def _ambient_mono(ring, scalar, alpha, exps, offset):
     return Polynomial(ring, {tuple(expo): Q(scalar)})
 
 
+def _offsets(progs):
+    """Per program, the number of lift variables of the programs before
+    it; and the total number a."""
+    offsets = []
+    total = 0
+    for p in progs:
+        offsets.append(total)
+        total += p.a
+    return offsets, total
+
+
+def _atom_program(poly, count):
+    """The program k (0-based) that an atom polynomial X_{k+1} names,
+    or None when it names none of the count programs."""
+    for k in range(count):
+        if poly == Polynomial.variable(poly.ring, k):
+            return k
+    return None
+
+
 def lift(progs, formula) -> LiftedSystem:
     """Trade each program step for a lift variable and a trinomial
     equation; rewrite every atom as its final monomial form.
@@ -252,11 +269,7 @@ def lift(progs, formula) -> LiftedSystem:
     """
     progs = list(progs)
     m = max((p.m for p in progs), default=1)
-    offsets = []
-    total = 0
-    for p in progs:
-        offsets.append(total)
-        total += p.a
+    offsets, total = _offsets(progs)
     ring = Ring(m, total)
     names = []
     equations = []
@@ -272,14 +285,10 @@ def lift(progs, formula) -> LiftedSystem:
                                   st.right[2], off)
             equations.append(y - left - right)
 
-    def atom_program(poly):
-        for k in range(len(progs)):
-            if poly == Polynomial.variable(poly.ring, k):
-                return k
-        raise ValueError(f"atom references unknown program: {poly.to_text()}")
-
     def rewrite(atom):
-        k = atom_program(atom.poly)
+        k = _atom_program(atom.poly, len(progs))
+        if k is None:
+            raise ValueError(f"atom references unknown program: {atom.poly.to_text()}")
         c, zeta, eta = progs[k].final
         mono = _ambient_mono(ring, c, zeta + (0,) * (m - progs[k].m),
                              eta, offsets[k])
@@ -294,7 +303,6 @@ class LiftReport:
     symbolic_ok: bool
     sample_count: int
     sample_failures: tuple
-    notes: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -332,20 +340,11 @@ def verify_lift(ls: LiftedSystem, progs, formula, samples: int = 20,
     progs = list(progs)
     ring = ls.equations[0].ring if ls.equations else Ring(ls.m, ls.a)
     m = ls.m
-    offsets = []
-    total = 0
-    for p in progs:
-        offsets.append(total)
-        total += p.a
+    offsets, _ = _offsets(progs)
+    expansions = [_expansion(p) for p in progs]
 
     assignment = {}
-    for k, prog in enumerate(progs):
-        qring = Ring(prog.m, 0)
-        qs = []
-        for st in prog.steps:
-            left = _side_poly(qring, st.left[0], st.left[1], st.left[2], qs)
-            right = _side_poly(qring, st.right[0], st.right[1], st.right[2], qs)
-            qs.append(left + right)
+    for k, (qs, _) in enumerate(expansions):
         for j, qp in enumerate(qs):
             assignment[m + offsets[k] + j] = _embed(qp, ring)
 
@@ -362,20 +361,17 @@ def verify_lift(ls: LiftedSystem, progs, formula, samples: int = 20,
             if la.rel != oa.rel:
                 symbolic_ok = False
                 break
-            for k in range(len(progs)):
-                if oa.poly == Polynomial.variable(oa.poly.ring, k):
-                    want = _embed(expand(progs[k]), ring)
-                    if la.poly.substitute_poly(assignment) != want:
-                        symbolic_ok = False
-                    break
-            else:
+            k = _atom_program(oa.poly, len(progs))
+            if k is None or (la.poly.substitute_poly(assignment)
+                             != _embed(expansions[k][1], ring)):
                 symbolic_ok = False
 
     rng = random.Random(seed)
     failures = []
     for t in range(samples):
         x = [Q(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(m)]
-        pvals = [expand(p).eval_at(tuple(x[:p.m])) for p in progs]
+        pvals = [value.eval_at(tuple(x[:p.m]))
+                 for p, (_, value) in zip(progs, expansions)]
         yvals = []
         for p in progs:
             yvals.extend(_q_values(p, x))
@@ -387,6 +383,4 @@ def verify_lift(ls: LiftedSystem, progs, formula, samples: int = 20,
         lifted = eval_formula(ls.rewritten_formula, point)
         if orig != lifted:
             failures.append((t, tuple(x), "truth mismatch"))
-    notes = ("lift uniqueness is structural: each lift variable is a "
-             "function of the point and earlier lift variables",)
-    return LiftReport(symbolic_ok, samples, tuple(failures), notes)
+    return LiftReport(symbolic_ok, samples, tuple(failures))

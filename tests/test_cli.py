@@ -371,6 +371,19 @@ def test_lift_formula_error_names_its_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("poly X0 + 1\n", "error: line 1: bad variable name 'X0' (at position 0)"),
+    ("poly X1 + 1\npoly X1 + Y1\n",
+     "error: line 2: only X variables allowed, got Y1 (at position 5)"),
+])
+def test_lift_bad_variable_names_its_line(tmp_path, capsys, text, message):
+    problem = _write(tmp_path, "bad.txt", text)
+    assert main(["lift", problem]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_lift_zero_denominator_exits_2(tmp_path, capsys):
     problem = _write(tmp_path, "bad.txt", "poly 1/0 + X1\n")
     assert main(["lift", problem]) == 2

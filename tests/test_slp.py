@@ -1,4 +1,5 @@
 """Straight-line programs and the trinomial lift."""
+import dataclasses
 import re
 from fractions import Fraction as Q
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import SLP_CORPUS
 from fiberatlas.polycore import ParseError, Polynomial, Ring, parse_polynomial
+from fiberatlas import slp
 from fiberatlas.semialg import And, Atom, Or
 from fiberatlas.slp import (
     LiftedSystem,
@@ -53,6 +55,12 @@ def test_parse_rejects_bad_input():
         parse_slp("X1^-1")
     with pytest.raises(ParseError):
         parse_slp("Y1 + 1")
+    with pytest.raises(ParseError, match="bad variable name 'X0'"):
+        parse_slp("X0 + 1")
+    with pytest.raises(ParseError, match="X2 not in ring with m=1"):
+        parse_slp("X2 + 1", m=1)
+    with pytest.raises(ParseError, match=r"got Y1 \(at position 5\)"):
+        parse_slp("X1 + Y1")
 
 
 def test_step_invariant_enforced():
@@ -148,3 +156,61 @@ def test_lift_json_metadata():
     data = ls.to_json_dict()
     assert data["m"] == 1 and data["a"] == 1
     assert data["variables"] == [{"program": 1, "step": 1, "name": "Y1"}]
+
+
+def _two_program_lift():
+    progs = [parse_slp("(X1+1)^3"), parse_slp("(X1 + X2)^2")]
+    fring = Ring(2, 0)
+    formula = And((
+        Atom(Polynomial.variable(fring, 0), ">"),
+        Atom(Polynomial.variable(fring, 1), "<="),
+    ))
+    return lift(progs, formula), progs, formula
+
+
+def test_verify_lift_two_programs_of_different_m():
+    ls, progs, formula = _two_program_lift()
+    assert [eq.to_text() for eq in ls.equations] == [
+        "Y1 - X1 - 1", "Y2 - X2 - X1"]
+    assert ls.rewritten_formula.children[1].poly.to_text() == "Y2^2"
+    rep = verify_lift(ls, progs, formula, samples=20)
+    assert rep.symbolic_ok and not rep.sample_failures
+
+
+def test_verify_lift_rejects_tampered_equation():
+    ls, progs, formula = _two_program_lift()
+    eqs = list(ls.equations)
+    eqs[1] = eqs[1] + 1
+    rep = verify_lift(dataclasses.replace(ls, equations=tuple(eqs)),
+                      progs, formula, samples=20)
+    assert not rep.symbolic_ok
+    assert rep.sample_failures
+    assert all(why == "equation violated at lift" for _, _, why in rep.sample_failures)
+
+
+def test_verify_lift_rejects_flipped_relation():
+    ls, progs, formula = _two_program_lift()
+    first, second = ls.rewritten_formula.children
+    flipped = And((first, Atom(second.poly, ">")))
+    rep = verify_lift(dataclasses.replace(ls, rewritten_formula=flipped),
+                      progs, formula, samples=20)
+    assert not rep.symbolic_ok
+
+
+def test_verify_lift_expands_once_whatever_the_samples(monkeypatch):
+    side_poly = slp._side_poly
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return side_poly(*args)
+
+    ls, progs, formula = _two_program_lift()
+    monkeypatch.setattr(slp, "_side_poly", counting)
+    counts = []
+    for samples in (1, 40):
+        calls.clear()
+        assert verify_lift(ls, progs, formula, samples=samples).passed
+        counts.append(len(calls))
+    # two sides per step and one final monomial, per program
+    assert counts == [sum(2 * p.a + 1 for p in progs)] * 2
