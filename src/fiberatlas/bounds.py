@@ -35,23 +35,71 @@ def _check_nonnegative(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+# Below this many bits _square uses the builtin product: of cutoffs 2^12
+# to 2^19, 2^14 squared 5^(2^22) fastest (CPython 3.11, x86-64).
+_TOOM_CUTOFF = 1 << 14
+
+
+def _square(x: int) -> int:
+    """x * x for x >= 0 by Toom-3 squaring (Toom 1963; Cook 1966): five
+    squares of a third of the size, at 0, 1, -1, -2 and infinity, put
+    back together by Bodrato's interpolation sequence (WAIFI 2007)."""
+    n = x.bit_length()
+    if n < _TOOM_CUTOFF:
+        return x * x
+    k = (n + 2) // 3
+    mask = (1 << k) - 1
+    a0, a1, a2 = x & mask, (x >> k) & mask, x >> (2 * k)
+    p = a0 + a2
+    m1 = p - a1
+    v0 = _square(a0)
+    v1 = _square(p + a1)
+    vm1 = _square(abs(m1))
+    vm2 = _square(abs(((m1 + a2) << 1) - a0))
+    vinf = _square(a2)
+    # both divisions are exact
+    r3 = (vm2 - v1) // 3
+    r1 = (v1 - vm1) >> 1
+    r2 = vm1 - v0
+    r3 = ((r2 - r3) >> 1) + (vinf << 1)
+    r2 += r1 - vinf
+    r1 -= r3
+    return (((((((vinf << k) + r3) << k) + r2) << k) + r1) << k) + v0
+
+
+def _pow(base: int, exp: int) -> int:
+    """base ** exp for base >= 1, exp >= 0.  The power of two in the base
+    is taken out as one shift, (2^t u)^e = u^e << t e, and u^e is formed
+    by left-to-right binary exponentiation with _square."""
+    if exp == 0:
+        return 1
+    t = (base & -base).bit_length() - 1
+    u = base >> t
+    value = u
+    for bit in bin(exp)[3:]:
+        value = _square(value)
+        if bit == "1":
+            value *= u
+    return value << (t * exp)
+
+
 def bound_main(m: int, n: int, s: int, d: int, c: int = 1) -> int:
     """(2^m * s * n * d)^(c*n*m)."""
     _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return ((1 << m) * s * n * d) ** (c * n * m)
+    return _pow((1 << m) * s * n * d, c * n * m)
 
 
 def bound_main_precise(m: int, n: int, s: int, d: int, c: int = 1) -> int:
     """s^(2*(m+1)*n) * (2^m * n * d)^(c*n*m)."""
     _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return s ** (2 * (m + 1) * n) * ((1 << m) * n * d) ** (c * n * m)
+    return _pow(s, 2 * (m + 1) * n) * _pow((1 << m) * n * d, c * n * m)
 
 
 def bound_lists(m: int, s: int, d: int, c: int = 1) -> int:
     """N^(c*N*m) with N = s * C(m+d, d)."""
     _check_positive(m=m, s=s, d=d, c=c)
     big_n = s * comb(m + d, d)
-    return big_n ** (c * big_n * m)
+    return _pow(big_n, c * big_n * m)
 
 
 def bound_fewnomial(m: int, r: int, c: int = 1) -> int:
@@ -73,9 +121,9 @@ def bound_pfaffian(m: int, n: int, s: int, r: int, alpha: int, beta: int,
     _check_positive(m=m, n=n, s=s, alpha=alpha, beta=beta, c=c)
     _check_nonnegative(r=r)
     return (
-        s ** (c * n * m)
+        _pow(s, c * n * m)
         * (1 << (c * n * (m ** 2 + n * r ** 2)))
-        * (n * m * (alpha + beta)) ** (c * n * (m + r))
+        * _pow(n * m * (alpha + beta), c * n * (m + r))
     )
 
 
@@ -130,7 +178,7 @@ def metric_radius(M: int, d: int, m: int, c: int = 1) -> MetricRadiusReport:
     warning = ""
     if M < 2 or d < 2:
         warning = "formula degenerates for M < 2 or d < 2; value is exact anyway"
-    return MetricRadiusReport(M ** (d ** (c * m)), warning)
+    return MetricRadiusReport(_pow(M, d ** (c * m)), warning)
 
 
 BOUNDS = {

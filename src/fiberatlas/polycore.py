@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _lcm
 from operator import add
 
 Q = Fraction
@@ -295,18 +295,32 @@ class Polynomial:
         return result
 
     def eval_at(self, point) -> Q:
-        """Exact value at a full rational assignment (sequence of length nvars)."""
+        """Exact value at a full rational assignment (sequence of length nvars).
+        The terms are summed as integers over one common denominator: the
+        lcm of the coefficients' denominators times d_i^D_i per variable,
+        for x_i = n_i / d_i and D_i the degree in x_i.  Each variable's
+        n_i^e d_i^(D_i - e) is formed once per exponent e it carries."""
         if len(point) != self.ring.nvars:
             raise ValueError("point dimension does not match ring")
+        if not self.terms:
+            return Q(0)
         point = [Q(v) for v in point]
-        total = Q(0)
+        den = _lcm(*(c.denominator for c in self.terms.values()))
+        scale = 1
+        tables = []
+        for i, col in enumerate(zip(*self.terms)):
+            top = max(col)
+            if top:
+                n, d = point[i].numerator, point[i].denominator
+                tables.append((i, {e: n ** e * d ** (top - e) for e in set(col)}))
+                scale *= d ** top
+        total = 0
         for mono, c in self.terms.items():
-            v = c
-            for i, e in enumerate(mono):
-                if e:
-                    v *= point[i] ** e
+            v = c.numerator * (den // c.denominator)
+            for i, table in tables:
+                v *= table[mono[i]]
             total += v
-        return total
+        return Q(total, den * scale)
 
     def coeffs_in(self, var: int):
         """Coefficients of self as a univariate polynomial in `var`,
@@ -401,13 +415,13 @@ def tokenize(text: str):
                 value = Q(lit)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {lit}", mo.start("num")) from None
-            tokens.append(("num", value, mo.start()))
+            tokens.append(("num", value, mo.start("num"), mo.group("num")))
         elif mo.group("var"):
-            tokens.append(("var", mo.group("var"), mo.start("var")))
+            tokens.append(("var", mo.group("var"), mo.start("var"), mo.group("var")))
         else:
-            tokens.append(("op", mo.group("op"), mo.start()))
+            tokens.append(("op", mo.group("op"), mo.start("op"), mo.group("op")))
         pos = mo.end()
-    tokens.append(("end", None, len(text)))
+    tokens.append(("end", None, len(text), ""))
     return tokens
 
 
@@ -465,14 +479,14 @@ class _ExprParser:
         return t
 
     def expect_op(self, op):
-        kind, val, pos = self.next()
+        kind, val, pos, _ = self.next()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse_expr(self):
         node = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.parse_term()
@@ -483,7 +497,7 @@ class _ExprParser:
     def parse_term(self):
         node = self.parse_factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, _, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
                 node = EMul(node, self.parse_factor())
@@ -491,22 +505,22 @@ class _ExprParser:
                 return node
 
     def parse_factor(self):
-        kind, val, pos = self.peek()
+        kind, val, _, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
             return ENeg(self.parse_factor())
         node = self.parse_atom()
-        kind, val, pos = self.peek()
+        kind, val, _, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            kind, exp, pos = self.next()
+            kind, exp, pos, _ = self.next()
             if kind != "num" or exp.denominator != 1 or exp < 0:
                 raise ParseError("exponent must be a non-negative integer", pos)
             return EPow(node, int(exp))
         return node
 
     def parse_atom(self):
-        kind, val, pos = self.next()
+        kind, val, pos, src = self.next()
         if kind == "num":
             return ENum(val)
         if kind == "var":
@@ -515,16 +529,18 @@ class _ExprParser:
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        raise ParseError(f"unexpected token {val!r}", pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {src!r}", pos)
 
 
 def parse_expression(text: str):
     """Parse expression text into an AST (no ring needed yet)."""
     parser = _ExprParser(tokenize(text))
     node = parser.parse_expr()
-    kind, val, pos = parser.peek()
+    kind, _, pos, src = parser.peek()
     if kind != "end":
-        raise ParseError(f"trailing input {val!r}", pos)
+        raise ParseError(f"trailing input {src!r}", pos)
     return node
 
 

@@ -151,7 +151,7 @@ def parse_slp(text: str, m: int = None) -> SLPProgram:
     the largest index present when not given.
     """
     node = parse_expression(text)
-    names = [(name, pos) for kind, name, pos in tokenize(text) if kind == "var"]
+    names = [(name, pos) for kind, name, pos, _ in tokenize(text) if kind == "var"]
     if m is None:
         m = max((int(name[1:]) for name, _ in names), default=1)
     for name, pos in names:

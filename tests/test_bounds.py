@@ -1,11 +1,12 @@
 """Exact bound evaluation and monotonicity."""
 import random
 import time
-from math import comb
+from math import comb, log2
 
 import pytest
 
 from fiberatlas.bounds import (
+    _TOOM_CUTOFF,
     BOUNDS,
     COUNT_SCHEMES,
     bound_additive,
@@ -18,6 +19,8 @@ from fiberatlas.bounds import (
     count_family,
     evaluate_bound,
     metric_radius,
+    _pow,
+    _square,
 )
 
 
@@ -32,6 +35,58 @@ def test_worked_examples():
     assert metric_radius(2, 2, 2, 1).value == 16
     assert metric_radius(2, 2, 1, 1).value == 4
     assert metric_radius(3, 2, 1, 1).value == 9
+
+
+def test_square_equals_builtin():
+    """Toom-3 squaring from just below its cutoff to three recursion
+    levels above it."""
+    cut = _TOOM_CUTOFF
+    values = [0, 1]
+    for k in (cut - 1, cut, 3 * cut + 1, 27 * cut + 5):
+        values += [1 << k, (1 << k) - 1]
+    rng = random.Random(16)
+    for bits in (cut - 1, cut, cut + 1, 3 * cut + 2, 9 * cut + 7, 28 * cut):
+        values += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(2)]
+    # x = a2 B^2 + a1 B + a0 with B = 2^k, a2 = 2^(k-3), a1 = B - 1 and
+    # a0 < 2^(k-4) has 3k - 2 bits, so it splits at k, and x(-1) and
+    # x(-2) are negative
+    for k in (cut, 3 * cut, 9 * cut):
+        low = rng.getrandbits(k - 4)
+        values += [(1 << (3 * k - 3)) | ((1 << k) - 1) << k | low]
+    for x in values:
+        assert _square(x) == x * x
+
+
+def test_pow_equals_builtin():
+    """Results on both sides of the cutoff, for odd bases, powers of two
+    and bases with both parts."""
+    for base in (1, 2, 3, 5, 35, 560):
+        # base ** near has about _TOOM_CUTOFF bits
+        near = int(_TOOM_CUTOFF / log2(base)) if base > 1 else _TOOM_CUTOFF
+        for exp in (0, 1, 2, 3, 100, near - 1, near, near + 1, 3 * near + 1, 20 * near + 3):
+            assert _pow(base, exp) == base ** exp, (base, exp)
+
+
+def test_evaluators_equal_their_formulas_past_the_cutoff():
+    """Each evaluator that forms powers, at values longer than the
+    Toom-3 cutoff, against its docstring formula with the builtin **."""
+    m, n, s, d, c = 3, 2, 5, 7, 600
+    value = bound_main(m, n, s, d, c)
+    assert value == (2 ** m * s * n * d) ** (c * n * m)
+    m, n, s, d, c = 2, 3, 7, 5, 1000
+    assert bound_main_precise(m, n, s, d, c) == (
+        s ** (2 * (m + 1) * n) * (2 ** m * n * d) ** (c * n * m))
+    m, s, d, c = 2, 3, 4, 50
+    big_n = s * comb(m + d, d)
+    assert bound_lists(m, s, d, c) == big_n ** (c * big_n * m)
+    m, n, s, r, alpha, beta, c = 2, 2, 3, 1, 2, 3, 1000
+    assert bound_pfaffian(m, n, s, r, alpha, beta, c) == (
+        s ** (c * n * m) * 2 ** (c * n * (m ** 2 + n * r ** 2))
+        * (n * m * (alpha + beta)) ** (c * n * (m + r)))
+    M, d, m = 3, 2, 15
+    radius = metric_radius(M, d, m).value
+    assert radius == M ** (d ** m)
+    assert min(value, radius).bit_length() > _TOOM_CUTOFF
 
 
 def test_pfaffian_r_zero_collapses_middle_factor():

@@ -110,14 +110,29 @@ def test_fast_path_and_public_constructor_agree():
 
 def test_eval_matches_expansion():
     p = P("(X1 + Y1)^3")
+    q = P("1/2*X1^4*Y1 - 2/3*X1 + 5/6*Y1^2 - 7/4")
     for x in (Q(0), Q(1, 2), Q(-3)):
         for y in (Q(2), Q(-1, 3)):
             assert p.eval_at((x, y)) == (x + y) ** 3
+            want = Q(1, 2) * x ** 4 * y - Q(2, 3) * x + Q(5, 6) * y ** 2 - Q(7, 4)
+            got = q.eval_at((x, y))
+            assert type(got) is Q and got == want
+    assert P("0").eval_at((Q(1), Q(2))) == 0
+    assert P("3/4*Y1").eval_at((Q(5, 7), 2)) == Q(3, 2)
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        P("X1 + + 2")
+    """Each error names the failing token's own column and source text."""
+    for text, message in (
+        ("X1 + + 2", "unexpected token '+' (at position 5)"),
+        ("X1 +  )", "unexpected token ')' (at position 6)"),
+        ("X1 *  3 3", "trailing input '3' (at position 8)"),
+        ("X1 + 1 /  2 7", "trailing input '7' (at position 12)"),
+        ("X1 +", "unexpected end of input (at position 4)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            P(text)
+        assert str(exc.value) == message
     with pytest.raises(ParseError):
         P("X1^-2")
     with pytest.raises(ValueError):
