@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
-from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -39,7 +38,7 @@ from .polycore import (
 # fiber_b0 no longer calls these two; they stay importable from this
 # module because benchmark/tracing.py times them here by name.
 from .polycore import coprime_basis, isolate_basis_roots  # noqa: F401
-from .semialg import Atom, eval_formula, eval_signs, map_atoms
+from .semialg import Atom, eval_signs, map_atoms
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,15 @@ class AtlasReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_table(self) -> str:
-        lines = ["cell".ljust(24) + "sample".ljust(12) + "b0  method"]
+        # every field ends in a space, so a field wider than its column
+        # is not run together with the next one
+        lines = ["cell".ljust(23) + " " + "sample".ljust(11) + " " + "b0  method"]
         for c, f in zip(self.cells, self.fibers):
             lo = "-inf" if c.left is None else str(c.left)
             hi = "+inf" if c.right is None else str(c.right)
             lines.append(
-                f"({lo}, {hi})".ljust(24)
-                + str(c.sample).ljust(12)
+                f"({lo}, {hi})".ljust(23) + " "
+                + str(c.sample).ljust(11) + " "
                 + f"{f.b0}   {f.method}"
             )
         lines.append(
@@ -417,20 +418,22 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
     """Number of connected components of the fiber over y of `formula`,
     a formula or its FiberPlan.
 
-    Exact mode (m = 1 only): sweep the X-line through the sorted real
-    roots of the substituted atom polynomials.  Every atom's sign is
-    known at -oo; at a root its atoms are 0, and after it they change
-    sign when the root has odd multiplicity.  Evaluate the formula on
-    each open gap and at each root, count maximal runs of true pieces.
-    Grid mode: sample on a regular grid of the stated resolution and
-    count components by adjacency.
+    Only m = 1 is counted; any other m is refused in either mode.
+    Exact mode: sweep the X-line through the sorted real roots of the
+    substituted atom polynomials.  Every atom's sign is known at -oo; at
+    a root its atoms are 0, and after it they change sign when the root
+    has odd multiplicity.  Evaluate the formula on each open gap and at
+    each root, count maximal runs of true pieces.  Grid mode, a
+    sampling cross-check and no decision procedure: sample the X-line
+    on a regular grid of the stated resolution and count runs of true
+    samples.
     """
+    if m != 1:
+        raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
     y = Q(y)
     plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
     if mode == "grid":
-        return _fiber_b0_grid(plan, y, m, Q(resolution), box_radius)
-    if m != 1:
-        raise ValueError("exact fiber counting requires m = 1")
+        return _fiber_b0_grid(plan, y, Q(resolution), box_radius)
     coeffs = plan.coeffs_at(y)
     # sign at -oo: lead sign times (-1)^degree
     signs = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1) if c else 0
@@ -463,63 +466,32 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
 GRID_SAMPLE_CAP = 1 << 20
 
 
-def _fiber_b0_grid(plan, y, m, resolution, box_radius):
-    """Grid oracle: regular samples at the given resolution, components
-    by axis adjacency (union-find for m >= 2, run counting for m = 1).
-    Refuses a grid of more than GRID_SAMPLE_CAP samples."""
+def _fiber_b0_grid(plan, y, resolution, box_radius):
+    """Grid oracle for m = 1: regular samples at the given resolution,
+    components as runs of true samples.  Refuses a grid of more than
+    GRID_SAMPLE_CAP samples."""
     step = Q(resolution)
     n_steps = int(2 * box_radius / step)
-    if (n_steps + 1) ** m > GRID_SAMPLE_CAP:
+    if n_steps + 1 > GRID_SAMPLE_CAP:
         raise UnsupportedModeError(
             f"a grid of pitch {step} over radius {box_radius} has "
-            f"{(n_steps + 1) ** m} samples per fiber, above the cap of "
+            f"{n_steps + 1} samples per fiber, above the cap of "
             f"{GRID_SAMPLE_CAP}")
-    if m == 1:
-        coeffs = plan.coeffs_at(y)
-        b0 = 0
-        prev = False
-        for k in range(n_steps + 1):
-            x = (k * step.numerator - box_radius * step.denominator, step.denominator)
-            t = plan.truth([sign_int_at(c, x) for c in coeffs])
-            if t and not prev:
-                b0 += 1
-            prev = t
-        return FiberReport(y, b0, "grid-oracle", step)
-    # m >= 2: union-find over the grid
-    if not plan.polys:
-        truth = eval_signs(plan.formula, {}.__getitem__)
-        return FiberReport(y, 1 if truth else 0, "grid-oracle", step)
-    restricted = map_atoms(
-        plan.formula, lambda a: Atom(a.poly.substitute({m: y}), a.rel))
-    pad = (Q(0),) * (plan.polys[0].ring.nvars - m)
-    coords = [-box_radius + k * step for k in range(n_steps + 1)]
-    true_cells = {}
-    for idx in product(range(len(coords)), repeat=m):
-        pt = tuple(coords[i] for i in idx)
-        if eval_formula(restricted, pt + pad):
-            true_cells[idx] = idx
-    parent = {c: c for c in true_cells}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for idx in true_cells:
-        for axis in range(m):
-            nb = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
-            if nb in true_cells:
-                ra, rb = find(idx), find(nb)
-                if ra != rb:
-                    parent[ra] = rb
-    b0 = len({find(c) for c in true_cells})
+    coeffs = plan.coeffs_at(y)
+    b0 = 0
+    prev = False
+    for k in range(n_steps + 1):
+        x = (k * step.numerator - box_radius * step.denominator, step.denominator)
+        t = plan.truth([sign_int_at(c, x) for c in coeffs])
+        if t and not prev:
+            b0 += 1
+        prev = t
     return FiberReport(y, b0, "grid-oracle", step)
 
 
 # -- the end-to-end pipeline -------------------------------------------
 
-def _single_run(base, sigma_set, m, delta, fiber_mode, grid_res):
+def _single_run(base, sigma_set, m, delta):
     ring = base[0].ring
     ladder = build_ladder(len(base), delta)
     closed = construct_S_prime(sigma_set, base, ladder)
@@ -529,16 +501,12 @@ def _single_run(base, sigma_set, m, delta, fiber_mode, grid_res):
     systems = systems_for_strata(strata, m) if strata else []
     G = assemble_G(systems, ring, m)
     cells = components_complement(G)
-    fibers = [
-        fiber_b0(plan, cell.sample, m, fiber_mode, grid_res)
-        for cell in cells
-    ]
+    fibers = [fiber_b0(plan, cell.sample, m) for cell in cells]
     return tuple(cells), tuple(fibers)
 
 
 def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
-              refine_rounds: int = 3, fiber_mode: str = "exact",
-              grid_res=Q(1, 1024)) -> AtlasReport:
+              refine_rounds: int = 3) -> AtlasReport:
     """Full pipeline with a stabilization rerun at delta squared.
 
     Degenerate eliminations trigger a delta refinement; after
@@ -565,7 +533,7 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     def attempt(d):
         """The run at d, or the DegenerateEliminationError it raised."""
         try:
-            return _single_run(base, sigma_set, m, d, fiber_mode, grid_res)
+            return _single_run(base, sigma_set, m, d)
         except DegenerateEliminationError as exc:
             return exc
 

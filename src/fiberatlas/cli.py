@@ -46,7 +46,7 @@ class ProblemFile:
 
 
 _SIGN_TOKENS = {"1": 1, "+1": 1, "+": 1, "0": 0, "-1": -1, "-": -1}
-_OPTIONS = ("delta", "refine_rounds", "mode", "grid_res", "boxed", "omega")
+_OPTIONS = ("delta", "refine_rounds", "boxed", "omega")
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
@@ -221,23 +221,16 @@ def cmd_atlas(args) -> int:
     try:
         delta = _opt(args.delta, opts, "delta", "1/64", Q)
         rounds = _opt(args.refine_rounds, opts, "refine_rounds", 3, int)
-        mode = _opt(args.mode, opts, "mode", "exact", str)
-        grid_res = _opt(args.grid_res, opts, "grid_res", "1/1024", Q)
         boxed = args.boxed or opts.get("boxed", "").lower() in _TRUE
         omega = _opt(args.omega, opts, "omega", 2 ** 20, int)
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
-        if grid_res <= 0:
-            raise ValueError(f"grid_res must be positive, got {grid_res}")
         if omega <= 0:
             raise ValueError(f"omega must be positive, got {omega}")
         if rounds < 1:
             raise ValueError(f"refine_rounds must be at least 1, got {rounds}")
     except ValueError as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
-        return 2
-    if mode not in ("exact", "grid"):
-        print(f"error: unknown mode {mode!r}", file=sys.stderr)
         return 2
     base = pf.polys
     rows = pf.sigma_rows
@@ -252,8 +245,7 @@ def cmd_atlas(args) -> int:
     sigma_set = [SignCondition(base, row) for row in rows]
     try:
         report = run_atlas(base, sigma_set, pf.m, pf.n, delta=delta,
-                           refine_rounds=rounds, fiber_mode=mode,
-                           grid_res=grid_res)
+                           refine_rounds=rounds)
     except UnsupportedModeError as exc:
         print(f"error: unsupported mode: {exc}", file=sys.stderr)
         return 2
@@ -438,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("problem", help="problem file path")
     a.add_argument("--delta", default=None, help="perturbation base (rational)")
     a.add_argument("--refine-rounds", type=int, default=None)
-    a.add_argument("--mode", choices=("exact", "grid"), default=None)
-    a.add_argument("--grid-res", default=None, help="grid resolution (rational)")
     a.add_argument("--boxed", action="store_true",
                    help="intersect with the coordinate box of radius omega")
     a.add_argument("--omega", type=int, default=None)

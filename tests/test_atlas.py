@@ -104,11 +104,12 @@ def test_fiber_b0_true_false_formulas():
     assert fiber_b0(TRUE, Q(0), 1).b0 == 1
 
 
-def test_fiber_b0_grid_two_fiber_vars():
+def test_fiber_b0_refuses_two_fiber_vars_in_either_mode():
     ring = Ring(2, 1)
     f = parse_formula("X1^2 + X2^2 + Y1 - 1 <= 0", ring)
-    assert fiber_b0(f, Q(0), 2, mode="grid", resolution=Q(1, 8)).b0 == 1
-    assert fiber_b0(f, Q(2), 2, mode="grid", resolution=Q(1, 8)).b0 == 0
+    for mode in ("exact", "grid"):
+        with pytest.raises(UnsupportedModeError, match="m = 2"):
+            fiber_b0(f, Q(0), 2, mode=mode, resolution=Q(1, 8))
 
 
 def test_run_atlas_quadric_census():
@@ -149,7 +150,7 @@ def _unstable_runs(monkeypatch, degenerate_at=()):
     returns the list of deltas it is called with."""
     calls = []
 
-    def fake(base, sigma_set, m, delta, fiber_mode, grid_res):
+    def fake(base, sigma_set, m, delta):
         calls.append(delta)
         if delta in degenerate_at:
             raise atlas.DegenerateEliminationError("stub")
@@ -202,9 +203,9 @@ def test_run_atlas_needs_a_refinement_round():
 
 
 def test_fiber_b0_grid_refuses_above_the_sample_cap():
-    """A grid has (2 * radius / pitch + 1)^m samples: 32,769 at m = 1 and
-    pitch 1/1024 are counted, 2^20 + 1 at pitch 1/32768 and 1025^2 at
-    m = 2 and pitch 1/32 are refused."""
+    """A grid has 2 * radius / pitch + 1 samples: 32,769 at pitch 1/1024
+    are counted, 2^20 + 1 at pitch 1/32768 are refused, and so is any
+    grid at m = 2."""
     f = parse_formula("X1^2 + Y1 - 1 <= 0", R)
     assert fiber_b0(f, Q(0), 1, mode="grid", resolution=Q(1, 1024)).b0 == 1
     with pytest.raises(UnsupportedModeError, match="above the cap"):

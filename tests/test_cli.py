@@ -116,7 +116,7 @@ def test_atlas_missing_file_exits_2(tmp_path):
 def test_atlas_unsupported_mode_exits_2(tmp_path, capsys):
     text = "vars m=1 n=2\npoly X1 - Y1*Y2\nsigma 0\n"
     problem = _write(tmp_path, "n2.txt", text)
-    assert main(["atlas", problem, "--mode", "exact"]) == 2
+    assert main(["atlas", problem]) == 2
     assert "unsupported" in capsys.readouterr().err
 
 
@@ -179,30 +179,25 @@ def test_lift_syntax_error_exits_2(tmp_path):
     assert main(["lift", problem]) == 2
 
 
-def test_atlas_out_of_range_delta_or_grid_res_exits_2(tmp_path, capsys):
+def test_atlas_out_of_range_delta_exits_2(tmp_path, capsys):
     problem = _write(tmp_path, "q.txt", QUADRIC)
-    for flags in (["--delta", "2"], ["--delta", "0"],
-                  ["--mode", "grid", "--grid-res", "0"]):
+    for flags in (["--delta", "2"], ["--delta", "0"]):
         assert main(["atlas", problem, *flags]) == 2
         assert "bad option value" in capsys.readouterr().err
-    for options in ("option delta=3\n",
-                    "option mode=grid\noption grid_res=-1/16\n"):
-        problem = _write(tmp_path, "opt.txt", QUADRIC + options)
-        assert main(["atlas", problem]) == 2
-        assert "bad option value" in capsys.readouterr().err
+    problem = _write(tmp_path, "opt.txt", QUADRIC + "option delta=3\n")
+    assert main(["atlas", problem]) == 2
+    assert "bad option value" in capsys.readouterr().err
 
 
 def test_atlas_bad_option_value_names_the_option_and_cause(tmp_path, capsys):
     problem = _write(tmp_path, "q.txt", QUADRIC)
     for flags, message in (
             (["--delta", "1/0"], "delta: zero denominator in 1/0"),
-            (["--grid-res", "1/0"], "grid_res: zero denominator in 1/0"),
             (["--delta", "abc"], "delta: Invalid literal for Fraction: 'abc'")):
         assert main(["atlas", problem, *flags]) == 2
         assert f"error: bad option value: {message}\n" == capsys.readouterr().err
     for option, message in (
             ("delta=1/0", "delta: zero denominator in 1/0"),
-            ("grid_res=x", "grid_res: Invalid literal for Fraction: 'x'"),
             ("omega=1/2", "omega: invalid literal for int() with base 10: '1/2'"),
             ("refine_rounds=", "refine_rounds: invalid literal for int() with base 10: ''")):
         opt = _write(tmp_path, "opt.txt", QUADRIC + f"option {option}\n")
@@ -300,25 +295,31 @@ def test_atlas_refine_rounds_below_one_exits_2(tmp_path, capsys):
 
 
 def test_atlas_planar_fiber_census_exits_2(tmp_path, capsys):
-    """m = 2 is refused before any run: the grid oracle is no exact count
-    of a thickened planar fiber."""
+    """m = 2 is refused before any run: there is no exact count of a
+    planar fiber."""
     text = "vars m=2 n=1\npoly X1^2 + X2^2 + Y1 - 1\nsigma 0\n"
     problem = _write(tmp_path, "circle.txt", text)
-    for flags in ([], ["--mode", "grid", "--grid-res", "1/4"]):
-        start = time.process_time()
-        assert main(["atlas", problem, *flags]) == 2
-        assert time.process_time() - start < 1
-        err = capsys.readouterr().err
-        assert "unsupported mode" in err
-        assert "exact planar fiber count" in err
-
-
-def test_atlas_grid_above_the_sample_cap_exits_2(tmp_path, capsys):
-    problem = _write(tmp_path, "q.txt", QUADRIC)
     start = time.process_time()
-    assert main(["atlas", problem, "--mode", "grid", "--grid-res", "1/1048576"]) == 2
+    assert main(["atlas", problem]) == 2
     assert time.process_time() - start < 1
-    assert "unsupported mode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unsupported mode" in err
+    assert "exact planar fiber count" in err
+
+
+def test_atlas_grid_mode_flag_and_options_exit_2(tmp_path, capsys):
+    """A census counts fibers only by the exact sweep: --mode is no flag,
+    and mode and grid_res are unknown options, refused with their line."""
+    problem = _write(tmp_path, "q.txt", QUADRIC)
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", problem, "--mode", "grid"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for option in ("mode=grid", "grid_res=1/4"):
+        opt = _write(tmp_path, "opt.txt", QUADRIC + f"option {option}\n")
+        assert main(["atlas", opt]) == 2
+        name = option.partition("=")[0]
+        assert f"error: line 4: unknown option {name!r}\n" == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -6,6 +6,7 @@
   decision is made in exact rational arithmetic.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fiberatlas"
@@ -29,6 +30,9 @@ def _names_used(node):
 
 def test_private_module_level_definitions_are_used():
     modules = _modules()
+    total = Counter()
+    for tree in modules.values():
+        total.update(_names_used(tree))
     unused = []
     for fname, tree in modules.items():
         for node in tree.body:
@@ -38,9 +42,7 @@ def test_private_module_level_definitions_are_used():
             if not name.startswith("_") or name.startswith("__"):
                 continue
             inside = sum(1 for n in _names_used(node) if n == name)
-            total = sum(1 for t in modules.values()
-                        for n in _names_used(t) if n == name)
-            if total == inside:
+            if total[name] == inside:
                 unused.append(f"{fname}:{node.lineno} {name}")
     assert not unused, "private definitions with no reference: " + ", ".join(unused)
 
