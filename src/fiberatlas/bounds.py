@@ -7,6 +7,7 @@ than silently fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from inspect import signature
 from math import comb
 from operator import mul
@@ -36,17 +37,33 @@ def _check_nonnegative(**kwargs):
 
 
 # Below this many bits _square uses the builtin product: of cutoffs 2^12
-# to 2^19, 2^14 squared 5^(2^22) fastest (CPython 3.11, x86-64).
+# to 2^17, 2^14 formed 5^(2^22), 3^(2^20) and 35^360000 fastest, with
+# _square_ntt from _NTT_CUTOFF (CPython 3.11, x86-64).
 _TOOM_CUTOFF = 1 << 14
+# From this many bits _square uses _square_ntt: Toom-3 is faster at 1.05M
+# bits, they tie at 1.2M, and _square_ntt is faster from 1.3M, by a
+# third at 2M bits (CPython 3.11, libmpdec 2.5.1, x86-64).
+_NTT_CUTOFF = 5 << 18
+# Limb size of the packed squaring in bits, a multiple of 8 so that a limb
+# is whole hex digits and a slot whole bytes.
+_LIMB_BITS = 256
+# libmpdec multiplies long coefficients by a number-theoretic transform;
+# under this context a product is exact or raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded])
 
 
 def _square(x: int) -> int:
-    """x * x for x >= 0 by Toom-3 squaring (Toom 1963; Cook 1966): five
-    squares of a third of the size, at 0, 1, -1, -2 and infinity, put
-    back together by Bodrato's interpolation sequence (WAIFI 2007)."""
+    """x * x for x >= 0: the builtin product below _TOOM_CUTOFF bits,
+    _square_ntt from _NTT_CUTOFF bits, and Toom-3 squaring (Toom 1963;
+    Cook 1966) between: five squares of a third of the size, at 0, 1,
+    -1, -2 and infinity, put back together by Bodrato's interpolation
+    sequence (WAIFI 2007)."""
     n = x.bit_length()
     if n < _TOOM_CUTOFF:
         return x * x
+    if n >= _NTT_CUTOFF:
+        return _square_ntt(x)
     k = (n + 2) // 3
     mask = (1 << k) - 1
     a0, a1, a2 = x & mask, (x >> k) & mask, x >> (2 * k)
@@ -67,10 +84,43 @@ def _square(x: int) -> int:
     return (((((((vinf << k) + r3) << k) + r2) << k) + r1) << k) + v0
 
 
+def _square_ntt(x: int) -> int:
+    """x * x for x >= 0 by Kronecker substitution into a decimal, squared
+    by libmpdec's number-theoretic transform (Schönhage and Strassen
+    1971).  x = sum a_i 2^(k i) over nl limbs of k bits becomes
+    D = sum a_i 10^(w i), and D^2 = sum c_j 10^(w j) with
+    c_j = sum a_i a_(j-i) < nl 2^(2k).  With 10^w above that bound the
+    fields of D^2 are the c_j, and x^2 = sum c_j 2^(k j)."""
+    k = _LIMB_BITS
+    hex_digits = k // 4
+    h = format(x, "x")
+    nl = -(-len(h) // hex_digits)
+    # c_j < nl 2^(2k) <= 2^(3k) fills at most one 3k-bit slot
+    if nl >> k:
+        raise OverflowError(f"{nl} limbs of {k} bits overflow a {3 * k}-bit slot")
+    h = h.zfill(nl * hex_digits)
+    w = len(str(nl << (2 * k)))
+    d = Decimal("".join([str(int(h[i:i + hex_digits], 16)).zfill(w)
+                         for i in range(0, len(h), hex_digits)]))
+    # the 2 nl - 1 fields c_(2 nl - 2), ..., c_0
+    fields = 2 * nl - 1
+    s = format(_EXACT.multiply(d, d), "f").zfill(fields * w)
+    slot = 3 * k // 8
+    value = 0
+    for r in range(3):
+        # c_j with j = r mod 3 lie 3k bits apart: their slots do not meet
+        top = (fields - 1 - r) % 3 * w
+        group = b"".join([int(s[i:i + w]).to_bytes(slot, "big")
+                          for i in range(top, len(s), 3 * w)])
+        value += int.from_bytes(group, "big") << (k * r)
+    return value
+
+
 def _pow(base: int, exp: int) -> int:
     """base ** exp for base >= 1, exp >= 0.  The power of two in the base
     is taken out as one shift, (2^t u)^e = u^e << t e, and u^e is formed
-    by left-to-right binary exponentiation with _square."""
+    by left-to-right binary exponentiation with _square, so its long
+    squares are Toom-3 squarings and the longest go through decimal."""
     if exp == 0:
         return 1
     t = (base & -base).bit_length() - 1

@@ -1,11 +1,16 @@
 """Exact bound evaluation and monotonicity."""
+import decimal
 import random
+import sys
 import time
 from math import comb, log2
 
 import pytest
 
+from fiberatlas import bounds
 from fiberatlas.bounds import (
+    _LIMB_BITS,
+    _NTT_CUTOFF,
     _TOOM_CUTOFF,
     BOUNDS,
     COUNT_SCHEMES,
@@ -21,6 +26,7 @@ from fiberatlas.bounds import (
     metric_radius,
     _pow,
     _square,
+    _square_ntt,
 )
 
 
@@ -55,6 +61,83 @@ def test_square_equals_builtin():
         values += [(1 << (3 * k - 3)) | ((1 << k) - 1) << k | low]
     for x in values:
         assert _square(x) == x * x
+
+
+def test_square_ntt_equals_builtin():
+    """The packed squaring on short inputs: 0 and 1, all-ones values
+    (the largest coefficients), sparse values and zero limbs (leading
+    zero fields), and lengths one bit either side of a limb multiple."""
+    k = _LIMB_BITS
+    values = [0, 1, 2, 3]
+    for n in (1, 2, k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1, 37 * k + 5):
+        values += [(1 << n) - 1, (1 << n) + 1, 1 << n]
+    # a zero limb between two nonzero ones, and zero low limbs
+    values += [(1 << (5 * k)) + 1, ((1 << k) - 1) << (3 * k), (3 << (4 * k)) | (1 << k)]
+    rng = random.Random(18)
+    for n in (k - 1, k, k + 1, 3 * k - 1, 3 * k, 3 * k + 1, 100 * k + 17):
+        values += [rng.getrandbits(n) | 1 << (n - 1) for _ in range(2)]
+    for x in values:
+        assert _square_ntt(x) == x * x, x
+
+
+def test_square_ntt_slots_hold_their_bound(monkeypatch):
+    """With 8-bit limbs a 24-bit slot holds c_j < nl 2^16 for up to 255
+    limbs: all-ones values come within 2^20 of it, and 256 limbs are
+    refused rather than summed into overlapping slots."""
+    monkeypatch.setattr(bounds, "_LIMB_BITS", 8)
+    rng = random.Random(8)
+    top = 255 * 8
+    values = [(1 << top) - 1, rng.getrandbits(top)]
+    for n in (1, 7, 8, 9, 100, top - 1):
+        values += [(1 << n) - 1, (1 << n) + 1, rng.getrandbits(n)]
+    for x in values:
+        assert _square_ntt(x) == x * x, x
+    with pytest.raises(OverflowError):
+        _square_ntt(1 << top)
+
+
+def test_square_on_both_sides_of_the_ntt_cutoff(monkeypatch):
+    """Below the cutoff _square never packs; from it, it packs once, and
+    the caller's decimal context and a 640-digit int-string limit (the
+    lowest Python accepts) are untouched and do not matter."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.bit_length())
+        return _square_ntt(x)
+
+    monkeypatch.setattr(bounds, "_square_ntt", counted)
+    rng = random.Random(21)
+    below, above = (rng.getrandbits(n) | 1 << (n - 1) for n in (_NTT_CUTOFF - 1, _NTT_CUTOFF))
+    assert _square(below) == below * below
+    assert calls == []
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = 5, 10
+            ctx.traps[decimal.Inexact] = True
+            ctx.clear_flags()
+            traps = dict(ctx.traps)
+            square = _square(above)
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.Emax) == (5, 10)
+            assert dict(ctx.traps) == traps
+            assert not any(ctx.flags.values())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert calls == [_NTT_CUTOFF]
+    assert square == above * above
+
+
+def test_square_ntt_raises_instead_of_rounding(monkeypatch):
+    """A product longer than the context's precision raises Inexact or
+    Rounded rather than returning a rounded value."""
+    short = bounds._EXACT.copy()
+    short.prec = 50
+    monkeypatch.setattr(bounds, "_EXACT", short)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        _square_ntt((1 << (4 * _LIMB_BITS)) - 1)
 
 
 def test_pow_equals_builtin():
