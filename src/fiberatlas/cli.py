@@ -50,18 +50,33 @@ _OPTIONS = ("delta", "refine_rounds", "boxed", "omega")
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
+def _directives(text: str, keys):
+    """(line number, directive, rest of the line) for each line of a
+    problem file that is not blank or a comment.  A directive not in
+    keys is refused, and so is a second `vars` or `formula` line."""
+    first = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, rest = line.partition(" ")
+        if key not in keys:
+            raise ProblemParseError(f"unknown directive {key!r}", lineno)
+        if key in ("vars", "formula"):
+            if key in first:
+                raise ProblemParseError(
+                    f"repeated {key} line (the first is line {first[key]})", lineno)
+            first[key] = lineno
+        yield lineno, key, rest.strip()
+
+
 def parse_problem_file(text: str) -> ProblemFile:
     m = n = None
     poly_texts = []
     sigma_rows = []
     formula_line = (0, "")
     options = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, key, rest in _directives(text, ("vars", "poly", "sigma", "formula", "option")):
         if key == "vars":
             for part in rest.split():
                 name, _, val = part.partition("=")
@@ -91,19 +106,19 @@ def parse_problem_file(text: str) -> ProblemFile:
             sigma_rows.append((lineno, tuple(row)))
         elif key == "formula":
             formula_line = (lineno, rest)
-        elif key == "option":
+        else:
             name, eq, val = rest.partition("=")
             name, val = name.strip(), val.strip()
             if not eq:
                 raise ProblemParseError("option lines use key=value", lineno)
             if name not in _OPTIONS:
                 raise ProblemParseError(f"unknown option {name!r}", lineno)
+            if name in options:
+                raise ProblemParseError(f"repeated option {name!r}", lineno)
             if name == "boxed" and val.lower() not in _TRUE + _FALSE:
                 raise ProblemParseError(f"boxed must be one of {', '.join(_TRUE + _FALSE)}, "
                                         f"got {val!r}", lineno)
             options[name] = val
-        else:
-            raise ProblemParseError(f"unknown directive {key!r}", lineno)
     if m is None or n is None:
         raise ProblemParseError("missing vars line", 1)
     if not poly_texts:
@@ -127,10 +142,31 @@ def parse_problem_file(text: str) -> ProblemFile:
     return ProblemFile(m, n, tuple(polys), tuple(rows), formula, options)
 
 
-def _parse_line(parse, lineno, src, ring):
-    """parse(src, ring), its errors tagged with the line number."""
+def parse_lift_file(text: str):
+    """The straight-line programs of a lift file's poly lines and its
+    formula over their values X1..Xk, by default all of them positive;
+    a vars line is allowed and ignored."""
+    poly_texts = []
+    formula_line = (0, "")
+    for lineno, key, rest in _directives(text, ("vars", "poly", "formula")):
+        if key == "poly":
+            poly_texts.append((lineno, rest))
+        elif key == "formula":
+            formula_line = (lineno, rest)
+    if not poly_texts:
+        raise ProblemParseError("no poly lines", 1)
+    progs = [_parse_line(parse_slp, lineno, src) for lineno, src in poly_texts]
+    ring = Ring(len(progs), 0)
+    if formula_line[1]:
+        return progs, _parse_line(parse_formula, *formula_line, ring)
+    return progs, And(tuple(Atom(Polynomial.variable(ring, k), ">")
+                            for k in range(len(progs))))
+
+
+def _parse_line(parse, lineno, src, *args):
+    """parse(src, *args), its errors tagged with the line number."""
     try:
-        return parse(src, ring)
+        return parse(src, *args)
     except (ParseError, ValueError) as exc:
         raise ProblemParseError(str(exc), lineno) from exc
 
@@ -211,10 +247,7 @@ def cmd_atlas(args) -> int:
     try:
         with open(args.problem) as fh:
             pf = parse_problem_file(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProblemParseError as exc:
+    except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     opts = pf.options
@@ -292,6 +325,9 @@ def cmd_bounds(args) -> int:
         if not eq:
             print(f"error: parameter {part!r} is not key=value", file=sys.stderr)
             return 2
+        if name in params:
+            print(f"error: parameter {name!r} given twice", file=sys.stderr)
+            return 2
         try:
             params[name] = int(val)
         except ValueError:
@@ -353,49 +389,10 @@ def cmd_bounds(args) -> int:
 def cmd_lift(args) -> int:
     try:
         with open(args.problem) as fh:
-            text = fh.read()
-    except OSError as exc:
+            progs, formula = parse_lift_file(fh.read())
+    except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    expr_texts = []
-    formula_line = (0, "")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "poly":
-            expr_texts.append((lineno, rest.strip()))
-        elif key == "formula":
-            formula_line = (lineno, rest.strip())
-        elif key == "vars":
-            continue
-        else:
-            print(f"error: line {lineno}: unknown directive {key!r}",
-                  file=sys.stderr)
-            return 2
-    if not expr_texts:
-        print("error: no poly lines", file=sys.stderr)
-        return 2
-    progs = []
-    for lineno, src in expr_texts:
-        try:
-            progs.append(parse_slp(src))
-        except ParseError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return 2
-    fring = Ring(len(progs), 0)
-    lineno, formula_text = formula_line
-    if formula_text:
-        try:
-            formula = parse_formula(formula_text, fring)
-        except (ParseError, ValueError) as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        formula = And(tuple(
-            Atom(Polynomial.variable(fring, k), ">") for k in range(len(progs))
-        ))
     try:
         ls = lift(progs, formula)
     except ValueError as exc:

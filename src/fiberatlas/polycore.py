@@ -384,8 +384,10 @@ def q_text(q):
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing (shared grammar: variables X1..Xm / Y1..Yn, rational
-# literals p/q, operators + - * ^, parentheses).
+# Parsing: one tokenizer and one recursive-descent parser for every text.
+# The expression grammar (variables X1..Xm / Y1..Yn, rational literals p/q,
+# operators + - * ^, parentheses) is here; the formula grammar (relations,
+# `and`, `or`, `true`, `false`) is in semialg, on the same tokens.
 # ---------------------------------------------------------------------------
 
 class ParseError(ValueError):
@@ -395,34 +397,36 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<var>[XY]\d+)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?: */ *\d+)?)|(?P<var>[XY]\d+)|(?P<op>[-+*^()])"
+    r"|(?P<rel>[<>]=?|=)|(?P<word>(?:and|or|true|false)(?![A-Za-z0-9]))"
+    r"|(?P<end>\Z)|(?P<error>.))"
 )
 
 
 def tokenize(text: str):
+    """Tokens (kind, value, position, source text), each at its own first
+    character.  The list ends with an `end` token, or, at the first bad
+    character or zero denominator, with an `error` token whose value is
+    the message; the parser raises it only if it gets that far."""
     tokens = []
     pos = 0
-    while pos < len(text):
+    while True:
         mo = _TOKEN_RE.match(text, pos)
-        if mo is None or mo.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            pos = len(text) - len(text[pos:].lstrip())  # the failing character
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if mo.group("num"):
-            lit = mo.group("num").replace(" ", "")
+        kind = mo.lastgroup
+        src = value = mo.group(kind)
+        start = mo.start(kind)
+        if kind == "num":
+            lit = src.replace(" ", "")
             try:
                 value = Q(lit)
             except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {lit}", mo.start("num")) from None
-            tokens.append(("num", value, mo.start("num"), mo.group("num")))
-        elif mo.group("var"):
-            tokens.append(("var", mo.group("var"), mo.start("var"), mo.group("var")))
-        else:
-            tokens.append(("op", mo.group("op"), mo.start("op"), mo.group("op")))
+                kind, value = "error", f"zero denominator in {lit}"
+        elif kind == "error":
+            value = f"unexpected character {src!r}"
+        tokens.append((kind, value, start, src))
+        if kind in ("end", "error"):
+            return tokens
         pos = mo.end()
-    tokens.append(("end", None, len(text), ""))
-    return tokens
 
 
 # AST nodes for the expression grammar, reused by the SLP parser.
@@ -465,67 +469,89 @@ class ENeg:
     operand: object
 
 
-class _ExprParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+class Parser:
+    """Recursive descent over the tokens of one text; `i` indexes the next
+    token, and a production consumes a token only once it accepts it.
+    Reaching the tokenizer's error token raises its error, so the error
+    reported is at the first failing token in text order.  With a ring,
+    a variable outside it fails at its own token."""
+
+    def __init__(self, text: str, ring: Ring = None):
+        self.tokens = tokenize(text)
+        self.ring = ring
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i]
+        token = self.tokens[self.i]
+        if token[0] == "error":
+            raise ParseError(token[1], token[2])
+        return token
 
-    def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
+    def accept(self, kind, value) -> bool:
+        """Consume the next token if it is (kind, value)."""
+        k, v, _, _ = self.peek()
+        if k == kind and v == value:
+            self.i += 1
+            return True
+        return False
+
+    def fail(self, expected):
+        """Raise `expected ..., found ...` at the next token."""
+        _, _, pos, src = self.peek()
+        found = repr(src) if src else "end of input"
+        raise ParseError(f"expected {expected}, found {found}", pos)
 
     def expect_op(self, op):
-        kind, val, pos, _ = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if not self.accept("op", op):
+            self.fail(repr(op))
+
+    def expect_end(self):
+        kind, _, pos, src = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {src!r}", pos)
 
     def parse_expr(self):
         node = self.parse_term()
         while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_term()
-                node = EAdd(node, rhs) if val == "+" else ESub(node, rhs)
+            if self.accept("op", "+"):
+                node = EAdd(node, self.parse_term())
+            elif self.accept("op", "-"):
+                node = ESub(node, self.parse_term())
             else:
                 return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                node = EMul(node, self.parse_factor())
-            else:
-                return node
+        while self.accept("op", "*"):
+            node = EMul(node, self.parse_factor())
+        return node
 
     def parse_factor(self):
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
+        if self.accept("op", "-"):
             return ENeg(self.parse_factor())
         node = self.parse_atom()
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, exp, pos, _ = self.next()
-            if kind != "num" or exp.denominator != 1 or exp < 0:
+        if self.accept("op", "^"):
+            kind, exp, pos, _ = self.peek()
+            if kind != "num" or exp.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", pos)
+            self.i += 1
             return EPow(node, int(exp))
         return node
 
     def parse_atom(self):
-        kind, val, pos, src = self.next()
+        kind, value, pos, src = self.peek()
         if kind == "num":
-            return ENum(val)
+            self.i += 1
+            return ENum(value)
         if kind == "var":
-            return EVar(val)
-        if kind == "op" and val == "(":
+            if self.ring is not None:
+                try:
+                    self.ring.var_index(value)
+                except ValueError as exc:
+                    raise ParseError(str(exc), pos) from None
+            self.i += 1
+            return EVar(value)
+        if self.accept("op", "("):
             node = self.parse_expr()
             self.expect_op(")")
             return node
@@ -534,13 +560,12 @@ class _ExprParser:
         raise ParseError(f"unexpected token {src!r}", pos)
 
 
-def parse_expression(text: str):
-    """Parse expression text into an AST (no ring needed yet)."""
-    parser = _ExprParser(tokenize(text))
+def parse_expression(text: str, ring: Ring = None):
+    """Parse expression text into an AST; with a ring, every variable
+    must be one of its own."""
+    parser = Parser(text, ring)
     node = parser.parse_expr()
-    kind, _, pos, src = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {src!r}", pos)
+    parser.expect_end()
     return node
 
 
@@ -563,7 +588,7 @@ def ast_to_polynomial(node, ring: Ring) -> Polynomial:
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
-    return ast_to_polynomial(parse_expression(text), ring)
+    return ast_to_polynomial(parse_expression(text, ring), ring)
 
 
 # ---------------------------------------------------------------------------

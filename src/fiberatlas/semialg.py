@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polycore import ParseError, Polynomial, Ring, parse_polynomial, sign_at
+from .polycore import ParseError, Parser, Polynomial, Ring, ast_to_polynomial, sign_at
 
 RELATIONS = ("<", ">", "=", "<=", ">=")
 
@@ -200,105 +200,58 @@ def formula_to_text(formula) -> str:
 def parse_formula(text: str, ring: Ring):
     """Parse the shared formula syntax: atoms `p REL 0`, connectives
     `and` / `or`, parentheses, plus literals `true` / `false`."""
-    return _FormulaParser(text, ring).parse()
+    parser = Parser(text, ring)
+    formula = _parse_or(parser)
+    parser.expect_end()
+    return formula
 
 
-class _FormulaParser:
-    def __init__(self, text, ring):
-        self.text = text
-        self.ring = ring
-        self.pos = 0
+def _parse_or(parser):
+    parts = [_parse_and(parser)]
+    while parser.accept("word", "or"):
+        parts.append(_parse_and(parser))
+    return disj(parts)
 
-    def error(self, msg):
-        raise ParseError(msg, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _parse_and(parser):
+    parts = [_parse_unit(parser)]
+    while parser.accept("word", "and"):
+        parts.append(_parse_unit(parser))
+    return conj(parts)
 
-    def peek_word(self):
-        self.skip_ws()
-        for w in ("and", "or", "true", "false"):
-            if self.text.startswith(w, self.pos):
-                end = self.pos + len(w)
-                if end == len(self.text) or not self.text[end].isalnum():
-                    return w
-        return None
 
-    def parse(self):
-        f = self.parse_or()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return f
+def _parse_unit(parser):
+    if parser.accept("word", "true"):
+        return TRUE
+    if parser.accept("word", "false"):
+        return FALSE
+    start = parser.i
+    if not parser.accept("op", "("):
+        return _parse_atom(parser)
+    # a parenthesised formula or a parenthesised polynomial; when both
+    # readings fail, report the one that got further
+    try:
+        formula = _parse_or(parser)
+        parser.expect_op(")")
+        return formula
+    except ParseError as exc:
+        inner = exc
+    parser.i = start
+    try:
+        return _parse_atom(parser)
+    except ParseError as exc:
+        raise exc if exc.pos >= inner.pos else inner from None
 
-    def parse_or(self):
-        parts = [self.parse_and()]
-        while self.peek_word() == "or":
-            self.pos += 2
-            parts.append(self.parse_and())
-        return disj(parts)
 
-    def parse_and(self):
-        parts = [self.parse_unit()]
-        while self.peek_word() == "and":
-            self.pos += 3
-            parts.append(self.parse_unit())
-        return conj(parts)
-
-    def parse_unit(self):
-        self.skip_ws()
-        w = self.peek_word()
-        if w == "true":
-            self.pos += 4
-            return TRUE
-        if w == "false":
-            self.pos += 5
-            return FALSE
-        inner = None
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            # could be a parenthesised formula or a parenthesised polynomial;
-            # when both readings fail, report the one that got further
-            saved = self.pos
-            try:
-                self.pos += 1
-                f = self.parse_or()
-                self.skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == ")":
-                    self.pos += 1
-                    return f
-            except ParseError as exc:
-                inner = exc
-            self.pos = saved
-        try:
-            return self.parse_atom()
-        except ParseError as exc:
-            raise exc if inner is None or exc.pos >= inner.pos else inner from None
-
-    def parse_atom(self):
-        rest = self.text[self.pos:]
-        # find the relation operator at the top level of the expression
-        depth = 0
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and ch in "<>=":
-                rel = ch
-                j = i + 1
-                if ch in "<>" and j < len(rest) and rest[j] == "=":
-                    rel += "="
-                    j += 1
-                expr = rest[:i]
-                tail = rest[j:].lstrip()
-                if not tail.startswith("0"):
-                    self.error("atom right-hand side must be 0")
-                start = self.pos
-                self.pos += j + (len(rest[j:]) - len(tail)) + 1
-                try:
-                    poly = parse_polynomial(expr, self.ring)
-                except ParseError as exc:  # a position in the whole formula
-                    raise ParseError(exc.message, start + exc.pos) from None
-                return Atom(poly, rel)
-        self.error("expected an atom `p REL 0`")
+def _parse_atom(parser):
+    """`p REL 0`, the right-hand side a literal `0`."""
+    node = parser.parse_expr()
+    kind, rel, _, _ = parser.peek()
+    if kind != "rel":
+        parser.fail("a relation")
+    parser.i += 1
+    _, _, pos, src = parser.peek()
+    if src != "0":
+        raise ParseError("atom right-hand side must be 0", pos)
+    parser.i += 1
+    return Atom(ast_to_polynomial(node, parser.ring), rel)

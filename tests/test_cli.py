@@ -148,6 +148,10 @@ def test_bounds_bad_params_exit_2(capsys):
     assert main(["bounds", "main", "m=x"]) == 2
     assert main(["bounds", "main", "m"]) == 2
     assert main(["bounds", "main", "m=1"]) == 2  # missing parameters
+    capsys.readouterr()
+    # a parameter given twice is refused, not read over the first
+    assert main(["bounds", "main", "m=2", "m=3", "n=1", "s=1", "d=2"]) == 2
+    assert capsys.readouterr() == ("", "error: parameter 'm' given twice\n")
 
 
 def test_bounds_json(tmp_path):
@@ -350,11 +354,28 @@ def test_atlas_grid_mode_flag_and_options_exit_2(tmp_path, capsys):
     # nothing to count: no sign condition and no formula, or an empty one
     ("vars m=1 n=1\npoly X1 - Y1\n", "line 1: no sigma rows and no formula line"),
     ("vars m=1 n=1\npoly X1 - Y1\nformula\n", "line 3: empty formula"),
+    # the first failing token in text order, also in a formula line
+    ("vars m=1 n=1\npoly X1^2 + Y1 - 1\nformula X1^2 + Y1 - 1 => 0\n",
+     "line 3: atom right-hand side must be 0 (at position 15)"),
+    ("vars m=1 n=1\npoly X1 2 + Z\nsigma 0\n",
+     "line 2: trailing input '2' (at position 3)"),
+    ("vars m=1 n=1\npoly X1 + X3\nsigma 0\n",
+     "line 2: variable X3 not in ring with m=1 (at position 5)"),
+    ("vars m=1 n=1\npoly X1\nformula X1 + Y2 > 0\n",
+     "line 3: variable Y2 not in ring with n=1 (at position 5)"),
+    # single-use lines are refused when repeated, not read over
+    ("vars m=1 n=1\npoly X1^2 + Y1 - 1\nformula X1^2 + Y1 - 1 = 0\n"
+     "formula X1^2 + Y1 - 1 > 0\n", "line 4: repeated formula line (the first is line 3)"),
+    ("vars m=1 n=1\nvars m=1 n=2\npoly X1 - Y1\nsigma 0\n",
+     "line 2: repeated vars line (the first is line 1)"),
+    (QUADRIC + "option delta=1/32\noption delta=1/16\n", "line 5: repeated option 'delta'"),
 ], ids=["m-not-integer", "m-negative", "poly-zero-denominator",
         "formula-zero-denominator", "unknown-option", "boxed-not-boolean",
         "poly-bad-character", "poly-bad-operator", "formula-parenthesised-cause",
         "formula-parenthesised-bad-character", "formula-parenthesised-polynomial",
-        "no-sigma-no-formula", "empty-formula"])
+        "no-sigma-no-formula", "empty-formula", "formula-relation", "poly-text-order",
+        "poly-variable", "formula-variable", "repeated-formula", "repeated-vars",
+        "repeated-option"])
 def test_atlas_malformed_problem_exits_2(tmp_path, capsys, text, message):
     problem = _write(tmp_path, "bad.txt", text)
     assert main(["atlas", problem]) == 2
@@ -408,3 +429,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, flag):
     err = capsys.readouterr().err
     assert f"error: cannot write {target}: No such file or directory" in err
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("text, message", [
+    ("poly (X1+1)^3\nformula X1 > 0\nformula X1 < 0\n",
+     "line 3: repeated formula line (the first is line 2)"),
+    ("poly (X1+1)^3\nvars m=1\nvars m=2\n",
+     "line 3: repeated vars line (the first is line 2)"),
+    ("", "line 1: no poly lines"),
+    ("poly X1\nsigma 0\n", "line 2: unknown directive 'sigma'"),
+    ("poly X1\nformula X2 > 0\n",
+     "line 2: variable X2 not in ring with m=1 (at position 0)"),
+], ids=["repeated-formula", "repeated-vars", "no-poly", "unknown-directive",
+        "formula-variable"])
+def test_lift_malformed_file_exits_2(tmp_path, capsys, text, message):
+    """A lift file is read by the same directive loop as a problem file:
+    a second formula or vars line is refused, not read over the first."""
+    problem = _write(tmp_path, "bad.txt", text)
+    assert main(["lift", problem]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -129,6 +129,16 @@ def test_parse_errors_carry_position():
         ("X1 *  3 3", "trailing input '3' (at position 8)"),
         ("X1 + 1 /  2 7", "trailing input '7' (at position 12)"),
         ("X1 +", "unexpected end of input (at position 4)"),
+        # the first failing token in text order: a bad character or zero
+        # denominator fails only where the parser reaches it
+        ("X1 2 + Z", "trailing input '2' (at position 3)"),
+        ("(X1 + 1/0", "zero denominator in 1/0 (at position 6)"),
+        ("(X1 + 1", "expected ')', found end of input (at position 7)"),
+        ("X1 > 0", "trailing input '>' (at position 3)"),
+        # a variable outside the ring fails at its own token
+        ("X1 + X3", "variable X3 not in ring with m=1 (at position 5)"),
+        ("X1 + X0", "bad variable name 'X0' (at position 5)"),
+        ("X1 + Y2 +", "variable Y2 not in ring with n=1 (at position 5)"),
     ):
         with pytest.raises(ParseError) as exc:
             P(text)
@@ -137,6 +147,7 @@ def test_parse_errors_carry_position():
         P("X1^-2")
     with pytest.raises(ValueError):
         P("X3")
+
 
 
 def test_derivative_product_rule():

@@ -1,12 +1,14 @@
 """Sign conditions and negation-free formulas."""
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from fiberatlas.polycore import Ring, parse_polynomial
+from fiberatlas.polycore import ParseError, Polynomial, Ring, parse_polynomial
 from fiberatlas.semialg import (
     And,
     Atom,
+    Or,
     SignCondition,
     conj,
     disj,
@@ -105,9 +107,77 @@ def test_formula_text_round_trip():
 
 
 def test_parse_formula_rejects_garbage():
-    from fiberatlas.polycore import ParseError
-
     with pytest.raises(ParseError):
         parse_formula("X1 >=", R)
     with pytest.raises(ParseError):
         parse_formula("X1 >= 1", R)
+
+
+def test_formula_errors_name_the_first_failing_token():
+    """A formula line reads on the polynomial tokens: each error is at the
+    first token in text order that fails, quoted as written."""
+    for text, message in (
+        ("X1^2 + Y1 - 1 => 0", "atom right-hand side must be 0 (at position 15)"),
+        ("X1^2 + > 0", "unexpected token '>' (at position 7)"),
+        ("X1 > 0 or or X1 < 0", "unexpected token 'or' (at position 10)"),
+        ("(X1 > 0) (X1 < 0)", "trailing input '(' (at position 9)"),
+        # a later bad character does not mask an earlier syntax error
+        ("X1 2 > 0 and X1 + Z > 0", "expected a relation, found '2' (at position 3)"),
+        ("(X1 > 0 and X1 < 0", "expected ')', found end of input (at position 18)"),
+        ("X1 > 0 andY1 > 0", "unexpected character 'a' (at position 7)"),
+        # a variable outside the ring fails at its own token, whichever
+        # reading of a parenthesis gets there
+        ("X1 + Y2 > 0", "variable Y2 not in ring with n=1 (at position 5)"),
+        ("(X1 + Y2 > 0) or (X1 < 0)", "variable Y2 not in ring with n=1 (at position 6)"),
+        ("X0 > 0", "bad variable name 'X0' (at position 0)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text, R)
+        assert str(exc.value) == message, text
+
+
+def _random_poly(rng):
+    terms = {(i, j): Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+             for i in range(3) for j in range(2) if rng.random() < 0.4}
+    return Polynomial(R, terms)
+
+
+def _random_formula(rng, depth):
+    """A random negation-free formula, and a text for it with redundant
+    parentheses, polynomial factors in parentheses and tight spacing."""
+    if depth == 0 or rng.random() < 0.3:
+        a, b = _random_poly(rng), _random_poly(rng)
+        rel = rng.choice(("<", ">", "=", "<=", ">="))
+        if rng.random() < 0.5:
+            text = f"({a.to_text()})*({b.to_text()}) {rel} 0"
+            poly = a * b
+        else:
+            text, poly = f"{a.to_text()} {rel} 0", a
+        return Atom(poly, rel), rng.choice((text, f"({text})", f"(({text}))"))
+    kind = rng.choice((And, Or))
+    parts = [_random_formula(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    texts = []
+    for child, text in parts:
+        # an `or` inside an `and` needs its parentheses
+        if isinstance(child, Or) or rng.random() < 0.5:
+            text = f"({text})"
+        texts.append(text)
+    texts.append("true" if kind is And else "false")  # absorbed
+    text = texts[0]
+    for t in texts[1:]:
+        # `0and` and `or(` need no space; `andY1` or `ortrue` would
+        # not be a connective
+        left = "" if text[-1] in "0)" and rng.random() < 0.5 else " "
+        right = "" if t[0] == "(" and rng.random() < 0.5 else " "
+        text += left + ("and" if kind is And else "or") + right + t
+    return (conj if kind is And else disj)(f for f, _ in parts), text
+
+
+def test_parse_formula_round_trip_seeded():
+    rng = random.Random(19)
+    for _ in range(150):
+        f, text = _random_formula(rng, 3)
+        assert parse_formula(formula_to_text(f), R) == f
+        assert parse_formula(text, R) == f, text
+    with pytest.raises(ParseError):
+        parse_formula("X1 > 0 andY1 < 0", R)
