@@ -520,9 +520,10 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     if not base:
         raise ValueError("empty base family")
     if m != 1:
+        why = ("there is no fiber variable" if m == 0 else
+               "an exact planar fiber count (m >= 2) is not implemented")
         raise UnsupportedModeError(
-            f"m = {m}: fibers are counted for m = 1 only; an exact planar "
-            "fiber count (m >= 2) is not implemented")
+            f"m = {m}: fibers are counted for m = 1 only; {why}")
     if n != 1:
         raise UnsupportedModeError(
             f"n = {n}: the census cuts one parameter line, so it needs n = 1")

@@ -2,38 +2,19 @@
 
 Every asymptotic bound carries an unspecified constant; it is exposed as
 the parameter c (default 1) and always displayed with results rather
-than silently fixed.
+than silently fixed.  Each bound is written once, as its exponent form:
+the value, the lower bound on its bit length and the parameter list
+are all read from it.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from functools import wraps
 from inspect import signature
 from math import comb
 from operator import mul
-
-
-@dataclass(frozen=True)
-class BoundExpr:
-    name: str
-    symbolic: str
-    params: tuple  # parameter names in call order
-
-
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an integer")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _check_nonnegative(**kwargs):
-    for name, value in kwargs.items():
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an integer")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # Below this many bits _square uses the builtin product: of cutoffs 2^12
@@ -117,64 +98,166 @@ def _square_ntt(x: int) -> int:
 
 
 def _pow(base: int, exp: int) -> int:
-    """base ** exp for base >= 1, exp >= 0.  The power of two in the base
-    is taken out as one shift, (2^t u)^e = u^e << t e, and u^e is formed
-    by left-to-right binary exponentiation with _square, so its long
-    squares are Toom-3 squarings and the longest go through decimal."""
+    """base ** exp for base >= 1, exp >= 0, by left-to-right binary
+    exponentiation with _square, so its long squares are Toom-3
+    squarings and the longest go through decimal."""
     if exp == 0:
         return 1
-    t = (base & -base).bit_length() - 1
-    u = base >> t
-    value = u
+    value = base
     for bit in bin(exp)[3:]:
         value = _square(value)
         if bit == "1":
-            value *= u
-    return value << (t * exp)
+            value *= base
+    return value
 
 
-def bound_main(m: int, n: int, s: int, d: int, c: int = 1) -> int:
+# -- the bounds, each written once as its exponent form --------------------
+
+# Bases and exponents of an exponent form stop at _CAP, and an evaluator
+# refuses a value of _CAP bits or more: no memory holds one, so nothing
+# is lost.
+_CAP = 1 << 64
+
+
+def _check(params, zero=()):
+    """Each parameter an integer >= 1, or >= 0 when named in zero."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer")
+        low = 0 if name in zero else 1
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _bits(powers):
+    """1 + sum (bit_length(base) - 1) * e over the powers base^e: at most
+    the bit length of their product, and equal to it for powers of two."""
+    return 1 + sum((b.bit_length() - 1) * e for b, e in powers)
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A named bound: its display string, its exponent form (a function
+    of the parameters giving [(base, exponent), ...], whose product is
+    the value), the public evaluator of that form and the parameters
+    that may be 0."""
+    symbolic: str
+    form: Callable
+    evaluate: Callable
+    zero: tuple
+
+
+BOUNDS = {}
+
+
+def _bound(name, symbolic, zero=(), report=None):
+    """Register the decorated exponent form as BOUNDS[name] and return
+    its evaluator, which has the form's name, parameters and docstring.
+    The evaluator checks the parameters (integers >= 1, or >= 0 when
+    named in zero), refuses a value of _CAP bits or more with
+    OverflowError before forming any power, and forms the product of
+    the odd parts of the bases, each raised by _pow, shifted once by all
+    their powers of two.  With `report` it returns
+    report(value, **params)."""
+    def register(form):
+        sig = signature(form)
+
+        @wraps(form)
+        def evaluate(*args, **kwargs):
+            call = sig.bind(*args, **kwargs)
+            call.apply_defaults()
+            params = call.arguments
+            _check(params, zero)
+            powers = form(**params)
+            bits = _bits(powers)
+            if bits >= _CAP:
+                raise OverflowError(f"{name}: value has at least {bits} bits")
+            value, shift = 1, 0
+            for base, exp in powers:
+                t = (base & -base).bit_length() - 1
+                value *= _pow(base >> t, exp)
+                shift += t * exp
+            value <<= shift
+            return report(value, **params) if report else value
+
+        BOUNDS[name] = Bound(symbolic, form, evaluate, zero)
+        return evaluate
+    return register
+
+
+@_bound("main", "(2^m s n d)^(c n m)")
+def bound_main(m: int, n: int, s: int, d: int, c: int = 1):
     """(2^m * s * n * d)^(c*n*m)."""
-    _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return _pow((1 << m) * s * n * d, c * n * m)
+    return [(2, m * c * n * m), (s * n * d, c * n * m)]
 
 
-def bound_main_precise(m: int, n: int, s: int, d: int, c: int = 1) -> int:
+@_bound("main_precise", "s^(2(m+1)n) (2^m n d)^(c n m)")
+def bound_main_precise(m: int, n: int, s: int, d: int, c: int = 1):
     """s^(2*(m+1)*n) * (2^m * n * d)^(c*n*m)."""
-    _check_positive(m=m, n=n, s=s, d=d, c=c)
-    return _pow(s, 2 * (m + 1) * n) * _pow((1 << m) * n * d, c * n * m)
+    return [(s, 2 * (m + 1) * n), (2, m * c * n * m), (n * d, c * n * m)]
 
 
-def bound_lists(m: int, s: int, d: int, c: int = 1) -> int:
+@_bound("lists", "N^(c N m), N = s C(m+d, d)")
+def bound_lists(m: int, s: int, d: int, c: int = 1):
     """N^(c*N*m) with N = s * C(m+d, d)."""
-    _check_positive(m=m, s=s, d=d, c=c)
-    big_n = s * comb(m + d, d)
-    return _pow(big_n, c * big_n * m)
+    # C(m+d, d) >= 2^min(m, d), so a larger min(m, d) passes _CAP
+    big_n = _CAP if min(m, d) > 64 else min(s * comb(m + d, d), _CAP)
+    return [(big_n, c * big_n * m)]
 
 
-def bound_fewnomial(m: int, r: int, c: int = 1) -> int:
+@_bound("fewnomial", "2^((c m r)^4)")
+def bound_fewnomial(m: int, r: int, c: int = 1):
     """2^((c*m*r)^4)."""
-    _check_positive(m=m, r=r, c=c)
-    return 1 << ((c * m * r) ** 4)
+    return [(2, (c * m * r) ** 4)]
 
 
-def bound_additive(m: int, a: int, c: int = 1) -> int:
+@_bound("additive", "2^((c (m+a) a)^4)", ("a",))
+def bound_additive(m: int, a: int, c: int = 1):
     """2^((c*(m+a)*a)^4); a = 0 is allowed and gives 2^0 = 1."""
-    _check_positive(m=m, c=c)
-    _check_nonnegative(a=a)
-    return 1 << ((c * (m + a) * a) ** 4)
+    return [(2, (c * (m + a) * a) ** 4)]
 
 
+@_bound("pfaffian",
+        "s^(c n m) 2^(c n (m^2 + n r^2)) (n m (alpha+beta))^(c n (m+r))",
+        ("r",))
 def bound_pfaffian(m: int, n: int, s: int, r: int, alpha: int, beta: int,
-                   c: int = 1) -> int:
+                   c: int = 1):
     """s^(c*n*m) * 2^(c*n*(m^2 + n*r^2)) * (n*m*(alpha+beta))^(c*n*(m+r))."""
-    _check_positive(m=m, n=n, s=s, alpha=alpha, beta=beta, c=c)
-    _check_nonnegative(r=r)
-    return (
-        _pow(s, c * n * m)
-        * (1 << (c * n * (m ** 2 + n * r ** 2)))
-        * _pow(n * m * (alpha + beta), c * n * (m + r))
+    return [(s, c * n * m), (2, c * n * (m ** 2 + n * r ** 2)),
+            (n * m * (alpha + beta), c * n * (m + r))]
+
+
+@dataclass(frozen=True)
+class MetricRadiusReport:
+    value: int
+    warning: str = ""
+    statement: str = (
+        "any two radii above this value give homotopy-equivalent "
+        "intersections of the variety with the closed balls"
     )
+
+
+def _radius_report(value, M, d, **_):
+    warning = ""
+    if M < 2 or d < 2:
+        warning = "formula degenerates for M < 2 or d < 2; value is exact anyway"
+    return MetricRadiusReport(value, warning)
+
+
+@_bound("metric", "M^(d^(c m))", report=_radius_report)
+def metric_radius(M: int, d: int, m: int, c: int = 1):
+    """M^(d^(c*m)) as a MetricRadiusReport, with a warning below the
+    intended range M, d >= 2."""
+    return [(M, _CAP if d >= 2 and c * m > 64 else min(d ** (c * m), _CAP))]
+
+
+def evaluate_bound(name: str, **params) -> int:
+    """Evaluate a named bound; metric returns the report's value."""
+    bound = BOUNDS.get(name)
+    if bound is None:
+        raise ValueError(f"unknown bound {name!r}")
+    value = bound.evaluate(**params)
+    return value.value if isinstance(value, MetricRadiusReport) else value
 
 
 COUNT_SCHEMES = ("pprime_paper", "pprime_impl", "minors_paper", "zsets")
@@ -189,7 +272,7 @@ def count_family(s: int, m: int, scheme: str) -> int:
     zsets: sum over l = 0..m+1 of C(2*s^2, l).
     Both sums stop at l = 2*s^2, past which C(2*s^2, l) = 0.
     """
-    _check_positive(s=s, m=m)
+    _check({"s": s, "m": m})
     n = 2 * s ** 2
     if scheme == "pprime_paper":
         return n
@@ -212,101 +295,6 @@ def _binomials(n, k):
         yield c
 
 
-@dataclass(frozen=True)
-class MetricRadiusReport:
-    value: int
-    warning: str = ""
-    statement: str = (
-        "any two radii above this value give homotopy-equivalent "
-        "intersections of the variety with the closed balls"
-    )
-
-
-def metric_radius(M: int, d: int, m: int, c: int = 1) -> MetricRadiusReport:
-    """M^(d^(c*m)), with a warning below the intended range M, d >= 2."""
-    _check_positive(M=M, d=d, m=m, c=c)
-    warning = ""
-    if M < 2 or d < 2:
-        warning = "formula degenerates for M < 2 or d < 2; value is exact anyway"
-    return MetricRadiusReport(_pow(M, d ** (c * m)), warning)
-
-
-BOUNDS = {
-    "main": BoundExpr("main", "(2^m s n d)^(c n m)", ("m", "n", "s", "d", "c")),
-    "main_precise": BoundExpr(
-        "main_precise", "s^(2(m+1)n) (2^m n d)^(c n m)", ("m", "n", "s", "d", "c")
-    ),
-    "lists": BoundExpr(
-        "lists", "N^(c N m), N = s C(m+d, d)", ("m", "s", "d", "c")
-    ),
-    "fewnomial": BoundExpr("fewnomial", "2^((c m r)^4)", ("m", "r", "c")),
-    "additive": BoundExpr("additive", "2^((c (m+a) a)^4)", ("m", "a", "c")),
-    "pfaffian": BoundExpr(
-        "pfaffian",
-        "s^(c n m) 2^(c n (m^2 + n r^2)) (n m (alpha+beta))^(c n (m+r))",
-        ("m", "n", "s", "r", "alpha", "beta", "c"),
-    ),
-    "metric": BoundExpr("metric", "M^(d^(c m))", ("M", "d", "m", "c")),
-}
-
-_EVALUATORS = {
-    "main": bound_main,
-    "main_precise": bound_main_precise,
-    "lists": bound_lists,
-    "fewnomial": bound_fewnomial,
-    "additive": bound_additive,
-    "pfaffian": bound_pfaffian,
-}
-
-
-def evaluate_bound(name: str, **params) -> int:
-    """Evaluate a named bound; metric returns the report's value."""
-    if name == "metric":
-        return metric_radius(**params).value
-    fn = _EVALUATORS.get(name)
-    if fn is None:
-        raise ValueError(f"unknown bound {name!r}")
-    return fn(**params)
-
-
-# -- exponent forms: the bounds as products of powers, never evaluated ---
-
-# Bases and exponents of an exponent form stop at _CAP: a bit count past
-# 2^64 fits in no memory, so nothing is lost.
-_CAP = 1 << 64
-
-
-def _form_main(m, n, s, d, c=1):
-    return [(2, m * c * n * m), (s * n * d, c * n * m)]
-
-
-def _form_main_precise(m, n, s, d, c=1):
-    return [(s, 2 * (m + 1) * n), (2, m * c * n * m), (n * d, c * n * m)]
-
-
-def _form_lists(m, s, d, c=1):
-    # C(m+d, d) >= 2^min(m, d), so a larger min(m, d) passes _CAP
-    big_n = _CAP if min(m, d) > 64 else min(s * comb(m + d, d), _CAP)
-    return [(big_n, c * big_n * m)]
-
-
-def _form_fewnomial(m, r, c=1):
-    return [(2, (c * m * r) ** 4)]
-
-
-def _form_additive(m, a, c=1):
-    return [(2, (c * (m + a) * a) ** 4)]
-
-
-def _form_pfaffian(m, n, s, r, alpha, beta, c=1):
-    return [(s, c * n * m), (2, c * n * (m ** 2 + n * r ** 2)),
-            (n * m * (alpha + beta), c * n * (m + r))]
-
-
-def _form_metric(M, d, m, c=1):
-    return [(M, _CAP if d >= 2 and c * m > 64 else min(d ** (c * m), _CAP))]
-
-
 def _form_count(s, m, scheme):
     # one term of each sum, with C(n, k) >= (n // k)^k; k at most half
     # of n keeps every base at least 2
@@ -324,37 +312,24 @@ def _form_count(s, m, scheme):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-_FORMS = {
-    "main": _form_main,
-    "main_precise": _form_main_precise,
-    "lists": _form_lists,
-    "fewnomial": _form_fewnomial,
-    "additive": _form_additive,
-    "pfaffian": _form_pfaffian,
-    "metric": _form_metric,
-    "count": _form_count,
-}
-
-
 def bit_length_floor(name: str, **params):
     """(bits, exact): the named bound's value, or count_family's for
     "count", has at least `bits` bits, and exactly that many when `exact`.
-    Read from the exponent form prod base^e as 1 + sum (bit_length(base)
-    - 1) * e, without forming a power; for "count" the form is a lower
-    bound on one term of the sum.  Parameters must be integers >= 1, a
-    and r integers >= 0, and scheme a string; the evaluators check the
-    rest.  A base or exponent that reaches _CAP counts as _CAP, so the
-    work stays small for any parameters, and the count is then not
-    exact."""
-    form = _FORMS.get(name)
-    if form is None:
+    Read from the bound's exponent form by _bits, without forming a
+    power; for "count" the form is a lower bound on one term of the sum.
+    Parameters are checked as the evaluators check them, and scheme must
+    be a string; count_family checks the rest.  A base or exponent that
+    reaches _CAP counts as _CAP, so the work stays small for any
+    parameters, and the count is then not exact."""
+    if name == "count":
+        form, zero = _form_count, ()
+    elif name in BOUNDS:
+        form, zero = BOUNDS[name].form, BOUNDS[name].zero
+    else:
         raise ValueError(f"unknown bound {name!r}")
     signature(form).bind(**params)  # TypeError naming a missing or unknown one
-    ints = {k: v for k, v in params.items() if k != "scheme"}
-    _check_nonnegative(**ints)
-    _check_positive(**{k: v for k, v in ints.items() if k not in ("a", "r")})
+    _check({k: v for k, v in params.items() if k != "scheme"}, zero)
     powers = form(**params)
-    bits = 1 + sum((b.bit_length() - 1) * e for b, e in powers)
     exact = name != "count" and all(
         b & (b - 1) == 0 and _CAP not in (b, e) for b, e in powers)
-    return bits, exact
+    return _bits(powers), exact

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .atlas import run_atlas
-from .bounds import BOUNDS, bit_length_floor, count_family, evaluate_bound, metric_radius
+from .bounds import BOUNDS, MetricRadiusReport, bit_length_floor, count_family
 from .eliminate import DegenerateEliminationError, UnsupportedModeError
 from .polycore import ParseError, Polynomial, Ring, parse_polynomial
 from .semialg import And, Atom, SignCondition, eval_signs, formula_to_text, parse_formula
@@ -341,8 +341,10 @@ def cmd_bounds(args) -> int:
         if args.name == "count":
             params.setdefault("scheme", "pprime_paper")
             symbolic = f"count_family[{params['scheme']}]"
+            evaluate = count_family
         elif args.name in BOUNDS:
             symbolic = BOUNDS[args.name].symbolic
+            evaluate = BOUNDS[args.name].evaluate
         else:
             print(f"error: unknown bound {args.name!r}", file=sys.stderr)
             return 2
@@ -353,16 +355,11 @@ def cmd_bounds(args) -> int:
                   f"bits, too large to print in decimal: {args.name} "
                   f"{symbolic} [{param_text}]", file=sys.stderr)
             return 2
-        if args.name == "count":
-            value = count_family(**params)
-        elif args.name == "metric":
-            rep = metric_radius(**params)
-            value = rep.value
-            if rep.warning:
-                print(f"warning: {rep.warning}", file=sys.stderr)
-        else:
-            value = evaluate_bound(args.name, **params)
-        c = params.get("c", 1)
+        value = evaluate(**params)
+        if isinstance(value, MetricRadiusReport):
+            if value.warning:
+                print(f"warning: {value.warning}", file=sys.stderr)
+            value = value.value
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -373,15 +370,19 @@ def cmd_bounds(args) -> int:
               f"print in decimal", file=sys.stderr)
         return 2
     param_text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    print(f"{args.name}  {symbolic}  [{param_text}]  c={c}  value={value_text}")
+    payload = {
+        "name": args.name,
+        "symbolic": symbolic,
+        "params": {k: str(v) for k, v in sorted(params.items())},
+        "value": value_text,
+    }
+    # c, the unspecified constant of an asymptotic bound; a count has none
+    c_text = ""
+    if args.name != "count":
+        payload["c"] = params.get("c", 1)
+        c_text = f"  c={payload['c']}"
+    print(f"{args.name}  {symbolic}  [{param_text}]{c_text}  value={value_text}")
     if args.json:
-        payload = {
-            "name": args.name,
-            "symbolic": symbolic,
-            "params": {k: str(v) for k, v in sorted(params.items())},
-            "c": c,
-            "value": value_text,
-        }
         _write_atomic(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -3,6 +3,7 @@ import decimal
 import random
 import sys
 import time
+from inspect import signature
 from math import comb, log2
 
 import pytest
@@ -150,26 +151,61 @@ def test_pow_equals_builtin():
             assert _pow(base, exp) == base ** exp, (base, exp)
 
 
-def test_evaluators_equal_their_formulas_past_the_cutoff():
-    """Each evaluator that forms powers, at values longer than the
-    Toom-3 cutoff, against its docstring formula with the builtin **."""
-    m, n, s, d, c = 3, 2, 5, 7, 600
-    value = bound_main(m, n, s, d, c)
-    assert value == (2 ** m * s * n * d) ** (c * n * m)
-    m, n, s, d, c = 2, 3, 7, 5, 1000
-    assert bound_main_precise(m, n, s, d, c) == (
-        s ** (2 * (m + 1) * n) * (2 ** m * n * d) ** (c * n * m))
-    m, s, d, c = 2, 3, 4, 50
-    big_n = s * comb(m + d, d)
-    assert bound_lists(m, s, d, c) == big_n ** (c * big_n * m)
-    m, n, s, r, alpha, beta, c = 2, 2, 3, 1, 2, 3, 1000
-    assert bound_pfaffian(m, n, s, r, alpha, beta, c) == (
+# Each evaluator's docstring formula, by the builtin **.
+FORMULAS = {
+    bound_main: lambda m, n, s, d, c=1: (2 ** m * s * n * d) ** (c * n * m),
+    bound_main_precise: lambda m, n, s, d, c=1: (
+        s ** (2 * (m + 1) * n) * (2 ** m * n * d) ** (c * n * m)),
+    bound_lists: lambda m, s, d, c=1: (
+        (s * comb(m + d, d)) ** (c * s * comb(m + d, d) * m)),
+    bound_fewnomial: lambda m, r, c=1: 2 ** ((c * m * r) ** 4),
+    bound_additive: lambda m, a, c=1: 2 ** ((c * (m + a) * a) ** 4),
+    bound_pfaffian: lambda m, n, s, r, alpha, beta, c=1: (
         s ** (c * n * m) * 2 ** (c * n * (m ** 2 + n * r ** 2))
-        * (n * m * (alpha + beta)) ** (c * n * (m + r)))
-    M, d, m = 3, 2, 15
-    radius = metric_radius(M, d, m).value
-    assert radius == M ** (d ** m)
-    assert min(value, radius).bit_length() > _TOOM_CUTOFF
+        * (n * m * (alpha + beta)) ** (c * n * (m + r))),
+    metric_radius: lambda M, d, m, c=1: M ** (d ** (c * m)),
+}
+
+
+def test_evaluators_equal_their_formulas_past_the_cutoff():
+    """Each evaluator against its docstring formula with the builtin **:
+    at values longer than the Toom-3 cutoff, and on a seeded sweep of
+    small parameters, additive's a and pfaffian's r from 0."""
+    past = (
+        (bound_main, (3, 2, 5, 7, 600)),
+        (bound_main_precise, (2, 3, 7, 5, 1000)),
+        (bound_lists, (2, 3, 4, 50)),
+        (bound_fewnomial, (2, 3, 4)),
+        (bound_additive, (2, 3, 2)),
+        (bound_pfaffian, (2, 2, 3, 1, 2, 3, 1000)),
+        (metric_radius, (3, 2, 15)),
+    )
+    for fn, args in past:
+        value = fn(*args)
+        value = getattr(value, "value", value)
+        assert value == FORMULAS[fn](*args), fn.__name__
+        assert value.bit_length() > _TOOM_CUTOFF, fn.__name__
+    rng = random.Random(20)
+    for _ in range(700):
+        fn = rng.choice(list(FORMULAS))
+        zero = {bound_additive: "a", bound_pfaffian: "r"}.get(fn)
+        params = {k: rng.randint(0 if k == zero else 1, 3)
+                  for k in signature(fn).parameters}
+        value = fn(**params)
+        value = getattr(value, "value", value)
+        assert value == FORMULAS[fn](**params), (fn.__name__, params)
+
+
+def test_evaluators_refuse_values_of_two_to_the_64_bits():
+    """A value of 2^64 bits or more is refused from its exponent form
+    before any power is formed; 1^(2^65) is still 1."""
+    start = time.process_time()
+    for fn, args in ((bound_lists, (65, 1, 65)), (metric_radius, (2, 2, 65)),
+                     (bound_fewnomial, (1, 1 << 16))):
+        with pytest.raises(OverflowError):
+            fn(*args)
+    assert metric_radius(1, 2, 65).value == 1
+    assert time.process_time() - start < 1
 
 
 def test_pfaffian_r_zero_collapses_middle_factor():
@@ -230,6 +266,11 @@ def test_parameter_validation():
         bound_main(1.5, 1, 1, 1)
     with pytest.raises(ValueError):
         bound_pfaffian(1, 1, 1, -1, 1, 1)
+    # r is a number of monomials in fewnomial, a chain length in pfaffian
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        bound_fewnomial(1, 0)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        bit_length_floor("fewnomial", m=1, r=0)
 
 
 def test_metric_radius_warns_below_intended_range():
@@ -283,7 +324,8 @@ def test_bit_length_floor_against_the_value():
     rng = random.Random(3)
     for name, bound in BOUNDS.items():
         for _ in range(25):
-            params = {k: rng.randint(1, 3) for k in bound.params}
+            params = {k: rng.randint(1, 3)
+                      for k in signature(bound.form).parameters}
             if name in ("additive", "pfaffian"):  # a and r may be 0
                 params["a" if name == "additive" else "r"] = rng.randint(0, 3)
             bits = evaluate_bound(name, **params).bit_length()

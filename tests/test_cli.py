@@ -139,6 +139,19 @@ def test_bounds_command(capsys):
     assert "value=8" in capsys.readouterr().out
 
 
+def test_bounds_count_has_no_constant(tmp_path, capsys):
+    """A count is exact: its line and JSON show no c, and c is refused."""
+    out = tmp_path / "count.json"
+    argv = ["bounds", "count", "s=2", "m=1", "scheme=pprime_paper"]
+    assert main(argv + ["--json", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "count  count_family[pprime_paper]  [m=1 s=2 scheme=pprime_paper]"
+        "  value=8\n")
+    assert "c" not in json.loads(out.read_text())
+    assert main(argv + ["c=3"]) == 2
+    assert "'c'" in capsys.readouterr().err
+
+
 def test_bounds_unknown_name_exits_2(capsys):
     assert main(["bounds", "nosuch", "m=1"]) == 2
     assert "unknown bound" in capsys.readouterr().err
@@ -309,6 +322,17 @@ def test_atlas_planar_fiber_census_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unsupported mode" in err
     assert "exact planar fiber count" in err
+
+
+def test_atlas_without_fiber_variable_exits_2(tmp_path, capsys):
+    """m = 0 is refused before any run, named for what it is: there is
+    no fiber variable."""
+    problem = _write(tmp_path, "m0.txt", "vars m=0 n=1\npoly Y1 - 1\nsigma 0\n")
+    assert main(["atlas", problem]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported mode" in err
+    assert "m = 0" in err and "no fiber variable" in err
+    assert "planar" not in err
 
 
 def test_atlas_grid_mode_flag_and_options_exit_2(tmp_path, capsys):
