@@ -25,11 +25,11 @@ from .eliminate import (
 )
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
+    bisect_interval,
     isolate_int_roots,
     q_cmp,
     q_mid,
     q_text,
-    refine_interval,
     same_root,
     sign_int_at,
     ugcd_int,
@@ -234,6 +234,10 @@ class _Core:
         self.q = usquarefree_int(dK)
         # refined in place; a root at a critical point shares its interval
         self.crit = [list(iv) for iv in isolate_int_roots(self.q)]
+        # q's sign just right of each left end: q is square-free with
+        # positive lead and crit holds its real roots, so the sign at -oo
+        # flips once at each
+        self.signs = [(-1) ** (len(self.q) - 1 + i) for i in range(len(self.crit))]
         if self.crit:
             (ln, ld), (hn, hd) = self.crit[0][0], self.crit[-1][1]
             gaps = ([(ln - ld, ld)]
@@ -244,7 +248,7 @@ class _Core:
         self.rising = [sign_int_at(dK, x) > 0 for x in gaps]
 
     def _refine_crit(self, i):
-        self.crit[i][:] = refine_interval(self.q, *self.crit[i])
+        self.crit[i][:] = bisect_interval(self.q, *self.crit[i], self.signs[i])
 
     def _value_sign(self, i, P, g):
         """Sign of K(c) - T at the i-th critical point c, where P is a
@@ -267,10 +271,11 @@ class _Core:
 
     def _piece_interval(self, j, P):
         """Isolating interval of the one root of P on piece j, where P is
-        nonzero at both ends and changes sign."""
+        nonzero at both ends and changes sign, and P's sign at its left
+        end (0 for a point)."""
         if len(P) == 2:  # primitive with positive lead: in lowest terms
             x = (-P[0], P[1])
-            return [x, x]
+            return [x, x], 0
         bound = 2 + max(abs(c) for c in P[:-1]) // abs(P[-1])  # Cauchy
         last = len(self.crit)
         while True:
@@ -278,11 +283,11 @@ class _Core:
             hi = self.crit[j][0] if j < last else (bound, 1)
             sl, sh = sign_int_at(P, lo), sign_int_at(P, hi)
             if sl == 0:
-                return [lo, lo]
+                return [lo, lo], 0
             if sh == 0:
-                return [hi, hi]
+                return [hi, hi], 0
             if sl != sh:
-                return [lo, hi]
+                return [lo, hi], sl
             # the root lies inside a neighbouring critical interval
             for i in (j - 1, j):
                 if 0 <= i < last:
@@ -302,12 +307,13 @@ class _Core:
         for j, up in enumerate(self.rising):
             on_piece = [e for e, v in zip(entries, value_signs) if v[j] * v[j + 1] < 0]
             for P, atoms in (on_piece if up else reversed(on_piece)):
-                out.append(_Root(self, P, atoms, self._piece_interval(j, P), P, True))
+                out.append(_Root(self, P, atoms, *self._piece_interval(j, P), P, True))
             if j < len(self.crit):
                 flips = up == self.rising[j + 1]
                 for (P, atoms), v in zip(entries, value_signs):
                     if v[j + 1] == 0:
-                        out.append(_Root(self, P, atoms, self.crit[j], self.q, flips))
+                        out.append(_Root(self, P, atoms, self.crit[j], self.signs[j],
+                                         self.q, flips))
         return out
 
 
@@ -331,14 +337,14 @@ class _Root:
     """A root of the atoms with indices `atoms`, whose polynomials are all
     positive or negative multiples of P = core - T.  It is the one root of
     `refiner` in the interval `iv`: a point, or an open interval with
-    `refiner` nonzero at both ends.  `flips` when the root has odd
-    multiplicity."""
+    `refiner` nonzero at both ends and of sign `sign` at its left end,
+    which no cut changes.  `flips` when the root has odd multiplicity."""
 
-    __slots__ = ("core", "P", "atoms", "iv", "refiner", "flips")
+    __slots__ = ("core", "P", "atoms", "iv", "sign", "refiner", "flips")
 
-    def __init__(self, core, P, atoms, iv, refiner, flips):
+    def __init__(self, core, P, atoms, iv, sign, refiner, flips):
         self.core, self.P, self.atoms = core, P, atoms
-        self.iv, self.refiner, self.flips = iv, refiner, flips
+        self.iv, self.sign, self.refiner, self.flips = iv, sign, refiner, flips
 
     def cut(self, t):
         """Shrink the interval to the side of the rational t, which lies
@@ -346,7 +352,7 @@ class _Root:
         s = sign_int_at(self.refiner, t)
         if s == 0:
             self.iv[:] = [t, t]
-        elif s == sign_int_at(self.refiner, self.iv[0]):
+        elif s == self.sign:
             self.iv[0] = t
         else:
             self.iv[1] = t

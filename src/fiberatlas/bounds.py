@@ -113,10 +113,13 @@ def _pow(base: int, exp: int) -> int:
 
 # -- the bounds, each written once as its exponent form --------------------
 
-# Bases and exponents of an exponent form stop at _CAP, and an evaluator
-# refuses a value of _CAP bits or more: no memory holds one, so nothing
-# is lost.
+# Bases and exponents of an exponent form stop at _CAP, where the form
+# stops being exact.
 _CAP = 1 << 64
+# An evaluator refuses a value of MAX_BITS bits or more (512 MiB for the
+# value alone, and its last square needs several times that), so no
+# documented call runs out of memory before it raises.
+MAX_BITS = 1 << 32
 
 
 def _check(params, zero=()):
@@ -154,7 +157,7 @@ def _bound(name, symbolic, zero=(), report=None):
     """Register the decorated exponent form as BOUNDS[name] and return
     its evaluator, which has the form's name, parameters and docstring.
     The evaluator checks the parameters (integers >= 1, or >= 0 when
-    named in zero), refuses a value of _CAP bits or more with
+    named in zero), refuses a value of MAX_BITS bits or more with
     OverflowError before forming any power, and forms the product of
     the odd parts of the bases, each raised by _pow, shifted once by all
     their powers of two.  With `report` it returns
@@ -170,8 +173,9 @@ def _bound(name, symbolic, zero=(), report=None):
             _check(params, zero)
             powers = form(**params)
             bits = _bits(powers)
-            if bits >= _CAP:
-                raise OverflowError(f"{name}: value has at least {bits} bits")
+            if bits >= MAX_BITS:
+                raise OverflowError(f"{name}: value has at least {bits} bits, "
+                                    f"the limit is {MAX_BITS}")
             value, shift = 1, 0
             for base, exp in powers:
                 t = (base & -base).bit_length() - 1

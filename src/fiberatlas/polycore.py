@@ -979,7 +979,7 @@ def _halve(m):
     return [c << i for i, c in enumerate(_shift_by(m, 1))]
 
 
-def _isolate_mobius(m, lo, hi, out):
+def _isolate_mobius(m, lo, hi, out, p, cap):
     """Descartes bisection of (lo, hi) (Collins-Akritas 1976) in the
     form of Rouillier-Zimmermann (2004).  A node carries
     M = (x+1)^n q(1/(x+1)), where q(x) on (0, 1) is the polynomial on
@@ -987,26 +987,52 @@ def _isolate_mobius(m, lo, hi, out):
     bound.  The halves are M(2x+1) and rev(rev(M)(2x+1)); both have
     M(1), a multiple of q(1/2), at the midpoint's end, and an exact root
     there is a zero coefficient that is dropped from each (the left one
-    comes out negated, which changes no count).  The tree runs on a
-    stack, left half first, so that `out` comes out sorted."""
-    stack = [(m, lo, hi)]
+    comes out negated, which changes no count).
+
+    The left half is always made.  The bounds of the two halves and an
+    exact root at the midpoint add up to at most the node's bound
+    (Eigenwillig-Sharma-Yap, ISSAC 2006), and each bound has the parity
+    of its count of roots, so when the rest of the node's bound is 0 or
+    1 it is the right half's bound: the right half is dropped or is an
+    interval of one root, and its shift is skipped.
+
+    A multiple real root of the input p shows as a double root at a
+    midpoint (a left half that starts with two zeros) or as a tree that
+    never ends.  NotSquareFreeError is raised at the first, and at the
+    first node deeper than `cap` when ugcd_int(p, p'), asked once there,
+    is not 1; a square-free p passes that check, and its tree ends by the
+    two-circle theorem.  The tree runs on a stack, left half first, so
+    that `out` comes out sorted."""
+    stack = [(m, _sign_variations(m), lo, hi, 0)]
     while stack:
-        m, lo, hi = stack.pop()
-        if m is None:  # the exact root at a midpoint
-            out.append((lo, lo))
+        m, v, lo, hi, depth = stack.pop()
+        if v == 0:
             continue
-        v = _sign_variations(m)
-        if v == 1:
+        if v == 1:  # one root in (lo, hi), or the point root (lo, lo)
             out.append((lo, hi))
-        if v < 2:
             continue
+        if cap is not None and depth > cap:
+            if len(ugcd_int(p, _uderiv(p))) > 1:
+                raise NotSquareFreeError("input is not square-free")
+            cap = None
         mid = q_mid(lo, hi)
         left = _halve(m)
-        right = _halve(m[::-1])
-        if not left[0]:
-            stack += [(right[:0:-1], mid, hi), (None, mid, mid), (left[1:], lo, mid)]
+        root = not left[0]
+        if root:
+            if not left[1]:
+                raise NotSquareFreeError("input is not square-free")
+            left = left[1:]
+        vl = _sign_variations(left)
+        rest = v - vl - root
+        if rest > 1:
+            right = _halve(m[::-1])
+            right = right[:0:-1] if root else right[::-1]
+            stack.append((right, _sign_variations(right), mid, hi, depth + 1))
         else:
-            stack += [(right[::-1], mid, hi), (left, lo, mid)]
+            stack.append((None, rest, mid, hi, depth + 1))
+        if root:
+            stack.append((None, 1, mid, mid, depth + 1))
+        stack.append((left, vl, lo, mid, depth + 1))
 
 
 class NotSquareFreeError(ValueError):
@@ -1020,11 +1046,15 @@ def isolate_int_roots(p):
     Returns a sorted list of (lo, hi) rational pairs (n, d); lo == hi
     marks an exact rational root.  Open intervals carry a sign change of
     p and contain exactly one root; all intervals are pairwise disjoint.
+    A multiple real root raises NotSquareFreeError where the bisection
+    meets it: at 0, at a midpoint, or past the depth of the bit lengths
+    of b and of p's largest coefficient, where `_isolate_mobius` asks
+    ugcd_int(p, p') once.  A multiple root that is not real does no harm
+    and is not refused.
     """
     if len(p) <= 1:
         return []
-    g = ugcd_int(p, _uderiv(p))
-    if len(g) > 1:
+    if p[0] == p[1] == 0:
         raise NotSquareFreeError("input is not square-free")
     zero = p[0] == 0  # a simple root at 0: stripped here, inserted below
     p = p[1:] if zero else p
@@ -1035,14 +1065,15 @@ def isolate_int_roots(p):
     elif len(p) > 2:
         # dyadic root bound b >= 1 + max |c / lead|
         lead = abs(p[-1])
-        bound = lead + max(abs(c) for c in p[:-1])
+        top = max(abs(c) for c in p[:-1])
         b = 1
-        while b * lead < bound:
+        while b * lead < lead + top:
             b <<= 1
         # map (-b, b) to (0, 1): q(x) = p(-b + 2b*x) = t(2b*x), t = p(x - b)
         t = _shift_by(p, -b)
         q = [c * (2 * b) ** i for i, c in enumerate(t)]
-        _isolate_mobius(_shift_by(q[::-1], 1), (-b, 1), (b, 1), out)
+        cap = b.bit_length() + max(top, lead).bit_length()
+        _isolate_mobius(_shift_by(q[::-1], 1), (-b, 1), (b, 1), out, p, cap)
     if zero:
         out.insert(sum(lo[0] < 0 for lo, _ in out), ((0, 1), (0, 1)))
     if len(p) <= 2:
@@ -1069,38 +1100,51 @@ def _deflate_rational(p, t):
     return _primitive_int(q[::-1])
 
 
+def bisect_interval(p_int, lo, hi, s):
+    """One bisection step of the open isolating interval (lo, hi) of
+    p_int, where s is p_int's sign just right of lo: the half that keeps
+    the root, or the midpoint (mid, mid) when it is the root.  No step
+    changes s, so a caller that refines an interval again reads p_int at
+    the midpoint only."""
+    mid = q_mid(lo, hi)
+    fm = sign_int_at(p_int, mid)
+    if fm == 0:
+        return mid, mid
+    return (mid, hi) if fm == s else (lo, mid)
+
+
 def refine_interval(p_int, lo, hi):
     """One bisection step keeping the sign change; collapses onto exact
     rational roots found at the midpoint."""
     if lo == hi:
         return lo, hi
-    mid = q_mid(lo, hi)
-    fm = sign_int_at(p_int, mid)
-    if fm == 0:
-        return mid, mid
-    fl = sign_int_at(p_int, lo)
-    if fl != 0:
-        return (lo, mid) if fl != fm else (mid, hi)
-    # lo is an adjacent exact root; decide the half from the right end
-    fh = sign_int_at(p_int, hi)
-    return (mid, hi) if fm != fh else (lo, mid)
+    # lo may be an adjacent exact root; then the sign right of it is the
+    # opposite of the sign at hi
+    s = sign_int_at(p_int, lo) or -sign_int_at(p_int, hi)
+    return bisect_interval(p_int, lo, hi, s)
 
 
 def _separate_intervals(p_int, intervals):
     """Refine until closed intervals are pairwise disjoint.  Only
     neighbours are compared, so the intervals must come sorted by left
-    end; unsorted input is refused rather than refined forever."""
+    end; unsorted input is refused rather than refined forever.  The
+    open intervals' ends must not be roots of p_int; p_int's sign at
+    each left end is read at its first step and carried."""
     ivs = list(intervals)
     if any(q_cmp(a[0], b[0]) > 0 for a, b in zip(ivs, ivs[1:])):
         raise ValueError("isolating intervals are not sorted by left end")
+    signs = [None] * len(ivs)
     changed = True
     while changed:
         changed = False
         for i in range(len(ivs) - 1):
-            a, b = ivs[i], ivs[i + 1]
-            if q_cmp(a[1], b[0]) >= 0:
-                ivs[i] = refine_interval(p_int, *a)
-                ivs[i + 1] = refine_interval(p_int, *b)
+            if q_cmp(ivs[i][1], ivs[i + 1][0]) >= 0:
+                for j in (i, i + 1):
+                    lo, hi = ivs[j]
+                    if lo != hi:
+                        if signs[j] is None:
+                            signs[j] = sign_int_at(p_int, lo)
+                        ivs[j] = bisect_interval(p_int, lo, hi, signs[j])
                 changed = True
     return ivs
 
@@ -1209,9 +1253,12 @@ def isolate_basis_roots(polys):
     Each pass sorts the intervals and separates every overlapping
     adjacent pair; a pair holding one shared root keeps the lower index
     and starts a new pass.  The roots of later polynomials are listed
-    first, so equal intervals sort with the later polynomial first."""
+    first, so equal intervals sort with the later polynomial first.  The
+    gcd of two members is computed once, when two of their open
+    intervals first overlap."""
     items = [(lo, hi, k) for k in reversed(range(len(polys)))
              for lo, hi in isolate_int_roots(polys[k])]
+    gcds = {}
     changed = True
     while changed:
         changed = False
@@ -1221,26 +1268,38 @@ def isolate_basis_roots(polys):
             c, d, l = items[i + 1]
             if q_cmp(b, c) >= 0:
                 changed = True
-                ivs = _separate_pair(polys[k], (a, b), polys[l], (c, d))
-                if ivs is None:
+                p, q = polys[k], polys[l]
+                g = None
+                if a != b and c != d:
+                    pair = (k, l) if k < l else (l, k)
+                    if pair not in gcds:
+                        gcds[pair] = ugcd_int(p, q)
+                    g = gcds[pair]
+                # refining moves no root, so the tie rule is asked once
+                if same_root(p, (a, b), q, (c, d), g):
                     del items[i + (k < l)]
                     break
-                items[i] = ivs[0] + (k,)
-                items[i + 1] = ivs[1] + (l,)
+                ivp, ivq = _separate_pair(p, (a, b), q, (c, d))
+                items[i] = ivp + (k,)
+                items[i + 1] = ivq + (l,)
     return items
 
 
 def _separate_pair(p, ivp, q, ivq):
-    """Bisect the wider of two overlapping isolating intervals of p and q
-    until their closures are disjoint; None when they hold one shared
-    root.  Refining moves no root, so the tie rule is asked once."""
+    """Bisect the wider of two overlapping isolating intervals of p and
+    q, which hold distinct roots, until their closures are disjoint.
+    Each polynomial's sign at its interval's left end is read at its
+    first step and carried."""
     (a, b), (c, d) = ivp, ivq
-    if same_root(p, ivp, q, ivq, ugcd_int(p, q) if a != b and c != d else None):
-        return None
+    sp = sq = None
     while q_cmp(a, d) <= 0 and q_cmp(c, b) <= 0:
         if (b[0] * a[1] - a[0] * b[1]) * c[1] * d[1] \
                 >= (d[0] * c[1] - c[0] * d[1]) * a[1] * b[1]:  # b - a >= d - c
-            a, b = refine_interval(p, a, b)
+            if sp is None:
+                sp = sign_int_at(p, a)
+            a, b = bisect_interval(p, a, b, sp)
         else:
-            c, d = refine_interval(q, c, d)
+            if sq is None:
+                sq = sign_int_at(q, c)
+            c, d = bisect_interval(q, c, d, sq)
     return (a, b), (c, d)

@@ -198,10 +198,12 @@ def test_evaluators_equal_their_formulas_past_the_cutoff():
 
 def test_evaluators_refuse_values_of_two_to_the_64_bits():
     """A value of 2^64 bits or more is refused from its exponent form
-    before any power is formed; 1^(2^65) is still 1."""
+    before any power is formed, and so is one of bounds.MAX_BITS = 2^32
+    bits or more, which no memory here holds (bound_lists(20, 1, 20) has
+    about 1.0e14 bits); 1^(2^65) is still 1."""
     start = time.process_time()
     for fn, args in ((bound_lists, (65, 1, 65)), (metric_radius, (2, 2, 65)),
-                     (bound_fewnomial, (1, 1 << 16))):
+                     (bound_fewnomial, (1, 1 << 16)), (bound_lists, (20, 1, 20))):
         with pytest.raises(OverflowError):
             fn(*args)
     assert metric_radius(1, 2, 65).value == 1

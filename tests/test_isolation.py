@@ -11,13 +11,30 @@ isolation that kept its ends as Fractions; the same bisections must
 give the same ends.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_isolation.py
+
+Beside the golden corpus, a reference written here, a Descartes
+bisection that makes both halves of every node from p itself, must give
+the same intervals on 1000 seeded polynomials and 200 groups; multiple
+real roots must be refused fast, and a group must take one gcd per pair
+of members.
 """
 import json
 import random
+import time
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from fiberatlas.polycore import isolate_basis_roots, isolate_int_roots, usquarefree_int
+import pytest
+
+from fiberatlas import polycore
+from fiberatlas.polycore import (
+    NotSquareFreeError,
+    isolate_basis_roots,
+    isolate_int_roots,
+    ugcd_int,
+    usquarefree_int,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "isolation.json"
 
@@ -134,3 +151,227 @@ def test_isolate_basis_roots_matches_golden():
     for case in cases:
         got = [[_text(lo), _text(hi), k] for lo, hi, k in isolate_basis_roots(case["polys"])]
         assert got == case["roots"], case["polys"]
+
+
+# -- a reference that always computes both halves --------------------------
+
+def _shift(p, a):
+    """p(x + a) for integer a."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return p
+
+
+def _descartes(p, lo, hi):
+    """Sign variations of (1+x)^n p((lo*x + hi)/(1+x)), the Descartes
+    bound of p on (lo, hi), computed from p at every node."""
+    n = len(p) - 1
+    den = lo.denominator * hi.denominator
+    a, w = int(lo * den), int((hi - lo) * den)
+    q = _shift([c * den ** (n - i) for i, c in enumerate(p)], a)  # den^n p(x/den)
+    m = _shift([c * w ** i for i, c in enumerate(q)][::-1], 1)
+    signs = [c > 0 for c in m if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _value(p, x):
+    """den^deg p(x), a positive multiple of p(x)."""
+    n, d, deg = x.numerator, x.denominator, len(p) - 1
+    return sum(c * n ** i * d ** (deg - i) for i, c in enumerate(p))
+
+
+def _sign(p, x):
+    v = _value(p, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_tree(p, lo, hi):
+    v = _descartes(p, lo, hi)
+    if v < 2:
+        return [(lo, hi)] * v
+    mid = (lo + hi) / 2
+    return (_ref_tree(p, lo, mid) + [(mid, mid)] * (_value(p, mid) == 0)
+            + _ref_tree(p, mid, hi))
+
+
+def _ref_refine(p, lo, hi):
+    """One bisection step; p's sign just right of lo is its sign at lo,
+    or its derivative's there when lo is a (simple) root."""
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    fm = _sign(p, mid)
+    if fm == 0:
+        return mid, mid
+    s = _sign(p, lo) or _sign([i * c for i, c in enumerate(p)][1:], lo)
+    return (mid, hi) if fm == s else (lo, mid)
+
+
+def _ref_isolate(p):
+    """The isolation isolate_int_roots documents: Descartes bisection of
+    (-b, b), b the least power of two with b |lead| >= |lead| + max |c|,
+    after taking out a root at 0, then neighbours refined until their
+    closures are disjoint."""
+    zero = p[0] == 0
+    p = p[1:] if zero else p
+    if len(p) <= 2:  # a constant, or one rational root
+        out = [(Fraction(-p[0], p[-1]),) * 2] * (len(p) - 1)
+    else:
+        lead = abs(p[-1])
+        b = 1
+        while b * lead < lead + max(abs(c) for c in p[:-1]):
+            b *= 2
+        out = _ref_tree(p, Fraction(-b), Fraction(b))
+    if zero:
+        out = sorted(out + [(Fraction(0), Fraction(0))])
+    if len(p) <= 2:
+        return out
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            if out[i][1] >= out[i + 1][0]:
+                out[i] = _ref_refine(p, *out[i])
+                out[i + 1] = _ref_refine(p, *out[i + 1])
+                changed = True
+    return out
+
+
+def _ref_gcd(p, q):
+    """A gcd over Q of two coefficient lists."""
+    p, q = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    while q:
+        while len(p) >= len(q):
+            f = p[-1] / q[-1]
+            p = [c - f * d for c, d in zip(p, [0] * (len(p) - len(q)) + q)][:-1]
+            while p and p[-1] == 0:
+                p.pop()
+        p, q = q, p
+    return p
+
+
+def _ref_basis(polys):
+    """isolate_basis_roots' merge: each pass sorts the intervals and
+    separates every overlapping adjacent pair by bisecting the wider;
+    a pair holding one shared root keeps the lower index."""
+    items = [(lo, hi, k) for k in reversed(range(len(polys)))
+             for lo, hi in _ref_isolate(polys[k])]
+    changed = True
+    while changed:
+        changed = False
+        items.sort(key=lambda s: (s[0], s[1]))
+        for i in range(len(items) - 1):
+            (a, b, k), (c, d, l) = items[i], items[i + 1]
+            if b < c:
+                continue
+            changed = True
+            p, q = polys[k], polys[l]
+            if a == b or c == d:
+                x = a if a == b else c
+                shared = _value(p, x) == 0 and _value(q, x) == 0
+            else:
+                g = _ref_gcd(p, q)
+                shared = _sign(g, max(a, c)) != _sign(g, min(b, d))
+            if shared:
+                del items[i + (k < l)]
+                break
+            while a <= d and c <= b:
+                if b - a >= d - c:
+                    a, b = _ref_refine(p, a, b)
+                else:
+                    c, d = _ref_refine(q, c, d)
+            items[i], items[i + 1] = (a, b, k), (c, d, l)
+    return items
+
+
+def _differential_corpus():
+    """Square-free lists: products of dyadic linear factors (roots that
+    the bisection meets at a midpoint), root pairs 2^-k apart (rational
+    and irrational) and dense 200-bit polynomials; and groups of
+    products of shared factors."""
+    rng = random.Random(2006)
+    singles = []
+    while len(singles) < 400:  # distinct dyadic roots a / 2^e
+        roots = {Fraction(rng.randint(-40, 40), 1 << rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 5))}
+        singles.append(_product([_linear(r.numerator, r.denominator) for r in roots]))
+    for i in range(200):  # r and r + 2^-k, k = 1..40
+        k = 1 + i % 40
+        n, d = rng.randint(-9, 9), rng.choice((1, 3, 5))
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        singles.append(_product([_linear(n, d), _linear(2 ** k * n + d, 2 ** k * d)]))
+    for i in range(100):  # sqrt(c) and sqrt(c + 2^-k), with their negatives
+        k, c = 1 + i % 40, rng.choice((2, 3, 5, 7))
+        singles.append(_product([[-c, 0, 1], [-(c << k) - 1, 0, 1 << k]]))
+    while len(singles) < 1000:  # dense 200-bit polynomials
+        p = [rng.randint(-(1 << 200), 1 << 200) for _ in range(rng.randint(3, 8))]
+        p = usquarefree_int(p)
+        if len(p) > 1:
+            singles.append(p)
+    pool = _pool(rng)
+    groups = [[_product(rng.sample(pool, rng.randint(1, 3))) for _ in range(rng.randint(2, 3))]
+              for _ in range(100)]
+    return singles, groups
+
+
+def test_isolation_matches_a_bisection_that_computes_both_halves():
+    singles, groups = _differential_corpus()
+    assert len(singles) == 1000
+    for p in singles:
+        got = [(Fraction(*lo), Fraction(*hi)) for lo, hi in isolate_int_roots(p)]
+        assert got == _ref_isolate(p), p
+    for polys in groups + [[p, q] for p, q in zip(singles[::10], singles[5::10])]:
+        got = [(Fraction(*lo), Fraction(*hi), k) for lo, hi, k in isolate_basis_roots(polys)]
+        assert got == _ref_basis(polys), polys
+
+
+def _square_of_degree_12(seed):
+    """f^2 for a seeded f of degree 12 with 100-bit coefficients and
+    f(0) < 0 < lead, so f has a real root and f^2 a double one: degree
+    24 and 200-bit coefficients."""
+    rng = random.Random(seed)
+    f = [rng.randint(1, 1 << 100) for _ in range(13)]
+    f[0] = -f[0]
+    return _mul(f, f)
+
+
+def test_isolation_refuses_multiple_roots_where_they_show():
+    """x^2 (x - 3) at 0, (2x - 1)^2 (x + 3) at the midpoint 1/2,
+    (x^2 - 2)^2 (3x - 1) and a 200-bit square below the depth where
+    ugcd_int(p, p') is asked once."""
+    cases = [_mul([0, 0, 1], [-3, 1]), _product([[-1, 2], [-1, 2], [3, 1]]),
+             _product([[-2, 0, 1], [-2, 0, 1], [-1, 3]]), _square_of_degree_12(24)]
+    for p in cases:
+        start = time.process_time()
+        with pytest.raises(NotSquareFreeError):
+            isolate_int_roots(p)
+        assert time.process_time() - start < 1, p
+
+
+def _moved(f, k, a):
+    """f(x - a / 2^k) as a primitive integer list."""
+    n = len(f) - 1
+    scaled = _shift([c << (k * (n - i)) for i, c in enumerate(f)], -a)  # 2^(kn) f((y - a) / 2^k)
+    return _product([[c << (k * i) for i, c in enumerate(scaled)]])
+
+
+def test_basis_isolation_takes_one_gcd_per_pair(monkeypatch):
+    """Three members of degree 20 whose 20 real roots are 2^-30 apart
+    member to member, so that every root's intervals overlap: one
+    ugcd_int per pair of members, not one per overlapping pair of
+    intervals."""
+    f = _product([[-n, 0, 1] for n in (2, 3, 5, 6, 7, 8, 10, 11, 12, 13)])
+    polys = [f, _moved(f, 30, 1), _moved(f, 30, -1)]
+    calls = []
+
+    def counted(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return ugcd_int(a, b)
+
+    monkeypatch.setattr(polycore, "ugcd_int", counted)
+    roots = isolate_basis_roots(polys)
+    assert len(roots) == 60
+    assert len(calls) <= 3
