@@ -25,6 +25,7 @@ from .eliminate import (
 )
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
+    NotSquareFreeError,
     bisect_interval,
     isolate_int_roots,
     q_cmp,
@@ -231,11 +232,18 @@ class _Core:
     def __init__(self, K):
         dK = [i * c for i, c in enumerate(K)][1:]
         self.even = len(K) % 2 == 1  # even degree: K -> +oo at -oo
-        self.q = usquarefree_int(dK)
+        # made square-free only where isolation meets a multiple real root
+        content = gcd(*dK)
+        self.q = [c // content for c in dK]
+        try:
+            crit = isolate_int_roots(self.q)
+        except NotSquareFreeError:
+            self.q = usquarefree_int(dK)
+            crit = isolate_int_roots(self.q)
         # refined in place; a root at a critical point shares its interval
-        self.crit = [list(iv) for iv in isolate_int_roots(self.q)]
-        # q's sign just right of each left end: q is square-free with
-        # positive lead and crit holds its real roots, so the sign at -oo
+        self.crit = [list(iv) for iv in crit]
+        # q's sign just right of each left end: q has positive lead, crit
+        # holds its real roots and each is simple, so the sign at -oo
         # flips once at each
         self.signs = [(-1) ** (len(self.q) - 1 + i) for i in range(len(self.crit))]
         if self.crit:
@@ -250,24 +258,33 @@ class _Core:
     def _refine_crit(self, i):
         self.crit[i][:] = bisect_interval(self.q, *self.crit[i], self.signs[i])
 
-    def _value_sign(self, i, P, g):
+    def _value_sign(self, i, P, shared):
         """Sign of K(c) - T at the i-th critical point c, where P is a
-        positive multiple of K - T and g = gcd(P, q): K(c) = T exactly
-        when g vanishes at c.  Otherwise refine c's interval until an
-        interval enclosure of P over it excludes 0."""
+        positive multiple of K - T: refine c's interval until an interval
+        enclosure of P over it excludes 0.  The first enclosure that holds
+        0 asks whether K(c) = T, which holds exactly when g = gcd(P, q)
+        changes sign on the interval, as c is a simple root of q.  g is
+        computed on first need and kept in the list `shared`, which the
+        caller passes empty once per P."""
         lo, hi = self.crit[i]
         if lo == hi:
             return sign_int_at(P, lo)
+        s = _sign_on(P, lo, hi)
+        if s:
+            return s
+        if not shared:
+            shared.append(ugcd_int(P, self.q))
+        g = shared[0]
         if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
             return 0
         while True:
-            s = _sign_on(P, lo, hi)
-            if s:
-                return s
             self._refine_crit(i)
             lo, hi = self.crit[i]
             if lo == hi:
                 return sign_int_at(P, lo)
+            s = _sign_on(P, lo, hi)
+            if s:
+                return s
 
     def _piece_interval(self, j, P):
         """Isolating interval of the one root of P on piece j, where P is
@@ -296,12 +313,11 @@ class _Core:
     def crossings(self, entries):
         """The real roots of K - T, sorted, as _Root objects, where
         `entries` lists (P, atom indices) by ascending distinct T."""
-        irrational = any(lo != hi for lo, hi in self.crit)
         value_signs = []  # sign of K - T at -oo, at each critical point, at +oo
         for P, _ in entries:
-            g = ugcd_int(P, self.q) if irrational else []
+            shared = []
             value_signs.append([1 if self.even else -1]
-                               + [self._value_sign(i, P, g) for i in range(len(self.crit))]
+                               + [self._value_sign(i, P, shared) for i in range(len(self.crit))]
                                + [1])
         out = []
         for j, up in enumerate(self.rising):

@@ -1,9 +1,10 @@
 """Exact arithmetic foundation.
 
 Sparse multivariate polynomials over the rationals, cofactor determinants,
-Sylvester resultants by integer evaluation and exact interpolation, and
-univariate real root isolation by Descartes'-rule bisection.  No floating
-point anywhere: every sign decision is made over Q.
+Sylvester resultants by Kronecker substitution or by integer evaluation
+and exact interpolation, and univariate real root isolation by
+Descartes'-rule bisection.  No floating point anywhere: every sign
+decision is made over Q.
 """
 from __future__ import annotations
 
@@ -592,9 +593,19 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cofactor determinants; resultants by evaluation at integers, the
-# subresultant PRS and exact interpolation.
+# Cofactor determinants; resultants by the subresultant PRS, on one
+# Kronecker-packed pair or at integers with exact interpolation.
 # ---------------------------------------------------------------------------
+
+# Up to this many bits of packed resultant, (D + 1) * k, _resultant_int
+# packs its last variable into one integer instead of evaluating at
+# 0..D: a census-elim discriminant (4.3k to 5.1k bits) takes about half
+# the time, and above about 8k bits CPython's quadratic big-integer division
+# makes packing the slower.  Of cutoffs 2^12 to 2^14, 2^13 took the least
+# time (6144 within 1%) over 35 pairs p, dp/dX1 of degrees 2 to 8 in X1
+# and 1 to 6 in Y1, at 1k to 30k packed bits (CPython 3.11, x86-64).
+_PACK_CUTOFF = 1 << 13
+
 
 def determinant(rows) -> Polynomial:
     """Exact determinant of a square list of rows of polynomials, by
@@ -622,7 +633,8 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     the other's degree (res(f, g) = g^deg_var(f) for deg_var(g) = 0).
     Otherwise both are scaled to primitive integer polynomials, using
     res(a*f, b*g) = a^dg * b^df * res(f, g), and the integer resultant is
-    found by evaluation and interpolation (_resultant_int).
+    found by evaluation and interpolation, or by one Kronecker
+    substitution where that is small (_resultant_int).
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -654,12 +666,14 @@ def _resultant_int(f, g, var, df, dg, ys):
     variables that f and g may hold, in increasing order.
 
     With no other variable left it is the resultant of the coefficient
-    lists padded to df and dg (_resultant_leaf).  Otherwise the last
-    variable y is set to each integer 0..D, where D bounds the
-    resultant's degree in y (_degree_bound), and the D + 1 resultants are
-    interpolated exactly (Collins 1971).  The formal degrees are kept at
-    every node, so a node where a leading coefficient vanishes still
-    gives the specialised resultant."""
+    lists padded to df and dg (_resultant_leaf).  With one, y, left and
+    a packed size (D + 1) * k of at most _PACK_CUTOFF bits, it is one
+    leaf at y = 2^k (_resultant_packed), where D bounds the resultant's
+    degree in y (_degree_bound) and 2^(k-1) its coefficients.  Otherwise
+    the last variable y is set to each integer 0..D and the D + 1
+    resultants are interpolated exactly (Collins 1971).  The formal
+    degrees are kept at every node, so a node where a leading coefficient
+    vanishes still gives the specialised resultant."""
     if not f or not g:
         return {}
     if not ys:
@@ -672,10 +686,44 @@ def _resultant_int(f, g, var, df, dg, ys):
         res = _resultant_leaf(fc, gc)
         return {(0,) * len(next(iter(f))): res} if res else {}
     y, rest = ys[-1], ys[:-1]
+    bound = _degree_bound(f, g, var, y, df, dg)
+    if not rest:
+        # |res|_1 <= |f|_1^dg * |g|_1^df, the product of the Sylvester row
+        # sums, bounds every coefficient in y; one more bit for the sign
+        k = (sum(map(abs, f.values())) ** dg
+             * sum(map(abs, g.values())) ** df).bit_length() + 1
+        if (bound + 1) * k <= _PACK_CUTOFF:
+            return _resultant_packed(f, g, var, y, df, dg, k, bound)
     fy, gy = _in_y(f, y), _in_y(g, y)
     values = [_resultant_int(_specialize(fy, t), _specialize(gy, t), var, df, dg, rest)
-              for t in range(_degree_bound(f, g, var, y, df, dg) + 1)]
+              for t in range(bound + 1)]
     return _interpolate(values, y)
+
+
+def _resultant_packed(f, g, var, y, df, dg, k, bound):
+    """_resultant_int with y the only variable besides `var`, by one
+    Kronecker substitution y = 2^k (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 8.4): one leaf on the packed integers, whose
+    result is read as bound + 1 signed base-2^k digits, each below
+    2^(k-1) in absolute value."""
+    packed = []
+    for p, d in ((f, df), (g, dg)):
+        cs = [0] * (d + 1)
+        for mono, c in p.items():
+            cs[mono[var]] += c << k * mono[y]
+        packed.append(cs)
+    v = _resultant_leaf(*packed)
+    base = (0,) * len(next(iter(f)))
+    out = {}
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    for e in range(bound + 1):
+        c = v & mask
+        if c >= half:  # a negative digit borrows one from the next
+            c -= 1 << k
+        if c:
+            out[base[:y] + (e,) + base[y + 1:]] = c
+        v = (v - c) >> k
+    return out
 
 
 def _degree_bound(f, g, var, y, df, dg):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberatlas import atlas
 from fiberatlas.atlas import FiberPlan, fiber_b0
 from fiberatlas.polycore import (
     Polynomial,
@@ -343,3 +344,56 @@ def test_plan_coefficients_match_substitution(atoms, y):
         primitive_signed([c.constant_value()
                           for c in p.substitute({1: y}).coeffs_in(0)])
         for p in distinct]
+
+
+def _counting(monkeypatch, name):
+    """Count the calls fiberatlas.atlas makes to its function `name`."""
+    calls = []
+    fn = getattr(atlas, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(atlas, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, gcds, b0", [
+    # critical points +-sqrt(2/3); every enclosure of K - T there excludes 0
+    ("(X1^3 - 2*X1 - 5 > 0) or (X1^3 - 2*X1 + 7 < 0)", 0, 2),
+    # K - T = (X1^2 - 2)^2 vanishes at both irrational critical points:
+    # one gcd serves the two
+    ("X1^4 - 4*X1^2 + 4 = 0", 1, 2),
+    ("(X1^4 - 4*X1^2 + 4 <= 0) or (X1^4 - 4*X1^2 - 5 > 0)", 1, 4),
+])
+def test_core_asks_for_a_gcd_only_where_a_sign_test_cannot_decide(monkeypatch, text, gcds, b0):
+    calls = _counting(monkeypatch, "ugcd_int")
+    assert fiber_b0(parse_formula(text, R), Q(0), 1).b0 == b0
+    assert len(calls) == gcds
+
+
+@pytest.mark.parametrize("core, thresholds, square_free_calls", [
+    # K' = 12 (X1 - 1)^2 (X1 + 1): isolation meets the double root at 1
+    ("3*X1^4 - 4*X1^3 - 6*X1^2 + 12*X1", (-11, -4, 5, 9), 1),
+    # K' = 15 (X1^2 + 1)^2: its multiple roots are not real
+    ("3*X1^5 + 10*X1^3 + 15*X1", (-28, 0, 5, 28), 0),
+])
+def test_core_is_made_square_free_only_at_a_multiple_real_critical_point(
+        monkeypatch, core, thresholds, square_free_calls):
+    """b0 of one atom K - T rel 0 against the grid oracle, and the
+    Sturm-Tarski count for every relation, at several thresholds.  For
+    the first core, -11 is its minimum and 5 its value at the double
+    critical point X1 = 1."""
+    calls = _counting(monkeypatch, "usquarefree_int")
+    for t in thresholds:
+        poly = parse_polynomial(f"{core} - ({t})", R)
+        coeffs = [c.constant_value() for c in poly.coeffs_in(0)]
+        for rel in RELATIONS:
+            atom = Atom(poly, rel)
+            b0 = fiber_b0(atom, Q(0), 1).b0
+            assert b0 == reference_b0(coeffs, rel), (t, rel)
+            if rel != "=":  # a grid misses irrational isolated points
+                assert b0 == fiber_b0(atom, Q(0), 1, mode="grid", resolution=Q(1, 256),
+                                      box_radius=4).b0, (t, rel)
+    assert len(calls) == square_free_calls * len(thresholds) * len(RELATIONS)

@@ -5,7 +5,9 @@ from itertools import permutations
 from math import gcd
 
 import pytest
+from test_eliminate import SEXTIC
 
+from fiberatlas import polycore
 from fiberatlas.polycore import (
     NotSquareFreeError,
     ParseError,
@@ -326,6 +328,79 @@ def test_resultant_against_sylvester_oracle_random():
             res = resultant(f, g, var)
             point = [_random_rational(rng) for _ in range(ring.nvars)]
             assert res.eval_at(point) == _sylvester_oracle(f, g, var, point)
+
+
+def _counted_resultant(monkeypatch, f, g):
+    """resultant(f, g, 0) and the number of _resultant_leaf calls it made."""
+    calls = []
+    leaf = polycore._resultant_leaf
+
+    def counted(a, b):
+        calls.append(1)
+        return leaf(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(polycore, "_resultant_leaf", counted)
+        res = resultant(f, g, 0)
+    return res, len(calls)
+
+
+def _assert_oracle_at_integers(f, g, res):
+    """res against the Sylvester oracle at Y1 = 0..N, N the row bound on
+    its degree in Y1: N + 1 points fix every coefficient."""
+    df, dg = f.degree_in(0), g.degree_in(0)
+    n = dg * f.degree_in(1) + df * g.degree_in(1)
+    for y in range(n + 1):
+        point = [Q(0), Q(y)]
+        assert res.eval_at(point) == _sylvester_oracle(f, g, 0, point), (f, g, y)
+
+
+def test_packed_resultant_takes_one_leaf_below_the_cutoff(monkeypatch):
+    """The census-elim sextic against its X1-derivative packs into 3.8k
+    bits, and into 7.98k bits with Y1 scaled by 2^9: one leaf.  Scaled
+    by 2^10 it needs 8.44k bits, above _PACK_CUTOFF: one leaf at each of
+    Y1 = 0..20 (the sextic is monic, so no leaf recurses)."""
+    assert polycore._PACK_CUTOFF == 1 << 13
+    for scale, leaves in ((1, 1), (1 << 9, 1), (1 << 10, 21)):
+        f = P(SEXTIC).substitute_poly({1: P(f"{scale}*Y1")})
+        g = f.derivative(0)
+        res, calls = _counted_resultant(monkeypatch, f, g)
+        assert calls == leaves, scale
+        assert res.degree_in(1) == 20
+        _assert_oracle_at_integers(f, g, res)
+
+
+def test_packed_resultant_against_sylvester_oracle(monkeypatch):
+    """Packed resultants equal the oracle on every coefficient: a (1, 1)
+    pair, leading coefficients in X1 that vanish at Y1 = 1 and Y1 = 2,
+    which the packing point 2^k never is, and a common factor."""
+    for ftext, gtext in (
+        ("(Y1^2 - 3)*X1 + 2*Y1 - 1", "(2*Y1 + 5)*X1 - Y1^2 + 4"),
+        ("(Y1 - 1)*X1^3 + 2*X1 - Y1", "(Y1 - 2)*X1^2 + Y1*X1 - 3"),
+        ("(Y1 - 1)*(X1 + 2)", "2*X1^2 + Y1*X1 - 1"),
+        ("-7/64*X1^4 - 9*Y1^3*X1 - 5", "-3*X1^2*Y1^2 - 8*X1 - 1/4096*Y1"),
+    ):
+        f, g = P(ftext), P(gtext)
+        res, calls = _counted_resultant(monkeypatch, f, g)
+        assert calls == 1, (ftext, gtext)
+        _assert_oracle_at_integers(f, g, res)
+    res, calls = _counted_resultant(monkeypatch, P("(X1 - Y1)*(X1 + 1)"),
+                                    P("(X1 - Y1)*(X1^2 + Y1)"))
+    assert res.is_zero() and calls == 1
+
+
+def test_packed_resultant_reads_negative_coefficients_near_the_bound(monkeypatch):
+    """res(X1, X1^3 - M*Y1^5) = -M*Y1^5, and |f|_1^dg * |g|_1^df = M + 1
+    bounds it, so a coefficient takes the packing bound less one.  A
+    (1, 2) pair gives two negative coefficients of an eighth of theirs."""
+    for bits in (3, 20, 61, 200):
+        m = (1 << bits) + 1
+        res, calls = _counted_resultant(monkeypatch, P("X1"), P(f"X1^3 - {m}*Y1^5"))
+        assert calls == 1
+        assert res == P(f"-{m}*Y1^5")
+        res, calls = _counted_resultant(monkeypatch, P("X1 - Y1"), P(f"X1^2 - {m}*Y1 - {m}"))
+        assert calls == 1
+        assert res == P(f"Y1^2 - {m}*Y1 - {m}")
 
 
 def test_resultant_leaf_against_padded_sylvester_determinant():
