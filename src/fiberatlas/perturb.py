@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cache
+from itertools import combinations, product
 
 from .polycore import Ring
 from .semialg import (
@@ -19,11 +19,10 @@ from .semialg import (
     TRUE,
     Or,
     SignCondition,
+    atoms_of,
     conj,
     disj,
     level,
-    map_atoms,
-    negate,
 )
 
 
@@ -63,46 +62,90 @@ def build_ladder(s: int, delta) -> EpsilonLadder:
 
 # -- the sigma_+ / sigma_- neighborhoods -------------------------------
 
+class _Atoms:
+    """The atoms of one construction over `base`, each made once per
+    polynomial and relation, so equal atoms of a construction are one
+    object.  atom(j, i, sign, rel) is (P_j + sign * eps(i, j)) REL 0, or
+    P_j REL 0 for sign 0.
+
+    Each member is split once as core + constant term (_split), so every
+    atom polynomial is known by its member's core and its own constant
+    term: equal polynomials are found without hashing them, and `split`
+    keeps each atom's pair for _prune.
+
+    With rewrite, the closed rewrite is applied as each atom is made: a
+    weak inequality on a base member, P_j >= 0 (P_j <= 0), becomes
+    P_j - eps(2, j) >= 0 (P_j + eps(2, j) <= 0)."""
+
+    def __init__(self, base, ladder: EpsilonLadder, rewrite: bool):
+        self.base, self.ladder = base, ladder
+        cores = {}
+        self.members = [_split(p, cores) for p in base]
+        self.base_index = (
+            {m: j for j, m in enumerate(self.members, start=1)} if rewrite else {})
+        self.polys = {}  # (core, constant term) -> polynomial
+        self.made = {}  # (core, constant term, rel) -> Atom
+        self.split = {}  # id(atom) -> (core, constant term)
+
+    def atom(self, j, i, sign, rel):
+        core, k = self.members[j - 1]
+        c = k + sign * self.ladder.value(i, j) if sign else k
+        if rel in ("<=", ">="):
+            r = self.base_index.get((core, c))
+            if r is not None:
+                j, k = r, self.members[r - 1][1]
+                e = self.ladder.value(2, r)
+                c = k - e if rel == ">=" else k + e
+        a = self.made.get((core, c, rel))
+        if a is None:
+            p = self.polys.get((core, c))
+            if p is None:
+                p = self.base[j - 1]
+                p = self.polys[core, c] = p if c == k else p + (c - k)
+            a = self.made[core, c, rel] = Atom(p, rel)
+            self.split[id(a)] = (core, c)
+        return a
+
+
+# The relations (up, down) a thickening puts on a member of sign +1 and on
+# P_j + eps, and on a member of sign -1 and on P_j - eps.  The negated
+# open thickening (a removal of the level induction) flips each open one.
+_CLOSED = (">=", "<=")
+_OPEN = (">", "<")
+_REMOVAL = ("<=", ">=")
+
+
+def _member_atoms(atoms: _Atoms, i, rels):
+    """For each member j, the atoms a thickening with band index i and
+    relations rels puts on it, by its sign (None: unconstrained)."""
+    up, down = rels
+    return [
+        {1: (atoms.atom(j, 0, 0, up),),
+         -1: (atoms.atom(j, 0, 0, down),),
+         0: (atoms.atom(j, i, 1, up), atoms.atom(j, i, -1, down)) if i > 0 else (),
+         None: ()}
+        for j in range(1, len(atoms.base) + 1)
+    ]
+
+
+def _thickening(signs, by_member):
+    """The atoms of the thickening of a sign vector, in member order, from
+    by_member = _member_atoms(...)."""
+    return [a for table, s in zip(by_member, signs) for a in table[s]]
+
+
 def sigma_plus(sc: SignCondition, ladder: EpsilonLadder):
     """Closed thickening: two-sided eps(2l, i) bands around the zero-signed
     members, weak inequalities elsewhere."""
-    return _thickening(sc, _shifts(sc.family, ladder), True)
+    atoms = _Atoms(sc.family, ladder, rewrite=False)
+    return conj(_thickening(sc.signs, _member_atoms(atoms, 2 * level(sc), _CLOSED)))
 
 
 def sigma_minus(sc: SignCondition, ladder: EpsilonLadder):
     """Open thickening: strict eps(2l-1, i) bands, strict inequalities
     elsewhere.  Level-0 conditions give pure strict sign conjunctions."""
-    return _thickening(sc, _shifts(sc.family, ladder), False)
-
-
-def _shifts(base, ladder: EpsilonLadder):
-    """shifted(j, i, sign) = P_j + sign * eps(i, j), each built once per
-    call of _shifts, so the equal atom polynomials of one S' run are one
-    object."""
-
-    @cache
-    def shifted(j, i, sign):
-        e = ladder.value(i, j)
-        return base[j - 1] + e if sign > 0 else base[j - 1] - e
-
-    return shifted
-
-
-def _thickening(sc: SignCondition, shifted, closed: bool):
-    """sigma_plus (closed) or sigma_minus of sc, its bands taken from
-    shifted = _shifts(sc.family, ladder)."""
-    i = 2 * level(sc) if closed else 2 * level(sc) - 1
-    ge, le = (">=", "<=") if closed else (">", "<")
-    parts = []
-    for j, (p, s) in enumerate(zip(sc.family, sc.signs), start=1):
-        if s == 0:
-            parts.append(Atom(shifted(j, i, 1), ge))
-            parts.append(Atom(shifted(j, i, -1), le))
-        elif s == 1:
-            parts.append(Atom(p, ge))
-        elif s == -1:
-            parts.append(Atom(p, le))
-    return conj(parts)
+    atoms = _Atoms(sc.family, ladder, rewrite=False)
+    return conj(_thickening(sc.signs, _member_atoms(atoms, 2 * level(sc) - 1, _OPEN)))
 
 
 # -- the inductive closed replacement ----------------------------------
@@ -117,8 +160,6 @@ def all_sign_vectors(size: int, ell: int):
     """All sign vectors over `size` members with exactly `ell` zeros."""
     if ell > size:
         return
-    from itertools import combinations, product
-
     for zeros in combinations(range(size), ell):
         zero_set = set(zeros)
         rest = [i for i in range(size) if i not in zero_set]
@@ -134,43 +175,25 @@ def construct_S_prime(sigma_set, base, ladder: EpsilonLadder) -> ClosedSetDescri
 
     The level-l step removes the open thickenings of all level-l sign
     conditions outside the input set and adds the closed thickenings of
-    those inside it; the final formula replaces every bare inequality
-    P_j >= 0 (P_j <= 0) by P_j >= eps(2,j) (P_j <= -eps(2,j)).
+    those inside it; every bare inequality P_j >= 0 (P_j <= 0) is made
+    P_j >= eps(2,j) (P_j <= -eps(2,j)) as its atom is made.
     """
-    base = tuple(base)
-    shifted = _shifts(base, ladder)
-    raw = _level_induction(sigma_set, base, ladder, shifted)
-    formula = simplify_shift_formula(_rewrite_closed(raw, base, shifted))
+    atoms = _Atoms(tuple(base), ladder, rewrite=True)
+    raw = _level_induction(sigma_set, atoms)
+    formula = _prune(raw, {}, _ranked(atoms.split))
     return ClosedSetDescription(formula, ladder)
-
-
-def _rewrite_closed(formula, base, shifted):
-    """Closed rewrite of bare sign atoms on the base family, with
-    shifted = _shifts(base, ladder)."""
-    base_index = {p: j for j, p in enumerate(base, start=1)}
-
-    def rewrite(atom):
-        j = base_index.get(atom.poly)
-        if j is not None:
-            if atom.rel == ">=":
-                return Atom(shifted(j, 2, -1), ">=")
-            if atom.rel == "<=":
-                return Atom(shifted(j, 2, 1), "<=")
-        return atom
-
-    return map_atoms(formula, rewrite)
 
 
 def construct_S_prime_raw(sigma_set, base, ladder: EpsilonLadder):
     """The induction result before the closed rewrite (for the rewrite
     equivalence checks)."""
-    base = tuple(base)
-    return _level_induction(sigma_set, base, ladder, _shifts(base, ladder))
+    return _level_induction(sigma_set, _Atoms(tuple(base), ladder, rewrite=False))
 
 
-def _level_induction(sigma_set, base, ladder, shifted):
+def _level_induction(sigma_set, atoms: _Atoms):
+    base = atoms.base
     s = len(base)
-    if ladder.s != s:
+    if atoms.ladder.s != s:
         raise ValueError("ladder size must match family size")
     sigma_set = list(sigma_set)
     for sc in sigma_set:
@@ -179,14 +202,18 @@ def _level_induction(sigma_set, base, ladder, shifted):
     wanted = {tuple(sc.signs) for sc in sigma_set}
     formula = FALSE
     for ell in range(s + 1):
+        closed = removal = None
         removals = []
         additions = []
         for vec in all_sign_vectors(s, ell):
-            sc = SignCondition(base, vec)
             if vec in wanted:
-                additions.append(_thickening(sc, shifted, True))
-            else:
-                removals.append(negate(_thickening(sc, shifted, False)))
+                if closed is None:
+                    closed = _member_atoms(atoms, 2 * ell, _CLOSED)
+                additions.append(conj(_thickening(vec, closed)))
+            elif formula is not FALSE:  # FALSE minus anything stays FALSE
+                if removal is None:
+                    removal = _member_atoms(atoms, 2 * ell - 1, _REMOVAL)
+                removals.append(disj(_thickening(vec, removal)))
         formula = disj([conj([formula] + removals)] + additions)
     return formula
 
@@ -243,22 +270,20 @@ class _Iv:
 _ZERO = Q(0)
 
 
-def _core_and_bound(atom: Atom, splits):
-    """Split the atom polynomial into base part and shift: p = core + k,
-    so p REL 0 reads (value of core) REL -k.  Memoised in the dict
-    `splits`, keyed by atom polynomial; a core is its own split there,
-    so equal cores are one object."""
-    p = atom.poly
-    split = splits.get(p)
-    if split is None:
-        k = p.terms.get((0,) * p.ring.nvars)
-        if k is None:
-            split = splits[p] = (p, _ZERO)
-        else:
-            core = p - k
-            core = splits.setdefault(core, (core, _ZERO))[0]
-            split = splits[p] = (core, -k)
-    return split
+def _split(p, cores):
+    """p = core + k with k its constant term: (the index of core in the
+    dict `cores`, one index for equal cores, and k)."""
+    k = p.terms.get((0,) * p.ring.nvars, _ZERO)
+    return cores.setdefault(p - k if k else p, len(cores)), k
+
+
+def _ranked(split):
+    """{key: (core, k)} -> {key: (core, b)}: an atom p REL 0 reads
+    (value of core) REL -k, and b ranks the bound -k among all of them,
+    so _prune compares small integers in the order of the rationals."""
+    ks = sorted({k for _, k in split.values()}, reverse=True)
+    rank = {k: b for b, k in enumerate(ks)}
+    return {key: (core, rank[k]) for key, (core, k) in split.items()}
 
 
 def _all_satisfy(iv: _Iv, rel, b) -> bool:
@@ -303,14 +328,20 @@ def _none_satisfy(iv: _Iv, rel, b) -> bool:
 def simplify_shift_formula(formula):
     """Prune a formula whose atoms are shifts of base polynomials, using
     exact per-base interval reasoning.  Semantics-preserving."""
-    return _prune(formula, {}, {})
+    cores = {}
+    split = {}  # keyed by id(atom): the formula keeps every atom alive
+    for a in atoms_of(formula):
+        if id(a) not in split:
+            split[id(a)] = _split(a.poly, cores)
+    return _prune(formula, {}, _ranked(split))
 
 
 def _prune(formula, ctx, splits):
     """One pruning pass: ctx maps each core to the interval its value is
-    known to lie in; splits memoises _core_and_bound for the pass."""
+    known to lie in; splits = _ranked(...) maps id(atom) to (core, bound
+    rank) for every atom of the formula."""
     if isinstance(formula, Atom):
-        core, b = _core_and_bound(formula, splits)
+        core, b = splits[id(formula)]
         iv = ctx.get(core)
         if iv is not None:
             if _all_satisfy(iv, formula.rel, b):
@@ -319,7 +350,7 @@ def _prune(formula, ctx, splits):
                 return FALSE
         return formula
     if isinstance(formula, Or):
-        return disj(_prune(c, ctx, splits) for c in formula.children)
+        return disj([_prune(c, ctx, splits) for c in formula.children])
     if isinstance(formula, And):
         children = list(formula.children)
         for _ in range(4):
@@ -329,13 +360,11 @@ def _prune(formula, ctx, splits):
             progressed = False
             for c in children:
                 if isinstance(c, Atom):
-                    core, b = _core_and_bound(c, splits)
-                    if core not in merged:
-                        merged[core] = _Iv()
-                    else:
-                        merged[core] = merged[core].copy()
-                    if merged[core].tighten(c.rel, b, c):
-                        local[core] = merged[core]
+                    core, b = splits[id(c)]
+                    iv = merged.get(core)
+                    iv = merged[core] = _Iv() if iv is None else iv.copy()
+                    if iv.tighten(c.rel, b, c):
+                        local[core] = iv
                     elif core not in local:
                         # dominated by an inherited bound: drop
                         progressed = True
@@ -347,12 +376,12 @@ def _prune(formula, ctx, splits):
             new_others = []
             for c in others:
                 sc = _prune(c, merged, splits)
-                if sc == FALSE:
+                if isinstance(sc, Or) and not sc.children:
                     return FALSE
-                if sc == TRUE:
+                if isinstance(sc, And) and not sc.children:
                     progressed = True
                     continue
-                if sc != c:
+                if sc is not c and sc != c:
                     progressed = True
                 new_others.append(sc)
             emitted = []

@@ -12,8 +12,6 @@ from .polycore import ParseError, Parser, Polynomial, Ring, ast_to_polynomial, s
 
 RELATIONS = ("<", ">", "=", "<=", ">=")
 
-_NEGATE = {"<": ">=", ">": "<=", "<=": ">", ">=": "<"}
-
 
 @dataclass(frozen=True)
 class SignCondition:
@@ -71,14 +69,15 @@ FALSE = Or(())
 
 
 def conj(children) -> object:
+    """Flattened conjunction.  TRUE and FALSE are recognised by type and
+    empty children, so a fresh And(()) or Or(()) counts as one and no
+    dataclass __eq__ walks the children."""
     flat = []
     for c in children:
-        if c == TRUE:
-            continue
-        if c == FALSE:
-            return FALSE
         if isinstance(c, And):
-            flat.extend(c.children)
+            flat.extend(c.children)  # TRUE adds nothing
+        elif isinstance(c, Or) and not c.children:
+            return FALSE
         else:
             flat.append(c)
     if not flat:
@@ -89,14 +88,13 @@ def conj(children) -> object:
 
 
 def disj(children) -> object:
+    """Flattened disjunction, the dual of conj."""
     flat = []
     for c in children:
-        if c == FALSE:
-            continue
-        if c == TRUE:
-            return TRUE
         if isinstance(c, Or):
-            flat.extend(c.children)
+            flat.extend(c.children)  # FALSE adds nothing
+        elif isinstance(c, And) and not c.children:
+            return TRUE
         else:
             flat.append(c)
     if not flat:
@@ -104,22 +102,6 @@ def disj(children) -> object:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def negate(formula) -> object:
-    """Negation-free complement: De Morgan with relation flipping.
-
-    Equality atoms negate to a disjunction of the two strict relations.
-    """
-    if isinstance(formula, Atom):
-        if formula.rel == "=":
-            return disj([Atom(formula.poly, "<"), Atom(formula.poly, ">")])
-        return Atom(formula.poly, _NEGATE[formula.rel])
-    if isinstance(formula, And):
-        return disj([negate(c) for c in formula.children])
-    if isinstance(formula, Or):
-        return conj([negate(c) for c in formula.children])
-    raise TypeError(f"not a formula: {formula!r}")
 
 
 def atoms_of(formula):
@@ -156,12 +138,8 @@ def realization_formula(sc: SignCondition):
     )
 
 
+# The relation truth table: `p REL 0` holds when p's sign is in _HOLDS[REL].
 _HOLDS = {"<": (-1,), ">": (1,), "=": (0,), "<=": (-1, 0), ">=": (0, 1)}
-
-
-def relation_holds(rel: str, sign: int) -> bool:
-    """Truth of `p REL 0` when p has the given sign (-1, 0 or +1)."""
-    return sign in _HOLDS[rel]
 
 
 def eval_signs(formula, sign_of) -> bool:
@@ -169,11 +147,17 @@ def eval_signs(formula, sign_of) -> bool:
     sign_of(p); And/Or short-circuit, so sign_of sees only the atoms
     the value depends on."""
     if isinstance(formula, Atom):
-        return relation_holds(formula.rel, sign_of(formula.poly))
+        return sign_of(formula.poly) in _HOLDS[formula.rel]
     if isinstance(formula, And):
-        return all(eval_signs(c, sign_of) for c in formula.children)
+        for c in formula.children:
+            if not eval_signs(c, sign_of):
+                return False
+        return True
     if isinstance(formula, Or):
-        return any(eval_signs(c, sign_of) for c in formula.children)
+        for c in formula.children:
+            if eval_signs(c, sign_of):
+                return True
+        return False
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -186,10 +170,8 @@ def eval_formula(formula, point) -> bool:
 def formula_to_text(formula) -> str:
     if isinstance(formula, Atom):
         return f"{formula.poly.to_text()} {formula.rel} 0"
-    if formula == TRUE:
-        return "true"
-    if formula == FALSE:
-        return "false"
+    if isinstance(formula, (And, Or)) and not formula.children:
+        return "true" if isinstance(formula, And) else "false"
     if isinstance(formula, And):
         return " and ".join(f"({formula_to_text(c)})" for c in formula.children)
     if isinstance(formula, Or):

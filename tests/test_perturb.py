@@ -1,6 +1,8 @@
 """Perturbation ladder, thickenings, closed rewrite, genericity."""
+import hashlib
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +16,20 @@ from fiberatlas.perturb import (
     sigma_minus,
     sigma_plus,
     simplify_shift_formula,
-    _rewrite_closed,
-    _shifts,
+    all_sign_vectors,
+    _REMOVAL,
+    _Atoms,
+    _level_induction,
+    _member_atoms,
+    _thickening,
 )
+from fiberatlas.cli import boxed_problem, parse_problem_file, sigma_from_formula
 from fiberatlas.polycore import Polynomial, Ring, parse_polynomial
 from fiberatlas.semialg import (
     FALSE,
     SignCondition,
     atoms_of,
+    disj,
     eval_formula,
     formula_to_text,
 )
@@ -77,6 +85,26 @@ def test_sigma_minus_level0_is_strict():
     assert eval_formula(f, (Q(1), Q(0)))
 
 
+def test_removal_is_the_complement_of_the_open_thickening():
+    """The level induction removes each open thickening as an Or of
+    flipped atoms; that Or holds exactly where sigma_minus fails."""
+    base = (P("X1^2 + Y1 - 1"), P("X1 - Y1"))
+    ladder = build_ladder(2, Q(1, 4))
+    atoms = _Atoms(base, ladder, rewrite=False)
+    xs = [Q(k, 4) for k in range(-8, 9, 3)]
+    pts = ([(x, y) for x in xs for y in xs]
+           + [(x, 1 - x * x) for x in xs] + [(x, x) for x in xs])  # on each member
+    for ell in range(3):
+        removal = _member_atoms(atoms, 2 * ell - 1, _REMOVAL)
+        for vec in all_sign_vectors(2, ell):
+            minus = sigma_minus(SignCondition(base, vec), ladder)
+            removed = disj(_thickening(vec, removal))
+            held = [eval_formula(minus, pt) for pt in pts]
+            assert 0 < sum(held) < len(pts) or ell == 2  # both sides are sampled
+            for pt, h in zip(pts, held):
+                assert eval_formula(removed, pt) is not h
+
+
 def test_quadric_s_prime_text():
     base = (P("X1^2 + Y1 - 1"),)
     ladder = build_ladder(1, Q(1, 64))
@@ -101,12 +129,52 @@ def test_s_prime_atoms_with_equal_polynomials_share_one_object():
     ladder = build_ladder(4, Q(1, 64))
     for formula in (construct_S_prime(sigma, base, ladder).formula,
                     construct_S_prime_raw(sigma, base, ladder)):
-        polys = [a.poly for a in atoms_of(formula)]
+        atoms = list(atoms_of(formula))
+        polys = {}
         objects = {}
-        for p in polys:
-            objects.setdefault(p, set()).add(id(p))
-        assert len(objects) < len(polys)  # some polynomial is in several atoms
+        for a in atoms:
+            polys.setdefault(a.poly, set()).add(id(a.poly))
+            objects.setdefault((a.poly, a.rel), set()).add(id(a))
+        assert len(polys) < len(atoms)  # some polynomial is in several atoms
+        assert len(objects) < len(atoms)  # some atom is in several places
+        assert all(len(ids) == 1 for ids in polys.values())
         assert all(len(ids) == 1 for ids in objects.values())
+
+
+# sha256 of formula_to_text of S'.  The member order of the formula fixes
+# the cells, so its text must not change when its construction does.
+# "one core" has a repeated member and one that is another plus eps(2, 1),
+# so the closed rewrite meets a shifted polynomial equal to a member.
+FAMILIES = {
+    "family": (("X1^2 - 2*Y1", "X1 - 1", "X1 + 3", "X1 - Y1 - 2"), [(-1, -1, 1, -1)]),
+    "one core": (("X1 - Y1", "X1 - Y1 + 1/67108864", "X1 - Y1"),
+                 [(0, 1, 0), (-1, 0, -1), (1, 1, 1)]),
+}
+S_PRIME_SHA256 = {
+    ("family", Q(1, 64)): "3e3f203b6292d9041a085190d03dafb7a3b80bad1035c8f3a52740e0002019e4",
+    ("family", Q(1, 4096)): "e47fa7f947b46ba13ed0f881e6ac00b57785f25fa16e5187902160da9573106a",
+    ("one core", Q(1, 4)): "5d7c31b47c0bea71cd50f0ce448722457cd94f5e6f083d10007a4db6f41c03f1",
+    ("boxed twolines", Q(1, 64)): "0317f1ba2e2bc2b58595f05288812dfacc3f9b9849140171157499d26403f242",
+}
+
+
+def _s_prime_sha256(name, delta):
+    if name in FAMILIES:
+        members, rows = FAMILIES[name]
+        base = tuple(P(t) for t in members)
+    else:
+        text = (Path(__file__).resolve().parents[1] / "problems" / "twolines.txt").read_text()
+        pf = parse_problem_file(text)
+        base, rows = boxed_problem(pf.polys, sigma_from_formula(pf.formula, pf.polys),
+                                   pf.m, pf.n, 4)
+    sigma = [SignCondition(base, row) for row in rows]
+    formula = construct_S_prime(sigma, base, build_ladder(len(base), delta)).formula
+    return hashlib.sha256(formula_to_text(formula).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, delta", sorted(S_PRIME_SHA256))
+def test_large_s_prime_text_is_pinned(name, delta):
+    assert _s_prime_sha256(name, delta) == S_PRIME_SHA256[name, delta]
 
 
 def test_empty_sigma_set_is_false():
@@ -154,8 +222,7 @@ def test_simplification_preserves_membership():
         base = _random_family(rng, ring, 2)
         ladder = build_ladder(2, Q(1, 64))
         sigma = _random_sigma(rng, base)
-        raw = _rewrite_closed(
-            construct_S_prime_raw(sigma, base, ladder), base, _shifts(base, ladder))
+        raw = _level_induction(sigma, _Atoms(base, ladder, rewrite=True))  # closed, unpruned
         simplified = simplify_shift_formula(raw)
         for _ in range(30):
             pt = tuple(Q(rng.randint(-8, 8), rng.choice((1, 2, 3)))

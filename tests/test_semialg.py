@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fiberatlas.perturb import simplify_shift_formula
 from fiberatlas.polycore import ParseError, Polynomial, Ring, parse_polynomial
 from fiberatlas.semialg import (
     And,
@@ -13,9 +14,10 @@ from fiberatlas.semialg import (
     conj,
     disj,
     eval_formula,
+    eval_signs,
     formula_to_text,
     level,
-    negate,
+    map_atoms,
     parse_formula,
     realization_formula,
     FALSE,
@@ -55,6 +57,60 @@ def test_conj_disj_identities():
     assert disj([TRUE, a]) == TRUE
 
 
+def test_fresh_true_and_false_act_as_the_constants():
+    """TRUE and FALSE are recognised by type and empty children, so the
+    fresh And(()) and Or(()) that map_atoms returns for them count too."""
+    a = Atom(P("X1"), ">")
+    b = Atom(P("Y1"), "<")
+    keep = lambda atom: atom  # noqa: E731
+    fresh = (And(()), Or(())), (map_atoms(TRUE, keep), map_atoms(FALSE, keep))
+    sign_of = {a.poly: 1, b.poly: 1}.__getitem__
+    for t, f in fresh:
+        assert t is not TRUE and t == TRUE and f is not FALSE and f == FALSE
+        assert conj([t, a]) == conj([TRUE, a]) == a
+        assert conj([a, f, b]) is FALSE
+        assert conj([t]) is TRUE and conj([f]) is FALSE
+        assert disj([f, a]) == disj([FALSE, a]) == a
+        assert disj([a, t, b]) is TRUE
+        assert disj([t]) is TRUE and disj([f]) is FALSE
+        assert eval_signs(t, sign_of) is True and eval_signs(f, sign_of) is False
+        assert eval_signs(And((a, t)), sign_of) and not eval_signs(Or((b, f)), sign_of)
+        assert formula_to_text(t) == "true" and formula_to_text(f) == "false"
+        for formula, expect in (
+            (t, TRUE), (f, FALSE),
+            (And((a, Or((a, b)), t)), a),  # a decides the Or, t drops out
+            (And((a, Or((a, b)), f)), FALSE),
+            (Or((b, t)), TRUE), (Or((b, f)), b),
+        ):
+            assert simplify_shift_formula(formula) is expect
+
+
+def test_eval_signs_asks_only_for_the_atoms_it_needs():
+    a = Atom(P("X1"), ">")
+    b = Atom(P("Y1"), "<")
+    c = Atom(P("X1 + Y1"), "=")
+    signs = {a.poly: 1, b.poly: 1, c.poly: 0}
+    asked = []
+
+    def sign_of(p):
+        asked.append(p)
+        return signs[p]
+
+    for formula, value, needed in (
+        (Or((a, b, c)), True, [a]),  # a holds: the Or is decided
+        (And((b, a, c)), False, [b]),  # b fails: the And is decided
+        (And((a, Or((b, c)), b)), False, [a, b, c, b]),
+        (Or((And((a, b)), c)), True, [a, b, c]),
+    ):
+        asked.clear()
+        assert eval_signs(formula, sign_of) is value
+        assert asked == [atom.poly for atom in needed]
+    with pytest.raises(TypeError):
+        eval_signs(P("X1"), sign_of)
+    with pytest.raises(TypeError):
+        eval_signs(And((a, "X1 > 0")), sign_of)
+
+
 def test_conj_flattens_nested():
     a = Atom(P("X1"), ">")
     b = Atom(P("Y1"), "<")
@@ -62,24 +118,6 @@ def test_conj_flattens_nested():
     f = conj([And((a, b)), c])
     assert isinstance(f, And)
     assert len(f.children) == 3
-
-
-def test_negate_flips_relations():
-    a = Atom(P("X1"), ">=")
-    na = negate(a)
-    for x in (Q(-1), Q(0), Q(1)):
-        pt = (x, Q(0))
-        assert eval_formula(a, pt) != eval_formula(na, pt)
-
-
-def test_negate_de_morgan():
-    a = Atom(P("X1"), ">")
-    b = Atom(P("Y1"), "<=")
-    f = And((a, b))
-    nf = negate(f)
-    for x in (Q(-1), Q(0), Q(2)):
-        for y in (Q(-2), Q(0), Q(1)):
-            assert eval_formula(nf, (x, y)) == (not eval_formula(f, (x, y)))
 
 
 def test_realization_formula_matches_signs():
