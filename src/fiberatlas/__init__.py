@@ -46,6 +46,7 @@ from .atlas import (
     ParameterCell,
     components_complement,
     fiber_b0,
+    grid_b0,
     interior_points,
     run_atlas,
 )

@@ -70,14 +70,10 @@ class ParameterCell:
 class FiberReport:
     sample: Q
     b0: int
-    method: str  # "exact-univariate" or "grid-oracle"
-    resolution: object = None  # positive Q in grid mode
+    method: str  # "exact-univariate"
 
     def to_json_dict(self):
-        out = {"sample": q_text(self.sample), "b0": self.b0, "method": self.method}
-        if self.resolution is not None:
-            out["resolution"] = q_text(self.resolution)
-        return out
+        return {"sample": q_text(self.sample), "b0": self.b0, "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -167,9 +163,16 @@ class FiberPlan:
 
     def __init__(self, formula):
         index = {}
+        made = {}  # id(atom): its indexed atom, once per shared atom object
+
+        def indexed(a):
+            b = made.get(id(a))
+            if b is None:
+                b = made[id(a)] = Atom(index.setdefault(a.poly, len(index)), a.rel)
+            return b
+
         self.formula = formula
-        self.indexed = map_atoms(
-            formula, lambda a: Atom(index.setdefault(a.poly, len(index)), a.rel))
+        self.indexed = map_atoms(formula, indexed)
         self.polys = list(index)
         self.tables = None
         self.truths = {}
@@ -435,27 +438,21 @@ def _fiber_roots(coeffs):
     return events
 
 
-def fiber_b0(formula, y, m: int, mode: str = "exact",
-             resolution=Q(1, 1024), box_radius=16) -> FiberReport:
+def fiber_b0(formula, y, m: int) -> FiberReport:
     """Number of connected components of the fiber over y of `formula`,
     a formula or its FiberPlan.
 
-    Only m = 1 is counted; any other m is refused in either mode.
-    Exact mode: sweep the X-line through the sorted real roots of the
-    substituted atom polynomials.  Every atom's sign is known at -oo; at
-    a root its atoms are 0, and after it they change sign when the root
-    has odd multiplicity.  Evaluate the formula on each open gap and at
-    each root, count maximal runs of true pieces.  Grid mode, a
-    sampling cross-check and no decision procedure: sample the X-line
-    on a regular grid of the stated resolution and count runs of true
-    samples.
+    Only m = 1 is counted; any other m is refused.  Sweep the X-line
+    through the sorted real roots of the substituted atom polynomials.
+    Every atom's sign is known at -oo; at a root its atoms are 0, and
+    after it they change sign when the root has odd multiplicity.
+    Evaluate the formula on each open gap and at each root, count
+    maximal runs of true pieces.
     """
     if m != 1:
         raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
     y = Q(y)
     plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
-    if mode == "grid":
-        return _fiber_b0_grid(plan, y, Q(resolution), box_radius)
     coeffs = plan.coeffs_at(y)
     # sign at -oo: lead sign times (-1)^degree
     signs = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1) if c else 0
@@ -488,10 +485,17 @@ def fiber_b0(formula, y, m: int, mode: str = "exact",
 GRID_SAMPLE_CAP = 1 << 20
 
 
-def _fiber_b0_grid(plan, y, resolution, box_radius):
-    """Grid oracle for m = 1: regular samples at the given resolution,
-    components as runs of true samples.  Refuses a grid of more than
-    GRID_SAMPLE_CAP samples."""
+def grid_b0(formula, y, resolution, box_radius=16) -> int:
+    """Grid oracle for m = 1, a sampling cross-check of fiber_b0 and no
+    decision procedure: sample the fiber over y of `formula` (or its
+    FiberPlan) on a regular grid of pitch `resolution` over
+    [-box_radius, box_radius] and count runs of true samples.  Refuses
+    a formula over m != 1 and a grid of more than GRID_SAMPLE_CAP
+    samples."""
+    plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
+    m = plan.polys[0].ring.m if plan.polys else 1
+    if m != 1:
+        raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
     step = Q(resolution)
     n_steps = int(2 * box_radius / step)
     if n_steps + 1 > GRID_SAMPLE_CAP:
@@ -499,7 +503,7 @@ def _fiber_b0_grid(plan, y, resolution, box_radius):
             f"a grid of pitch {step} over radius {box_radius} has "
             f"{n_steps + 1} samples per fiber, above the cap of "
             f"{GRID_SAMPLE_CAP}")
-    coeffs = plan.coeffs_at(y)
+    coeffs = plan.coeffs_at(Q(y))
     b0 = 0
     prev = False
     for k in range(n_steps + 1):
@@ -508,7 +512,7 @@ def _fiber_b0_grid(plan, y, resolution, box_radius):
         if t and not prev:
             b0 += 1
         prev = t
-    return FiberReport(y, b0, "grid-oracle", step)
+    return b0
 
 
 # -- the end-to-end pipeline -------------------------------------------

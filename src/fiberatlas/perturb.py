@@ -350,7 +350,16 @@ def _prune(formula, ctx, splits):
                 return FALSE
         return formula
     if isinstance(formula, Or):
-        return disj([_prune(c, ctx, splits) for c in formula.children])
+        pruned = []
+        same = len(formula.children) > 1
+        for c in formula.children:
+            sc = _prune(c, ctx, splits)
+            if same and (sc is not c or isinstance(c, Or)
+                         or (isinstance(c, And) and not c.children)):
+                same = False
+            pruned.append(sc)
+        # unchanged and already flat: disj would rebuild it
+        return formula if same else disj(pruned)
     if isinstance(formula, And):
         children = list(formula.children)
         for _ in range(4):

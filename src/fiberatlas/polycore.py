@@ -430,57 +430,43 @@ def tokenize(text: str):
         pos = mo.end()
 
 
-# AST nodes for the expression grammar, reused by the SLP parser.
-@dataclass(frozen=True)
-class ENum:
-    value: Q
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class EAdd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class ESub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class EMul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class EPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class ENeg:
-    operand: object
-
-
 class Parser:
     """Recursive descent over the tokens of one text; `i` indexes the next
     token, and a production consumes a token only once it accepts it.
     Reaching the tokenizer's error token raises its error, so the error
-    reported is at the first failing token in text order.  With a ring,
-    a variable outside it fails at its own token."""
+    reported is at the first failing token in text order.
+
+    Each production builds its value as it accepts it, by `num`, `var`,
+    `add`, `mul`, `pow` and `neg`.  These build Polynomials over the
+    parser's ring, where a variable outside it fails at its own token; a
+    subclass overrides them to build other values."""
 
     def __init__(self, text: str, ring: Ring = None):
         self.tokens = tokenize(text)
         self.ring = ring
         self.i = 0
+
+    def num(self, value):
+        return Polynomial.constant(self.ring, value)
+
+    def var(self, name, pos):
+        try:
+            index = self.ring.var_index(name)
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
+        return Polynomial.variable(self.ring, index)
+
+    def add(self, left, right, subtract: bool):
+        return left - right if subtract else left + right
+
+    def mul(self, left, right):
+        return left * right
+
+    def pow(self, base, k: int):
+        return base ** k
+
+    def neg(self, value):
+        return -value
 
     def peek(self):
         token = self.tokens[self.i]
@@ -512,84 +498,58 @@ class Parser:
             raise ParseError(f"trailing input {src!r}", pos)
 
     def parse_expr(self):
-        node = self.parse_term()
+        value = self.parse_term()
         while True:
             if self.accept("op", "+"):
-                node = EAdd(node, self.parse_term())
+                value = self.add(value, self.parse_term(), False)
             elif self.accept("op", "-"):
-                node = ESub(node, self.parse_term())
+                value = self.add(value, self.parse_term(), True)
             else:
-                return node
+                return value
 
     def parse_term(self):
-        node = self.parse_factor()
+        value = self.parse_factor()
         while self.accept("op", "*"):
-            node = EMul(node, self.parse_factor())
-        return node
+            value = self.mul(value, self.parse_factor())
+        return value
 
     def parse_factor(self):
         if self.accept("op", "-"):
-            return ENeg(self.parse_factor())
-        node = self.parse_atom()
+            return self.neg(self.parse_factor())
+        value = self.parse_atom()
         if self.accept("op", "^"):
             kind, exp, pos, _ = self.peek()
             if kind != "num" or exp.denominator != 1:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.i += 1
-            return EPow(node, int(exp))
-        return node
+            return self.pow(value, int(exp))
+        return value
 
     def parse_atom(self):
         kind, value, pos, src = self.peek()
         if kind == "num":
             self.i += 1
-            return ENum(value)
+            return self.num(value)
         if kind == "var":
-            if self.ring is not None:
-                try:
-                    self.ring.var_index(value)
-                except ValueError as exc:
-                    raise ParseError(str(exc), pos) from None
+            value = self.var(value, pos)
             self.i += 1
-            return EVar(value)
+            return value
         if self.accept("op", "("):
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect_op(")")
-            return node
+            return value
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {src!r}", pos)
 
 
-def parse_expression(text: str, ring: Ring = None):
-    """Parse expression text into an AST; with a ring, every variable
+def parse_polynomial(text: str, ring: Ring) -> Polynomial:
+    """Parse expression text into a polynomial over ring; every variable
     must be one of its own."""
     parser = Parser(text, ring)
-    node = parser.parse_expr()
+    poly = parser.parse_expr()
     parser.expect_end()
-    return node
-
-
-def ast_to_polynomial(node, ring: Ring) -> Polynomial:
-    if isinstance(node, ENum):
-        return Polynomial.constant(ring, node.value)
-    if isinstance(node, EVar):
-        return Polynomial.variable(ring, ring.var_index(node.name))
-    if isinstance(node, EAdd):
-        return ast_to_polynomial(node.left, ring) + ast_to_polynomial(node.right, ring)
-    if isinstance(node, ESub):
-        return ast_to_polynomial(node.left, ring) - ast_to_polynomial(node.right, ring)
-    if isinstance(node, EMul):
-        return ast_to_polynomial(node.left, ring) * ast_to_polynomial(node.right, ring)
-    if isinstance(node, EPow):
-        return ast_to_polynomial(node.base, ring) ** node.exponent
-    if isinstance(node, ENeg):
-        return -ast_to_polynomial(node.operand, ring)
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-def parse_polynomial(text: str, ring: Ring) -> Polynomial:
-    return ast_to_polynomial(parse_expression(text, ring), ring)
+    return poly
 
 
 # ---------------------------------------------------------------------------

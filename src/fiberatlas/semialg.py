@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polycore import ParseError, Parser, Polynomial, Ring, ast_to_polynomial, sign_at
+from .polycore import ParseError, Parser, Polynomial, Ring, sign_at
 
 RELATIONS = ("<", ">", "=", "<=", ">=")
 
@@ -227,7 +227,7 @@ def _parse_unit(parser):
 
 def _parse_atom(parser):
     """`p REL 0`, the right-hand side a literal `0`."""
-    node = parser.parse_expr()
+    poly = parser.parse_expr()
     kind, rel, _, _ = parser.peek()
     if kind != "rel":
         parser.fail("a relation")
@@ -236,4 +236,4 @@ def _parse_atom(parser):
     if src != "0":
         raise ParseError("atom right-hand side must be 0", pos)
     parser.i += 1
-    return Atom(ast_to_polynomial(node, parser.ring), rel)
+    return Atom(poly, rel)

@@ -14,14 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .polycore import (
-    EAdd, EMul, ENeg, ENum, EPow, ESub, EVar,
-    ParseError,
-    Polynomial,
-    Ring,
-    parse_expression,
-    tokenize,
-)
+from .polycore import ParseError, Parser, Polynomial, Ring
 from .semialg import Atom, atoms_of, eval_formula, map_atoms
 
 
@@ -64,36 +57,55 @@ class _Mono:
         return (self.alpha, self.gamma)
 
 
-def _mono_const(c, m):
-    return _Mono(Q(c), (0,) * m, ())
+class _Builder(Parser):
+    """Parses an expression over X1..Xm into scaled monomial products,
+    appending one step per addition that `add` cannot absorb.  m is the
+    largest variable index of the text when not given."""
 
-
-def _mono_mul(u: _Mono, v: _Mono) -> _Mono:
-    if u.scalar == 0 or v.scalar == 0:
-        return _Mono(Q(0), u.alpha, ())
-    alpha = tuple(x + y for x, y in zip(u.alpha, v.alpha))
-    gamma = dict(u.gamma)
-    for i, e in v.gamma:
-        gamma[i] = gamma.get(i, 0) + e
-    return _Mono(u.scalar * v.scalar, alpha, tuple(sorted(gamma.items())))
-
-
-def _mono_pow(u: _Mono, k: int) -> _Mono:
-    if k == 0:
-        return _mono_const(1, len(u.alpha))
-    if u.scalar == 0:
-        return _Mono(Q(0), u.alpha, ())
-    return _Mono(
-        u.scalar ** k,
-        tuple(e * k for e in u.alpha),
-        tuple((i, e * k) for i, e in u.gamma),
-    )
-
-
-class _Builder:
-    def __init__(self, m):
+    def __init__(self, text, m):
+        super().__init__(text)
+        if m is None:
+            m = max((int(name[1:]) for kind, name, _, _ in self.tokens
+                     if kind == "var"), default=1)
         self.m = m
         self.steps = []
+
+    def num(self, value):
+        return _Mono(Q(value), (0,) * self.m, ())
+
+    def var(self, name, pos):
+        idx = int(name[1:])
+        if name[0] != "X":
+            raise ParseError(f"only X variables allowed, got {name}", pos)
+        if idx == 0:
+            raise ParseError(f"bad variable name {name!r}", pos)
+        if idx > self.m:
+            raise ParseError(f"variable {name} not in ring with m={self.m}", pos)
+        alpha = tuple(1 if i == idx - 1 else 0 for i in range(self.m))
+        return _Mono(Q(1), alpha, ())
+
+    def neg(self, u: _Mono) -> _Mono:
+        return _Mono(-u.scalar, u.alpha, u.gamma)
+
+    def mul(self, u: _Mono, v: _Mono) -> _Mono:
+        if u.scalar == 0 or v.scalar == 0:
+            return _Mono(Q(0), u.alpha, ())
+        alpha = tuple(x + y for x, y in zip(u.alpha, v.alpha))
+        gamma = dict(u.gamma)
+        for i, e in v.gamma:
+            gamma[i] = gamma.get(i, 0) + e
+        return _Mono(u.scalar * v.scalar, alpha, tuple(sorted(gamma.items())))
+
+    def pow(self, u: _Mono, k: int) -> _Mono:
+        if k == 0:
+            return self.num(1)
+        if u.scalar == 0:
+            return _Mono(Q(0), u.alpha, ())
+        return _Mono(
+            u.scalar ** k,
+            tuple(e * k for e in u.alpha),
+            tuple((i, e * k) for i, e in u.gamma),
+        )
 
     def _dense(self, gamma, upto):
         out = [0] * upto
@@ -103,7 +115,7 @@ class _Builder:
 
     def add(self, u: _Mono, v: _Mono, subtract: bool) -> _Mono:
         if subtract:
-            v = _Mono(-v.scalar, v.alpha, v.gamma)
+            v = self.neg(v)
         if u.scalar == 0:
             return v
         if v.scalar == 0:
@@ -111,7 +123,7 @@ class _Builder:
         if u.key() == v.key():
             s = u.scalar + v.scalar
             if s == 0:
-                return _Mono(Q(0), (0,) * self.m, ())
+                return self.num(0)
             return _Mono(s, u.alpha, u.gamma)
         j = len(self.steps) + 1
         self.steps.append(SLPStep(
@@ -121,52 +133,21 @@ class _Builder:
         ))
         return _Mono(Q(1), (0,) * self.m, ((j, 1),))
 
-    def walk(self, node) -> _Mono:
-        if isinstance(node, ENum):
-            return _mono_const(node.value, self.m)
-        if isinstance(node, EVar):
-            idx = int(node.name[1:]) - 1
-            alpha = tuple(1 if i == idx else 0 for i in range(self.m))
-            return _Mono(Q(1), alpha, ())
-        if isinstance(node, ENeg):
-            u = self.walk(node.operand)
-            return _Mono(-u.scalar, u.alpha, u.gamma)
-        if isinstance(node, EMul):
-            return _mono_mul(self.walk(node.left), self.walk(node.right))
-        if isinstance(node, EPow):
-            return _mono_pow(self.walk(node.base), node.exponent)
-        if isinstance(node, (EAdd, ESub)):
-            u = self.walk(node.left)
-            v = self.walk(node.right)
-            return self.add(u, v, isinstance(node, ESub))
-        raise TypeError(f"unknown AST node {node!r}")
-
 
 def parse_slp(text: str, m: int = None) -> SLPProgram:
     """Parse an expression into a straight-line program.
 
     A sum whose two sides share the same monomial shape, or where one
     side vanishes, is absorbed without a step; every other addition or
-    subtraction node becomes one step.  Only X1..Xm may occur, m being
-    the largest index present when not given.
+    subtraction becomes one step.  Only X1..Xm may occur, m being the
+    largest index present when not given; any other variable fails at
+    its own token.
     """
-    node = parse_expression(text)
-    names = [(name, pos) for kind, name, pos, _ in tokenize(text) if kind == "var"]
-    if m is None:
-        m = max((int(name[1:]) for name, _ in names), default=1)
-    for name, pos in names:
-        if name[0] != "X":
-            raise ParseError(f"only X variables allowed, got {name}", pos)
-        if int(name[1:]) == 0:
-            raise ParseError(f"bad variable name {name!r}", pos)
-        if int(name[1:]) > m:
-            raise ParseError(f"variable {name} not in ring with m={m}", pos)
-    builder = _Builder(m)
-    top = builder.walk(node)
-    eta = [0] * len(builder.steps)
-    for i, e in top.gamma:
-        eta[i - 1] = e
-    return SLPProgram(m, tuple(builder.steps), (top.scalar, top.alpha, tuple(eta)))
+    builder = _Builder(text, m)
+    top = builder.parse_expr()
+    builder.expect_end()
+    eta = builder._dense(top.gamma, len(builder.steps))
+    return SLPProgram(builder.m, tuple(builder.steps), (top.scalar, top.alpha, eta))
 
 
 def _side_poly(ring: Ring, scalar, alpha, exps, values):

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as Q
 
 from conftest import BUNDLED, SLP_CORPUS, stratum_witnesses
-from fiberatlas.atlas import fiber_b0, interior_points, run_atlas
+from fiberatlas.atlas import fiber_b0, grid_b0, interior_points, run_atlas
 from fiberatlas.bounds import (
     bound_additive,
     bound_fewnomial,
@@ -209,9 +209,8 @@ def test_criterion_6_grid_oracle_agreement():
             probes = [(y, fiber_b0(formula, y, 1).b0)
                       for y in example.coarse_probes]
         for y, exact in probes:
-            grid = fiber_b0(formula, y, 1, mode="grid",
-                            resolution=res, box_radius=4)
-            assert grid.b0 == exact, (example.name, y)
+            grid = grid_b0(formula, y, res, box_radius=4)
+            assert grid == exact, (example.name, y)
             checked += 1
     print(f"criterion 6 PASS: grid oracle at 2^-10 matches exact b0 at "
           f"{checked} samples")

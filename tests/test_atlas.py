@@ -9,6 +9,7 @@ from fiberatlas.atlas import (
     ParameterCell,
     components_complement,
     fiber_b0,
+    grid_b0,
     interior_points,
     run_atlas,
 )
@@ -86,7 +87,7 @@ def test_fiber_b0_grid_matches_exact_on_band():
     f = parse_formula("(X1^2 + Y1 - 3/4 >= 0) and (X1^2 + Y1 - 5/4 <= 0)", R)
     for y in (Q(0), Q(1), Q(9, 4), Q(-3)):
         exact = fiber_b0(f, y, 1).b0
-        grid = fiber_b0(f, y, 1, mode="grid", resolution=Q(1, 1024)).b0
+        grid = grid_b0(f, y, Q(1, 1024))
         assert exact == grid
 
 
@@ -107,9 +108,10 @@ def test_fiber_b0_true_false_formulas():
 def test_fiber_b0_refuses_two_fiber_vars_in_either_mode():
     ring = Ring(2, 1)
     f = parse_formula("X1^2 + X2^2 + Y1 - 1 <= 0", ring)
-    for mode in ("exact", "grid"):
-        with pytest.raises(UnsupportedModeError, match="m = 2"):
-            fiber_b0(f, Q(0), 2, mode=mode, resolution=Q(1, 8))
+    with pytest.raises(UnsupportedModeError, match="m = 2"):
+        fiber_b0(f, Q(0), 2)
+    with pytest.raises(UnsupportedModeError, match="m = 2"):
+        grid_b0(f, Q(0), Q(1, 8))
 
 
 def test_run_atlas_quadric_census():
@@ -207,9 +209,9 @@ def test_fiber_b0_grid_refuses_above_the_sample_cap():
     are counted, 2^20 + 1 at pitch 1/32768 are refused, and so is any
     grid at m = 2."""
     f = parse_formula("X1^2 + Y1 - 1 <= 0", R)
-    assert fiber_b0(f, Q(0), 1, mode="grid", resolution=Q(1, 1024)).b0 == 1
+    assert grid_b0(f, Q(0), Q(1, 1024)) == 1
     with pytest.raises(UnsupportedModeError, match="above the cap"):
-        fiber_b0(f, Q(0), 1, mode="grid", resolution=Q(1, 32768))
+        grid_b0(f, Q(0), Q(1, 32768))
     g = parse_formula("X1^2 + X2^2 + Y1 - 1 <= 0", Ring(2, 1))
     with pytest.raises(UnsupportedModeError):
-        fiber_b0(g, Q(0), 2, mode="grid", resolution=Q(1, 32))
+        grid_b0(g, Q(0), Q(1, 32))

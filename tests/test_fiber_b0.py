@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberatlas import atlas
-from fiberatlas.atlas import FiberPlan, fiber_b0
+from fiberatlas.atlas import FiberPlan, fiber_b0, grid_b0
 from fiberatlas.polycore import (
     Polynomial,
     Ring,
@@ -152,6 +152,15 @@ def test_one_plan_for_every_fiber_matches_fresh_plans():
         plan = FiberPlan(formula)
         for y in Y_VALUES:
             assert fiber_b0(plan, y, 1).b0 == fiber_b0(FiberPlan(formula), y, 1).b0
+
+
+def test_plan_indexes_a_shared_atom_once():
+    """One Atom object held twice gives one indexed Atom object."""
+    shared = Atom(parse_polynomial("X1^2 + Y1 - 1", R), "<=")
+    plan = FiberPlan(And((Or((shared, Atom(parse_polynomial("X1", R), ">"))), shared)))
+    first, second = plan.indexed.children[0].children[0], plan.indexed.children[1]
+    assert first is second
+    assert first == Atom(0, "<=")
 
 
 # -- independent count for one atom: Sturm-Tarski over Fractions ------
@@ -394,6 +403,5 @@ def test_core_is_made_square_free_only_at_a_multiple_real_critical_point(
             b0 = fiber_b0(atom, Q(0), 1).b0
             assert b0 == reference_b0(coeffs, rel), (t, rel)
             if rel != "=":  # a grid misses irrational isolated points
-                assert b0 == fiber_b0(atom, Q(0), 1, mode="grid", resolution=Q(1, 256),
-                                      box_radius=4).b0, (t, rel)
+                assert b0 == grid_b0(atom, Q(0), Q(1, 256), box_radius=4), (t, rel)
     assert len(calls) == square_free_calls * len(thresholds) * len(RELATIONS)

@@ -27,6 +27,8 @@ from fiberatlas.cli import boxed_problem, parse_problem_file, sigma_from_formula
 from fiberatlas.polycore import Polynomial, Ring, parse_polynomial
 from fiberatlas.semialg import (
     FALSE,
+    Atom,
+    Or,
     SignCondition,
     atoms_of,
     disj,
@@ -228,6 +230,12 @@ def test_simplification_preserves_membership():
             pt = tuple(Q(rng.randint(-8, 8), rng.choice((1, 2, 3)))
                        for _ in range(ring.nvars))
             assert eval_formula(raw, pt) == eval_formula(simplified, pt)
+
+
+def test_simplify_keeps_a_flat_or_of_atoms_as_the_same_object():
+    """Nothing to prune and nothing to flatten: no `or` is rebuilt."""
+    formula = Or((Atom(P("X1 - Y1"), ">"), Atom(P("X1 + 1"), "<"), Atom(P("X1"), "=")))
+    assert simplify_shift_formula(formula) is formula
 
 
 def test_closed_rewrite_agrees_at_small_delta():

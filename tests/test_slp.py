@@ -63,6 +63,14 @@ def test_parse_rejects_bad_input():
         parse_slp("X1 + Y1")
 
 
+def test_parse_refuses_a_variable_at_its_own_token():
+    """A Y variable fails where it stands, before the parse reaches the
+    later syntax error."""
+    with pytest.raises(ParseError, match=r"got Y1 \(at position 0\)") as info:
+        parse_slp("Y1 + (")
+    assert info.value.pos == 0
+
+
 def test_step_invariant_enforced():
     with pytest.raises(ValueError):
         SLPStep(1, (Q(1), (0,), (1,)), (Q(1), (0,), ()))
