@@ -156,9 +156,13 @@ class FiberPlan:
     `indexed` is the formula with each atom polynomial replaced by its
     index there, so `eval_signs(indexed, signs.__getitem__)` evaluates it
     over a list of signs; `truth` memoises that per sign vector for the
-    life of the plan.  For m = 1, the first `coeffs_at` builds `tables`:
-    atom k as rows of integers t[i][j], the coefficients of X1^i * Y1^j
-    times one positive factor that clears their denominators.
+    life of the plan.  For m = 1, the first `split_at` builds `groups`:
+    each atom's integer table (`_int_table`) cut into its X1-part (rows
+    i >= 1) and its constant row, with the atoms whose X1-parts are equal
+    up to a nonzero integer factor in one group, keyed by the primitive
+    X1-part; the atoms constant in X1 form a group of their own.  `cores`
+    has a key for the core of each X1-part free of Y1, and keeps its
+    _Core there for the life of the plan once it is made.
     """
 
     def __init__(self, formula):
@@ -174,7 +178,8 @@ class FiberPlan:
         self.formula = formula
         self.indexed = map_atoms(formula, indexed)
         self.polys = list(index)
-        self.tables = None
+        self.groups = None
+        self.cores = {}
         self.truths = {}
 
     def truth(self, signs):
@@ -185,28 +190,120 @@ class FiberPlan:
             t = self.truths[key] = eval_signs(self.indexed, key.__getitem__)
         return t
 
+    def _compile(self):
+        """groups: (rows, K, members) per X1-part.  rows are the primitive
+        X1-part's rows in Y1, of one width, with the last nonzero entry of
+        the top row positive; K is its core when no row has Y1, else None;
+        members are (k, f, row0, d0): atom k's X1-part is f * rows and
+        its constant row is row0, of Y1-degree d0."""
+        tables = [_int_table(p) for p in self.polys]
+        self.y_degree = max((len(t[0]) for t in tables), default=1) - 1
+        groups = {}
+        for k, (row0, *part) in enumerate(tables):
+            while len(row0) > 1 and row0[-1] == 0:
+                row0.pop()
+            f, K = 0, None
+            if part:
+                width = 1 + max(j for row in part for j, v in enumerate(row) if v)
+                f = gcd(*(v for row in part for v in row))
+                if next(v for v in reversed(part[-1]) if v) < 0:
+                    f = -f
+                part = [tuple(v // f for v in row[:width]) for row in part]
+                if width == 1:
+                    K = (0,) + tuple(row[0] for row in part)
+            group = groups.get(key := tuple(part))
+            if group is None:
+                group = groups[key] = (key, K, [])
+                if K is not None:
+                    self.cores[K] = None
+            group[2].append((k, f, tuple(row0), len(row0) - 1))
+        self.groups = list(groups.values())
+
+    def split_at(self, y):
+        """The atoms at Y1 = y as (signs, cores).  signs[k] is atom k's
+        sign as X1 -> -oo, so its sign where it is constant in X1.  cores
+        maps each core K (integers, K[0] = 0, primitive, positive lead)
+        to {T: atoms}, with atom k under T = (num, den), in lowest terms
+        and den > 0, when it is lead * (K - num/den) for a rational lead.
+        Each group's X1-part is evaluated once, then each atom's constant
+        row, and one gcd per atom reduces T."""
+        if self.groups is None:
+            self._compile()
+        a, b = y.numerator, y.denominator
+        bp = [b ** d for d in range(self.y_degree + 1)]
+        # weights[d][j] = a^j * b^(d - j), so that b^d * row(y) is
+        # sum(map(mul, row, weights[d])) for a row of Y1-degree d
+        weights = [[a ** j * bp[d - j] for j in range(d + 1)]
+                   for d in range(self.y_degree + 1)]
+
+        signs = [0] * len(self.polys)
+        cores = {}
+        for rows, K, members in self.groups:
+            g = bD = 1
+            if K is None and rows:  # the X1-part has Y1
+                D = len(rows[0]) - 1
+                raw = [0] + [sum(map(mul, row, weights[D])) for row in rows]
+                while raw[-1] == 0 and len(raw) > 1:
+                    raw.pop()
+                if len(raw) > 1:
+                    g = gcd(*raw) if raw[-1] > 0 else -gcd(*raw)
+                    K = tuple(v // g for v in raw)
+                    bD = bp[D]
+            if K is None:  # constant in X1 at y
+                for k, _, row0, d0 in members:
+                    c = sum(map(mul, row0, weights[d0]))
+                    signs[k] = (c > 0) - (c < 0)
+                continue
+            by_t = cores.setdefault(K, {})
+            at_minus_oo = 1 if len(K) % 2 else -1  # (-1)^degree
+            for k, f, row0, d0 in members:
+                # b^(D + d0) times atom k at y is A * K + B, with D the
+                # Y1-degree of rows (0 when free of Y1)
+                A = f * g * bp[d0]
+                B = sum(map(mul, row0, weights[d0])) * bD
+                h = gcd(A, B)
+                if A > 0:
+                    T = (-B // h, A // h)
+                    signs[k] = at_minus_oo
+                else:
+                    T = (B // h, -A // h)
+                    signs[k] = -at_minus_oo
+                atoms = by_t.get(T)
+                if atoms is None:
+                    by_t[T] = [k]
+                else:
+                    atoms.append(k)
+        return signs, cores
+
     def coeffs_at(self, y):
         """Per atom, its coefficients in X1 at Y1 = y as primitive integers
         scaled by a positive factor, so signs agree everywhere: the
         nonzero constants become [1] or [-1], the zero polynomial []."""
-        if self.tables is None:
-            self.tables = [_int_table(p) for p in self.polys]
-        a, b = y.numerator, y.denominator
-        weights = {}
-        out = []
-        for rows in self.tables:
-            d = len(rows[0]) - 1
-            w = weights.get(d)
-            if w is None:  # a^j * b^(d - j): row j of b^d * t(y)
-                w = weights[d] = [a ** j * b ** (d - j) for j in range(d + 1)]
-            c = [sum(map(mul, row, w)) for row in rows]
-            while c and c[-1] == 0:
-                c.pop()
-            if c:
-                g = gcd(*c)
-                c = [v // g for v in c]
-            out.append(c)
+        signs, cores = self.split_at(y)
+        out = [[s] if s else [] for s in signs]
+        for K, by_t in cores.items():
+            odd = len(K) % 2 == 0
+            for T, atoms in by_t.items():
+                P = _threshold_poly(K, T)
+                for k in atoms:
+                    out[k] = P if (signs[k] < 0) == odd else [-v for v in P]
         return out
+
+    def core(self, K):
+        """The _Core of K: made once per plan when K is the core of an
+        X1-part free of Y1, else made anew."""
+        c = self.cores.get(K)
+        if c is None:
+            c = _Core(list(K))
+            if K in self.cores:
+                self.cores[K] = c
+        return c
+
+
+def _threshold_poly(K, T):
+    """den * K - num, for the threshold T = (num, den)."""
+    num, den = T
+    return [-num] + [den * v for v in K[1:]]
 
 
 def _int_table(p):
@@ -405,28 +502,18 @@ def _compare(x, y):
             y.cut(t)
 
 
-def _fiber_roots(coeffs):
-    """Every real root of the nonconstant atom polynomials (integer
-    coefficients per atom), sorted, as a list of events: the _Root objects
-    (one per core) at that point.  Each atom polynomial is written as
-    lead * (core - T) with T rational; the cores' sorted root lists are
-    merged, comparing only roots of distinct cores."""
-    by_core = {}
-    for k, c in enumerate(coeffs):
-        if len(c) < 2:
-            continue
-        s = 1 if c[-1] > 0 else -1
-        g = gcd(*c[1:])
-        K = (0,) + tuple(s * v // g for v in c[1:])
-        # T = -s*c[0]/g in lowest terms, since c is primitive
-        entry = by_core.setdefault(K, {}).setdefault(
-            (-s * c[0], g), ([s * v for v in c], []))
-        entry[1].append(k)
+def _fiber_roots(plan, cores):
+    """Every real root of the nonconstant atoms of `plan` at a sample,
+    given as the `cores` that `FiberPlan.split_at` returns, sorted, as a
+    list of events: the _Root objects (one per core) at that point.  The
+    cores' sorted root lists are merged, comparing only roots of
+    distinct cores."""
     crossings = []
-    for K, by_t in by_core.items():
-        L = lcm(*(g for _, g in by_t))
+    for K, by_t in cores.items():
+        L = lcm(*(den for _, den in by_t))
         ts = sorted(by_t, key=lambda t: t[0] * (L // t[1]))
-        crossings.append(_Core(list(K)).crossings([by_t[t] for t in ts]))
+        crossings.append(plan.core(K).crossings(
+            [(_threshold_poly(K, t), by_t[t]) for t in ts]))
     merged = heapq.merge(*crossings, key=cmp_to_key(_compare))
     events = []
     for r in merged:
@@ -453,13 +540,10 @@ def fiber_b0(formula, y, m: int) -> FiberReport:
         raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
     y = Q(y)
     plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
-    coeffs = plan.coeffs_at(y)
-    # sign at -oo: lead sign times (-1)^degree
-    signs = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1) if c else 0
-             for c in coeffs]
+    signs, cores = plan.split_at(y)
     # alternating sequence: open piece, root, open piece, ..., open piece
     truths = [plan.truth(signs)]
-    for event in _fiber_roots(coeffs):
+    for event in _fiber_roots(plan, cores):
         at_root = list(signs)
         for r in event:
             for k in r.atoms:

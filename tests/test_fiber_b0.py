@@ -139,6 +139,16 @@ def test_fiber_b0_matches_golden_corpus():
     # one atom written twice, up to a negative or scaled factor
     ("(X1 - 1/3 >= 0) and (1 - 3*X1 >= 0)", 0, 1),
     ("(X1 - 1/3 > 0) or (2 - 6*X1 > 0)", 0, 2),
+    # X1 and Y1*X1 meet in the core X1 at y = 2: one root at 1/2 for both
+    ("(X1 - 1/2 >= 0) and (Y1*X1 - 1 <= 0)", 2, 1),
+    ("(X1 - 1/2 > 0) or (Y1*X1 - 1 < 0)", 2, 2),
+    # the lead of (Y1 - 1)*X1^2 + X1 vanishes at y = 1: the core is X1
+    ("((Y1 - 1)*X1^2 + X1 - 1 > 0) and (X1 - 2 < 0)", 1, 1),
+    ("((Y1 - 1)*X1^2 + X1 - 1 >= 0) and (3 - 3*X1 >= 0)", 1, 1),
+    # the X1-part of Y1*X1^2 - 2*Y1*X1 vanishes at y = 0: a constant
+    ("(Y1*X1^2 - 2*Y1*X1 + 1 > 0) and (X1^2 - 1 < 0)", 0, 1),
+    ("(Y1*X1^2 - 2*Y1*X1 - 1 > 0) or (X1^2 - 1 < 0)", 0, 1),
+    ("(Y1*X1^2 - 2*Y1*X1 = 0) and (X1^2 - 2*X1 - 3 = 0)", 0, 2),
 ])
 def test_roots_shared_across_cores_are_one_point(text, y, b0):
     assert fiber_b0(parse_formula(text, R), Q(y), 1).b0 == b0
@@ -405,3 +415,93 @@ def test_core_is_made_square_free_only_at_a_multiple_real_critical_point(
             if rel != "=":  # a grid misses irrational isolated points
                 assert b0 == grid_b0(atom, Q(0), Q(1, 256), box_radius=4), (t, rel)
     assert len(calls) == square_free_calls * len(thresholds) * len(RELATIONS)
+
+
+# -- atoms grouped by their X1-part -----------------------------------
+
+# X1-parts as (alpha, beta) in Y1: the part alpha * X1^2 + beta * X1.
+# Each atom is r * (part(X1) - part(x0)), so its roots at Y1 = y are x0
+# and, where alpha(y) != 0, -x0 - beta(y) / alpha(y).  At every sample
+# in _GROUP_YS that ratio is a multiple of 1/4, so with x0 a multiple of
+# 1/4 every root is one, and a grid of pitch 1/8 sees every piece of the
+# sweep.  Y1 - 1 vanishes at y = 1 (a vanished lead, or a vanished
+# X1-part), Y1 at y = 0; X1 and Y1 * X1 meet in the core X1, X1^2 and
+# (Y1 - 1) * X1^2 in X1^2, X1^2 - 2*X1 and its Y1 multiple in one core.
+_GROUP_PARTS = (
+    ("0", "1"), ("0", "Y1"), ("1", "0"), ("Y1 - 1", "0"), ("Y1 - 1", "1"),
+    ("1", "-2"), ("Y1", "-2*Y1"), ("Y1 - 1", "Y1 - 1"),
+)
+_GROUP_YS = (Q(0), Q(1), Q(2), Q(-1), Q(1, 2), Q(3), Q(5))
+_x0 = st.builds(lambda n: Q(n, 4), st.integers(-8, 8))
+_factor_q = st.sampled_from((Q(1), Q(-1), Q(3), Q(-2), Q(1, 2), Q(-1, 3), Q(1, 64), Q(-3, 64)))
+
+
+def _group_atom(part, r, x0, w, rel):
+    """r * (part(X1) - part(x0)) + w * prod(Y1 - y) over the samples y at
+    which part's X1-part does not vanish: so where it vanishes, the atom
+    is the constant it has there, and elsewhere w adds nothing."""
+    alpha, beta = (parse_polynomial(c, R) for c in part)
+    X = Polynomial.variable(R, 0)
+    poly = (alpha * (X * X - x0 * x0) + beta * (X - x0)) * r
+    gone = [y for y in _GROUP_YS
+            if alpha.substitute({1: y}).is_zero() and beta.substitute({1: y}).is_zero()]
+    if gone:
+        tail = Polynomial.constant(R, w)
+        for y in _GROUP_YS:
+            if y not in gone:
+                tail = tail * (Polynomial.variable(R, 1) - y)
+        poly = poly + tail
+    return Atom(poly, rel)
+
+
+_group_atoms = st.lists(
+    st.builds(_group_atom, st.sampled_from(_GROUP_PARTS), _factor_q, _x0,
+              st.sampled_from((0, 1, -2)), st.sampled_from(RELATIONS)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(atoms=_group_atoms, shape=st.randoms(use_true_random=False),
+       ys=st.lists(st.sampled_from(_GROUP_YS), min_size=1, max_size=8))
+def test_grouped_atoms_one_plan_matches_fresh_plans_and_grid(atoms, shape, ys):
+    """Atoms that share X1-parts up to rational factors of either sign,
+    at samples where a lead or a whole X1-part vanishes and where two
+    groups meet in one core: one plan over every sample gives the b0 of
+    a fresh plan per sample, and the grid's b0 when no atom is an
+    equation.  The plan's coefficients are those of substitution."""
+    formula = _tree(shape, atoms)
+    plan = FiberPlan(formula)
+    exact = any(a.rel == "=" for a in atoms)
+    for y in ys:
+        assert plan.coeffs_at(y) == [
+            primitive_signed([c.constant_value()
+                              for c in p.substitute({1: y}).coeffs_in(0)])
+            for p in plan.polys], y
+        b0 = fiber_b0(plan, y, 1).b0
+        assert b0 == fiber_b0(FiberPlan(formula), y, 1).b0, y
+        if not exact:
+            assert b0 == grid_b0(plan, y, Q(1, 8), box_radius=8), y
+
+
+def test_plan_keeps_the_cores_free_of_y1_and_only_those(monkeypatch):
+    """A plan isolates the critical points of a core whose X1-part has no
+    Y1 once for all of its fibers, of a core whose X1-part has Y1 once
+    per fiber, and a new plan starts with none."""
+    calls = _counting(monkeypatch, "isolate_int_roots")
+    ys = [Q(k, 3) for k in range(1, 7)]
+    # cores X1^2 (twice, up to -1/2), X1 (three atoms) and X1^3 - 3*X1
+    free = parse_formula(
+        "((X1^2 - Y1 < 0) and (X1 - 1 > 0)) or ((1 - X1^2/2 + Y1 >= 0)"
+        " and (2*X1 - Y1 - 2 <= 0) and (X1^3 - 3*X1 + Y1 > 0)) or (X1 + 1/64 = 0)", R)
+    plan = FiberPlan(free)
+    b0s = [fiber_b0(plan, y, 1).b0 for y in ys]
+    assert len(calls) == 3
+    assert [fiber_b0(FiberPlan(free), y, 1).b0 for y in ys] == b0s
+    assert len(calls) == 3 + 3 * len(ys)
+    calls.clear()
+    # the core of Y1*X1^2 + X1 changes with y, and is made again when a
+    # sample comes back
+    plan = FiberPlan(parse_formula("(Y1*X1^2 + X1 - 1 < 0) or (X1^2 - 4 = 0)", R))
+    for y in ys + ys:
+        fiber_b0(plan, y, 1)
+    assert len(calls) == 1 + 2 * len(ys)
