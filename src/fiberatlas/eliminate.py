@@ -3,7 +3,9 @@
 The exact pipeline is restricted to one parameter variable and at most
 three fiber variables.  `atlas.run_atlas` refuses n != 1 before any run,
 so every eliminant here is univariate in Y1 and is kept as a primitive
-integer coefficient list.  Iterated resultants eliminate X1 upward;
+integer coefficient list.  The polynomials of the systems enter as
+primitive integer term tables, and no Fraction is formed before the
+DiscriminantSet.  Iterated resultants eliminate X1 upward;
 dropping a constraint only enlarges the projection, so the output is a
 superset description: extra roots split cells but never merge distinct
 fiber types.
@@ -16,13 +18,16 @@ from fractions import Fraction
 from .critical import CriticalSystem
 from .polycore import (
     Ring,
-    int_coeffs,
+    integer_table,
     isolate_basis_roots,
-    resultant,
+    primitive_table,
     ugcd_int,
+    univariate_coeffs,
     univariate_to_poly,
     usquarefree_int,
 )
+# called by this name, which benchmark/tracing.py times
+from .polycore import integer_resultant as resultant
 
 
 class DegenerateEliminationError(ValueError):
@@ -40,52 +45,60 @@ class DiscriminantSet:
     roots: tuple  # (lo, hi, defining index), Fraction ends, sorted, disjoint
 
 
-def _eliminate_vars(polys, m: int):
-    """Eliminate X1..Xm from a polynomial system by iterated resultants.
+def _eliminate_vars(polys, m: int, tables=None):
+    """Eliminate X1..Xm from a polynomial system by iterated resultants
+    of integer term tables.
 
-    Returns the residual polynomials in the Y variables only.  A variable
-    carried by a single system member is eliminated by dropping that
-    member (superset semantics).
+    `tables` maps id(p) to the primitive integer term table of p and is
+    filled as polys are converted, so a polynomial that several systems
+    share is converted once.  Returns the residuals in the Y variables
+    only, as primitive integer term tables.  A variable carried by a
+    single system member is eliminated by dropping that member (superset
+    semantics).
     """
-    current = [p for p in polys if not p.is_zero()]
+    if tables is None:
+        tables = {}
+    current = []
+    for p in polys:
+        t = tables.get(id(p))
+        if t is None:
+            t = tables[id(p)] = integer_table(p)
+        if t:
+            current.append(t)
     for var in range(m):
-        holding = [p for p in current if p.degree_in(var) > 0]
-        rest = [p for p in current if p.degree_in(var) == 0]
-        if not holding:
+        degrees = [max((mono[var] for mono in t), default=0) for t in current]
+        holding = [(d, t) for d, t in zip(degrees, current) if d]
+        rest = [t for d, t in zip(degrees, current) if not d]
+        if len(holding) < 2:
             current = rest
             continue
-        if len(holding) == 1:
-            current = rest
-            continue
-        pivot = min(holding, key=lambda p: p.degree_in(var))
-        current = rest + [
-            resultant(pivot, p, var) for p in holding if p is not pivot
-        ]
+        _, pivot = min(holding, key=lambda dt: dt[0])
+        current = rest + [primitive_table(resultant(pivot, t, var))
+                          for _, t in holding if t is not pivot]
     return current
 
 
 def _combine_residuals(residuals):
-    """Reduce the residual Y1-polynomials to one primitive integer
+    """Reduce the residual Y1 term tables to one primitive integer
     coefficient list by univariate gcd.
 
     Returns None for an inconsistent system (a nonzero-constant residual
     or a constant gcd) and raises if everything vanished identically.
     """
-    nonzero = [p for p in residuals if not p.is_zero()]
+    nonzero = [t for t in residuals if t]
     if not nonzero:
         raise DegenerateEliminationError("all eliminants vanish identically")
-    for p in nonzero:
-        if p.is_constant():
-            return None
-    g = int_coeffs(nonzero[0])
-    for p in nonzero[1:]:
-        g = ugcd_int(g, int_coeffs(p))
+    if any(not any(map(any, t)) for t in nonzero):  # a nonzero constant
+        return None
+    g = univariate_coeffs(nonzero[0])
+    for t in nonzero[1:]:
+        g = ugcd_int(g, univariate_coeffs(t))
         if len(g) == 1:
             return None
     return g
 
 
-def project_system(cs: CriticalSystem, m: int):
+def project_system(cs: CriticalSystem, m: int, tables=None):
     """Eliminants in Y1, as integer coefficient lists, whose roots
     contain the projection of the system's solution set: [] or [g].
 
@@ -93,14 +106,16 @@ def project_system(cs: CriticalSystem, m: int):
     Jacobian minor as one system, since the Jacobian is rank-deficient
     where all of its minors vanish.  A nonzero-constant minor makes that
     conjunction empty; an identically zero minor is trivially satisfied
-    and dropped.
+    and dropped.  `tables` is _eliminate_vars' record of converted
+    polynomials, shared by the systems of one assemble_G call.
     """
     if m > 3:
         raise UnsupportedModeError("exact projection requires m <= 3")
     minors = [q for q in cs.minors if not q.is_zero()]
     if any(q.is_constant() for q in minors):
         return []
-    combined = _combine_residuals(_eliminate_vars(list(cs.active) + minors, m))
+    combined = _combine_residuals(
+        _eliminate_vars((*cs.active, *minors), m, tables))
     return [] if combined is None else [combined]
 
 
@@ -109,8 +124,10 @@ def assemble_G(systems, ring: Ring, m: int) -> DiscriminantSet:
     isolated, sorted, with intervals refined until pairwise disjoint.
     Each root is attributed to the first defining polynomial vanishing
     there."""
+    tables = {}  # members are shared by many systems: convert each once
     basis = [list(p) for p in dict.fromkeys(
-        tuple(usquarefree_int(g)) for cs in systems for g in project_system(cs, m))]
+        tuple(usquarefree_int(g)) for cs in systems
+        for g in project_system(cs, m, tables))]
     roots = isolate_basis_roots(basis)
     return DiscriminantSet(tuple(univariate_to_poly(ring, m, p) for p in basis),
                            tuple((Fraction(*lo), Fraction(*hi), k)

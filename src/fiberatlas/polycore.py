@@ -127,15 +127,6 @@ class Polynomial:
             return 0
         return max(mono[var] for mono in self.terms)
 
-    def variables(self):
-        """Indices of variables actually occurring."""
-        used = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
-        return sorted(used)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other):
@@ -591,10 +582,9 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
 
     When one argument is constant in `var`, returns that argument raised to
     the other's degree (res(f, g) = g^deg_var(f) for deg_var(g) = 0).
-    Otherwise both are scaled to primitive integer polynomials, using
-    res(a*f, b*g) = a^dg * b^df * res(f, g), and the integer resultant is
-    found by evaluation and interpolation, or by one Kronecker
-    substitution where that is small (_resultant_int).
+    Otherwise it is res(a*f', b*g') = a^dg * b^df * res(f', g'), with f'
+    and g' the primitive integer term tables of f and g (integer_table)
+    and res(f', g') from the integer kernel (integer_resultant).
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -609,15 +599,44 @@ def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
     a, fi = _integer_terms(f)
     b, gi = _integer_terms(g)
     scale = a ** dg * b ** df
-    ys = sorted({i for mono in (*fi, *gi) for i, e in enumerate(mono) if e and i != var})
-    res = _resultant_int(fi, gi, var, df, dg, ys)
+    res = integer_resultant(fi, gi, var)
     return Polynomial._of(f.ring, {mono: scale * c for mono, c in res.items()})
 
 
 def _integer_terms(f: Polynomial):
-    """(a, terms) with f = a * (the integer polynomial `terms`)."""
-    ints = _primitive_int(list(f.terms.values()))
-    return next(iter(f.terms.values())) / ints[0], dict(zip(f.terms, ints))
+    """(a, terms) with f = a * (the integer term table `terms`)."""
+    terms = integer_table(f)
+    mono, c = next(iter(f.terms.items()))
+    return c / terms[mono], terms
+
+
+def integer_table(f: Polynomial):
+    """The primitive integer term table of f, {monomial: int}: f scaled
+    by a positive rational, so its signs are kept; {} for zero."""
+    lcm = 1
+    for c in f.terms.values():
+        d = c.denominator
+        if d != 1:
+            lcm = lcm * d // _igcd(lcm, d)
+    return primitive_table({mono: c.numerator * (lcm // c.denominator)
+                            for mono, c in f.terms.items()})
+
+
+def primitive_table(t):
+    """The integer term table t divided by the gcd of its coefficients."""
+    g = _igcd(*t.values())
+    return t if g == 1 else {mono: c // g for mono, c in t.items()}
+
+
+def integer_resultant(f, g, var):
+    """Resultant in `var` of integer term tables f and g of positive
+    degree in `var`, as an integer term table: the packed/PRS kernel
+    _resultant_int taken with their true degrees and the other variables
+    they hold."""
+    df = max(mono[var] for mono in f)
+    dg = max(mono[var] for mono in g)
+    ys = sorted({i for mono in (*f, *g) for i, e in enumerate(mono) if e and i != var})
+    return _resultant_int(f, g, var, df, dg, ys)
 
 
 def _resultant_int(f, g, var, df, dg, ys):
@@ -1161,12 +1180,18 @@ def int_coeffs(f: Polynomial):
     """Primitive integer coefficient list of a univariate f, in ascending
     degree: [1] for a nonzero constant, [] for zero.  Raises if f
     involves more than one variable."""
-    used = f.variables()
+    return univariate_coeffs(f.terms)
+
+
+def univariate_coeffs(terms):
+    """int_coeffs of a term table {monomial: coefficient}, integer or
+    rational."""
+    used = {i for mono in terms for i, e in enumerate(mono) if e}
     if len(used) > 1:
         raise ValueError("polynomial is not univariate")
-    var = used[0] if used else 0
-    coeffs = [0] * (f.degree_in(var) + 1)
-    for mono, c in f.terms.items():
+    var = used.pop() if used else 0
+    coeffs = [0] * (max((mono[var] for mono in terms), default=0) + 1)
+    for mono, c in terms.items():
         coeffs[mono[var]] = c
     return _primitive_int(coeffs)
 

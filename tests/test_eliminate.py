@@ -1,9 +1,11 @@
 """Projection to the parameter line and discriminant assembly."""
+import random
 from fractions import Fraction as Q
 
 import pytest
 from conftest import BUNDLED
 
+from fiberatlas import eliminate, polycore
 from fiberatlas.critical import CriticalSystem, enumerate_strata, systems_for_strata
 from fiberatlas.eliminate import (
     DegenerateEliminationError,
@@ -14,7 +16,16 @@ from fiberatlas.eliminate import (
     project_system,
 )
 from fiberatlas.perturb import build_ladder, construct_S_prime
-from fiberatlas.polycore import Ring, parse_polynomial, sign_int_at
+from fiberatlas.polycore import (
+    Polynomial,
+    Ring,
+    int_coeffs,
+    integer_table,
+    parse_polynomial,
+    resultant,
+    sign_int_at,
+    univariate_coeffs,
+)
 from fiberatlas.semialg import SignCondition, atoms_of
 
 R = Ring(1, 1)
@@ -36,21 +47,27 @@ def _quadric_systems(delta=Q(1, 64)):
     return systems_for_strata(strata, 1), base[0].ring
 
 
+def T(text):
+    """The primitive integer term table of a polynomial text."""
+    return integer_table(P(text))
+
+
 def test_eliminate_vars_resultant_path():
+    # 2*X1 enters as X1: res(X1^2 + Y1 - 1, X1) = Y1 - 1 needs no scale
     polys = [P("X1^2 + Y1 - 1"), P("2*X1")]
     residuals = _eliminate_vars(polys, 1)
-    assert len(residuals) == 1
-    assert residuals[0] == P("4*Y1 - 4")
+    assert residuals == [{(0, 1): 1, (0, 0): -1}]
+    assert residuals == [T("4*Y1 - 4")]
 
 
 def test_eliminate_single_holder_dropped():
     # only one polynomial carries X1: dropping it keeps a superset
     residuals = _eliminate_vars([P("X1^2 + Y1"), P("Y1 - 2")], 1)
-    assert residuals == [P("Y1 - 2")]
+    assert residuals == [T("Y1 - 2")]
 
 
 def test_combine_residuals_gcd():
-    residuals = [P("(Y1 - 1)*(Y1 - 2)"), P("(Y1 - 1)*(Y1 + 3)")]
+    residuals = [T("(Y1 - 1)*(Y1 - 2)"), T("(Y1 - 1)*(Y1 + 3)")]
     combined = _combine_residuals(residuals)
     assert combined is not None
     assert sign_int_at(combined, (1, 1)) == 0
@@ -58,13 +75,13 @@ def test_combine_residuals_gcd():
 
 
 def test_combine_residuals_inconsistent():
-    assert _combine_residuals([P("3")]) is None
-    assert _combine_residuals([P("Y1 - 1"), P("Y1 - 2")]) is None
+    assert _combine_residuals([T("3")]) is None
+    assert _combine_residuals([T("Y1 - 1"), T("Y1 - 2")]) is None
 
 
 def test_combine_residuals_degenerate_raises():
     with pytest.raises(DegenerateEliminationError):
-        _combine_residuals([P("0")])
+        _combine_residuals([T("0")])
 
 
 def test_project_quadric_critical_value():
@@ -184,3 +201,125 @@ def test_circle_systems_project_to_its_critical_values():
                 if sign_int_at(p, y) == 0:
                     roots.add(y)
     assert roots == {(63, 64), (65, 64)}
+
+
+def _polynomial_elimination(polys, m):
+    """The elimination over Polynomials: `resultant` of the members
+    themselves, as _eliminate_vars took it before its integer tables."""
+    current = [p for p in polys if not p.is_zero()]
+    for var in range(m):
+        holding = [p for p in current if p.degree_in(var) > 0]
+        current = [p for p in current if p.degree_in(var) == 0]
+        if len(holding) > 1:
+            pivot = min(holding, key=lambda p: p.degree_in(var))
+            current += [resultant(pivot, p, var) for p in holding if p is not pivot]
+    return current
+
+
+def _random_system(rng, m, count, terms, top):
+    """`count` members in X1..Xm, Y1 with `terms` random terms of
+    exponents up to `top` and coefficients in [-9, 9]/64^(0..2)."""
+    ring = Ring(m, 1)
+    polys = []
+    while len(polys) < count:
+        p = Polynomial(ring, {
+            tuple(rng.randint(0, top) for _ in range(m + 1)):
+            Q(rng.randint(-9, 9), 64 ** rng.randint(0, 2)) for _ in range(terms)})
+        if not p.is_zero():
+            polys.append(p)
+    return polys
+
+
+def _wide_pair(rng, bits):
+    """A pair in X1, Y1 with `bits`-bit coefficients: degree 4 and 3 in
+    X1 and 3 in Y1, so its packed size is above _PACK_CUTOFF."""
+    def member(dx):
+        return Polynomial(R, {(i, j): Q(rng.randint(-(1 << bits), 1 << bits), 1 + rng.randint(0, 3))
+                              for i in range(dx + 1) for j in range(4)})
+    return [member(4), member(3)]
+
+
+# leading coefficients in X1 that vanish at the interpolation nodes Y1 = 0,
+# 1 and 2, with coefficients too wide for the pair to be packed
+VANISHING = (
+    f"Y1*(Y1 - 2)*X1^3 + {3 << 200}*Y1^2*X1 - {5 << 190}",
+    f"(Y1 - 1)*X1^2 - {7 << 210}*X1 + Y1^3 + {1 << 205}",
+)
+
+
+def _systems():
+    rng = random.Random(26)
+    out = []
+    for m, count, terms, top in ((1, 3, 5, 3), (2, 3, 5, 2), (3, 4, 4, 1)):
+        out += [(_random_system(rng, m, count, terms, top), m) for _ in range(6)]
+    out += [(_wide_pair(rng, 300), 1) for _ in range(2)]
+    out.append(([P(t) for t in VANISHING], 1))
+    return out
+
+
+def test_integer_elimination_equals_the_polynomial_path(monkeypatch):
+    """Each residual of _eliminate_vars is the primitive part of the
+    resultants over Polynomials, on seeded m = 1, 2 and 3 systems.  They
+    take the packed leaf, the evaluation path above _PACK_CUTOFF and with
+    two variables left, and leaves whose formal leading coefficient
+    vanishes at an interpolation node."""
+    seen = {"packed": 0, "above cutoff": 0, "two left": 0, "vanishing": 0}
+    packed, interpolate, leaf = (polycore._resultant_packed, polycore._interpolate,
+                                 polycore._resultant_leaf)
+
+    def counted_packed(*args):
+        seen["packed"] += 1
+        return packed(*args)
+
+    def counted_interpolate(values, y):
+        # values hold another variable where two were left after `var`
+        two = any(any(mono) for v in values for mono in v)
+        seen["two left" if two else "above cutoff"] += 1
+        return interpolate(values, y)
+
+    def counted_leaf(f, g):
+        seen["vanishing"] += not f[-1] or not g[-1]
+        return leaf(f, g)
+
+    monkeypatch.setattr(polycore, "_resultant_packed", counted_packed)
+    monkeypatch.setattr(polycore, "_interpolate", counted_interpolate)
+    monkeypatch.setattr(polycore, "_resultant_leaf", counted_leaf)
+    compared = 0
+    for polys, m in _systems():
+        expected = [int_coeffs(r) for r in _polynomial_elimination(polys, m)]
+        assert [univariate_coeffs(t) for t in _eliminate_vars(polys, m)] == expected
+        compared += sum(len(p) > 1 for p in expected)
+    assert compared >= 10
+    assert all(seen.values()), seen
+
+
+def test_assemble_converts_each_member_once_and_forms_no_fraction(monkeypatch):
+    """assemble_G on a census-fiber family converts each distinct
+    polynomial of its systems to an integer term table once, and never
+    goes through the Fraction helpers of the Polynomial path."""
+    base = (P("X1^2 - 2*Y1"), P("X1 - 2"), P("X1 + 1"), P("X1 - Y1 - 1"))
+    systems = _systems_of(base, ((-1, -1, 1, -1),))
+    converted = []
+    convert = eliminate.integer_table
+
+    def counted(p):
+        converted.append(id(p))
+        return convert(p)
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction helper of the Polynomial path was called")
+
+    monkeypatch.setattr(eliminate, "integer_table", counted)
+    monkeypatch.setattr(polycore, "_integer_terms", forbidden)
+    monkeypatch.setattr(polycore, "int_coeffs", forbidden)
+    monkeypatch.setattr(eliminate, "int_coeffs", forbidden, raising=False)
+    G = assemble_G(systems, R, 1)
+    assert G.roots
+    expected = set()
+    for cs in systems:
+        minors = [q for q in cs.minors if not q.is_zero()]
+        if not any(q.is_constant() for q in minors):
+            expected.update(id(p) for p in (*cs.active, *minors))
+    assert len(converted) == len(set(converted)) == len(expected)
+    assert set(converted) == expected
+    assert len(systems) > 2 * len(expected) / 3  # members are shared
