@@ -4,8 +4,9 @@ The exact pipeline is restricted to one parameter variable and at most
 three fiber variables.  `atlas.run_atlas` refuses n != 1 before any run,
 so every eliminant here is univariate in Y1 and is kept as a primitive
 integer coefficient list.  The polynomials of the systems enter as
-primitive integer term tables, and no Fraction is formed before the
-DiscriminantSet.  Iterated resultants eliminate X1 upward;
+primitive integer term tables, each resultant is made primitive once
+and carried as that list to root isolation, and no Fraction is formed
+before the DiscriminantSet.  Iterated resultants eliminate X1 upward;
 dropping a constraint only enlarges the projection, so the output is a
 superset description: extra roots split cells but never merge distinct
 fiber types.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .critical import CriticalSystem
 from .polycore import (
@@ -21,10 +23,10 @@ from .polycore import (
     integer_table,
     isolate_basis_roots,
     primitive_table,
-    ugcd_int,
+    ugcd_primitive,
     univariate_coeffs,
     univariate_to_poly,
-    usquarefree_int,
+    usquarefree_primitive,
 )
 # called by this name, which benchmark/tracing.py times
 from .polycore import integer_resultant as resultant
@@ -41,8 +43,13 @@ class UnsupportedModeError(ValueError):
 
 @dataclass(frozen=True)
 class DiscriminantSet:
-    defining: tuple  # square-free univariate polynomials in Y1
-    roots: tuple  # (lo, hi, defining index), Fraction ends, sorted, disjoint
+    basis: tuple  # square-free primitive integer coefficient lists in Y1
+    roots: tuple  # (lo, hi, basis index), Fraction ends, sorted, disjoint
+    ring: Ring = None  # of `defining`, the basis as Polynomials, built when read
+
+    @cached_property
+    def defining(self):
+        return tuple(univariate_to_poly(self.ring, self.ring.m, p) for p in self.basis)
 
 
 def _eliminate_vars(polys, m: int, tables=None):
@@ -79,8 +86,9 @@ def _eliminate_vars(polys, m: int, tables=None):
 
 
 def _combine_residuals(residuals):
-    """Reduce the residual Y1 term tables to one primitive integer
-    coefficient list by univariate gcd.
+    """Reduce the residual term tables in Y1, each primitive already, to
+    one primitive integer coefficient list with positive lead by gcd;
+    a single residual is only laid out (univariate_coeffs).
 
     Returns None for an inconsistent system (a nonzero-constant residual
     or a constant gcd) and raises if everything vanished identically.
@@ -88,12 +96,11 @@ def _combine_residuals(residuals):
     nonzero = [t for t in residuals if t]
     if not nonzero:
         raise DegenerateEliminationError("all eliminants vanish identically")
-    if any(not any(map(any, t)) for t in nonzero):  # a nonzero constant
-        return None
-    g = univariate_coeffs(nonzero[0])
-    for t in nonzero[1:]:
-        g = ugcd_int(g, univariate_coeffs(t))
-        if len(g) == 1:
+    g = None
+    for t in nonzero:
+        p = univariate_coeffs(t)
+        g = p if g is None else ugcd_primitive(g, p)
+        if len(g) == 1:  # a nonzero constant residual or a constant gcd
             return None
     return g
 
@@ -122,13 +129,13 @@ def project_system(cs: CriticalSystem, m: int, tables=None):
 def assemble_G(systems, ring: Ring, m: int) -> DiscriminantSet:
     """Union of all projected root sets: square-freed, deduplicated,
     isolated, sorted, with intervals refined until pairwise disjoint.
-    Each root is attributed to the first defining polynomial vanishing
+    Each root is attributed to the first basis polynomial vanishing
     there."""
     tables = {}  # members are shared by many systems: convert each once
-    basis = [list(p) for p in dict.fromkeys(
-        tuple(usquarefree_int(g)) for cs in systems
-        for g in project_system(cs, m, tables))]
+    basis = list({tuple(p): p for p in (
+        usquarefree_primitive(g) for cs in systems
+        for g in project_system(cs, m, tables))}.values())
     roots = isolate_basis_roots(basis)
-    return DiscriminantSet(tuple(univariate_to_poly(ring, m, p) for p in basis),
-                           tuple((Fraction(*lo), Fraction(*hi), k)
-                                 for lo, hi, k in roots))
+    return DiscriminantSet(tuple(basis),
+                           tuple((Fraction(*lo), Fraction(*hi), k) for lo, hi, k in roots),
+                           ring)

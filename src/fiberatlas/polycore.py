@@ -206,6 +206,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if len(self.terms) == 1:  # c*x^e: one power of c, exponents times k
+            (mono, c), = self.terms.items()
+            return Polynomial._of(self.ring, {tuple(e * k for e in mono): c ** k})
         result = Polynomial.constant(self.ring, 1)
         base = self
         while k:
@@ -854,19 +857,12 @@ def _trim(p):
 
 
 def _primitive_int(coeffs):
-    """Clear denominators and content; positive leading coefficient.
-    A list of ints stays in integer arithmetic throughout."""
+    """The integer coefficient list without trailing zeros, divided by
+    its content and given a positive leading coefficient."""
     ints = _trim(list(coeffs))
     if not ints:
         return []
-    try:
-        g = _igcd(*ints)
-    except TypeError:  # math.gcd refuses Fractions: clear denominators
-        lcm = 1
-        for c in ints:
-            lcm = lcm * c.denominator // _igcd(lcm, c.denominator)
-        ints = [c.numerator * (lcm // c.denominator) for c in ints]
-        g = _igcd(*ints)
+    g = _igcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -947,11 +943,15 @@ def _coprime_mod_prime(a, b):
 
 
 def ugcd_int(a, b):
-    """Gcd of two integer coefficient lists, primitive with positive lead.
-    [1] at once when Euclid modulo a prime shows them coprime, otherwise
-    the primitive pseudo-remainder sequence; no rational arithmetic."""
-    a = _primitive_int(a)
-    b = _primitive_int(b)
+    """Gcd of two integer coefficient lists, primitive with positive lead:
+    ugcd_primitive of their primitive parts."""
+    return ugcd_primitive(_primitive_int(a), _primitive_int(b))
+
+
+def ugcd_primitive(a, b):
+    """Gcd of two integer lists that are primitive with positive lead
+    already: [1] at once when Euclid modulo a prime shows them coprime,
+    otherwise the primitive pseudo-remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
     if b and a[-1] % _PRIME and b[-1] % _PRIME and _coprime_mod_prime(a, b):
@@ -1180,46 +1180,38 @@ def int_coeffs(f: Polynomial):
     """Primitive integer coefficient list of a univariate f, in ascending
     degree: [1] for a nonzero constant, [] for zero.  Raises if f
     involves more than one variable."""
-    return univariate_coeffs(f.terms)
+    return univariate_coeffs(integer_table(f))
 
 
 def univariate_coeffs(terms):
-    """int_coeffs of a term table {monomial: coefficient}, integer or
-    rational."""
+    """int_coeffs of a primitive integer term table {monomial: int}, such
+    as integer_table and primitive_table give: the coefficient list with
+    its sign made positive at the lead, and no gcd taken."""
     used = {i for mono in terms for i, e in enumerate(mono) if e}
     if len(used) > 1:
         raise ValueError("polynomial is not univariate")
     var = used.pop() if used else 0
-    coeffs = [0] * (max((mono[var] for mono in terms), default=0) + 1)
+    coeffs = [0] * (max((mono[var] for mono in terms), default=-1) + 1)
     for mono, c in terms.items():
         coeffs[mono[var]] = c
-    return _primitive_int(coeffs)
-
-
-def primitive_signed(coeffs):
-    """Primitive integer coefficients scaled by a POSITIVE rational, so
-    sign evaluations agree with the input everywhere."""
-    p = _primitive_int(coeffs)
-    if not p:
-        return p
-    lead = next(c for c in reversed(list(coeffs)) if c != 0)
-    if lead < 0:
-        return [-c for c in p]
-    return p
+    return [-c for c in coeffs] if coeffs and coeffs[-1] < 0 else coeffs
 
 
 def usquarefree_int(coeffs):
     """Square-free part of an integer coefficient list, primitive with
     positive leading coefficient."""
-    p = _primitive_int(coeffs)
-    if len(p) <= 1:
+    return usquarefree_primitive(_primitive_int(coeffs))
+
+
+def usquarefree_primitive(p):
+    """usquarefree_int of a list already primitive with positive lead:
+    p itself at degree at most 1 or when Euclid modulo _PRIME shows p and
+    p' coprime (p' has lead deg(p) * p[-1], nonzero modulo _PRIME too),
+    with no gcd of coefficients; the gcd only when that test fails."""
+    if len(p) <= 2 or p[-1] % _PRIME and _coprime_mod_prime(p, _uderiv(p)):
         return p
     g = ugcd_int(p, _uderiv(p))
-    if g == [1]:
-        return p
-    q, r = _pseudo_divmod(p, g)
-    assert not r
-    return _primitive_int(q)
+    return p if g == [1] else udiv_exact_int(p, g)
 
 
 def udiv_exact_int(a, b):

@@ -1,5 +1,6 @@
 """Projection to the parameter line and discriminant assembly."""
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -323,3 +324,34 @@ def test_assemble_converts_each_member_once_and_forms_no_fraction(monkeypatch):
     assert len(converted) == len(set(converted)) == len(expected)
     assert set(converted) == expected
     assert len(systems) > 2 * len(expected) / 3  # members are shared
+
+
+def test_assemble_normalises_each_eliminant_once_and_builds_defining_on_request(monkeypatch):
+    """assemble_G on a census-fiber family makes each eliminant primitive
+    once, where its resultant is taken, and carries that list unchanged to
+    root isolation: no further primitive part, and no Polynomial until
+    `defining` is read, which is then the basis as Polynomials in Y1."""
+    base = (P("X1^2 - 2*Y1"), P("X1 - 2"), P("X1 + 1"), P("X1 - Y1 - 1"))
+    systems = _systems_of(base, ((-1, -1, 1, -1),))
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((eliminate, "resultant"), (eliminate, "primitive_table"),
+                         (polycore, "_primitive_int"), (eliminate, "univariate_to_poly")):
+        count(module, name)
+    G = assemble_G(systems, R, 1)
+    assert G.roots and calls["resultant"] > 0
+    assert calls["primitive_table"] == calls["resultant"]
+    assert calls["_primitive_int"] == calls["univariate_to_poly"] == 0
+    assert len(G.basis) > 1 and max(map(len, G.basis)) > 2  # degree 2 is tested
+    defining = G.defining
+    assert calls["univariate_to_poly"] == len(G.basis)
+    assert defining == tuple(polycore.univariate_to_poly(R, 1, p) for p in G.basis)
+    assert G.defining is defining

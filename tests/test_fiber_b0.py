@@ -16,6 +16,7 @@ from Sturm-Tarski queries over Fraction coefficients, which shares no
 code with fiber_b0.
 """
 import json
+import math
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -30,12 +31,25 @@ from fiberatlas.polycore import (
     Polynomial,
     Ring,
     parse_polynomial,
-    primitive_signed,
     univariate_to_poly,
 )
 from fiberatlas.semialg import RELATIONS, Atom, And, Or, formula_to_text, parse_formula
 
 R = Ring(1, 1)
+
+
+def primitive_signed(coeffs):
+    """coeffs without trailing zeros, scaled by the positive rational
+    that makes them coprime integers, so every sign is kept."""
+    coeffs = [Q(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fiber_b0.json"
 
 # cores (zero constant term) with thresholds of interest: critical

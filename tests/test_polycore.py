@@ -20,7 +20,6 @@ from fiberatlas.polycore import (
     isolate_basis_roots,
     isolate_int_roots,
     parse_polynomial,
-    primitive_signed,
     q_cmp,
     refine_interval,
     resultant,
@@ -29,6 +28,7 @@ from fiberatlas.polycore import (
     sign_int_at,
     ugcd_int,
     usquarefree_int,
+    usquarefree_primitive,
 )
 from fiberatlas.polycore import _resultant_leaf, _separate_intervals, _shift_by
 
@@ -108,6 +108,20 @@ def test_fast_path_and_public_constructor_agree():
     assert p.terms == q.terms
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+@pytest.mark.parametrize("text", ["X1", "-2", "5/7", "-3/4*X1^2*Y1", "X1*Y1^3", "0"])
+def test_one_term_power_equals_repeated_multiplication(text):
+    """A power of one term (c*x^e, taken as one power of c) equals the
+    product of k copies, with rational and negative coefficients, at
+    exponent 0, for a zero base and for a two-variable monomial."""
+    base = P(text)
+    product = Polynomial.constant(R11, 1)
+    for k in range(6):
+        power = base ** k
+        _assert_clean(power)
+        assert power.terms == product.terms and power == product
+        product = product * base
 
 
 def test_eval_matches_expansion():
@@ -513,14 +527,6 @@ def test_sign_int_at_matches_fraction_eval():
         assert sign_int_at(coeffs, _pair(x)) == (value > 0) - (value < 0)
 
 
-def test_primitive_signed_keeps_sign():
-    coeffs = [Q(-4, 6), Q(0), Q(2, 3)]
-    p = primitive_signed(coeffs)
-    for x in (Q(0), Q(2), Q(-2), Q(1, 2)):
-        value = sum(Q(c) * x ** k for k, c in enumerate(coeffs))
-        assert sign_int_at(p, _pair(x)) == (value > 0) - (value < 0)
-
-
 def test_square_free_part_removes_multiplicity():
     p = P("(X1 - 1)^3", Ring(1, 0)) * P("(X1 + 2)^2", Ring(1, 0))
     sf = usquarefree_int(int_coeffs(p))
@@ -653,6 +659,18 @@ def test_usquarefree_int_is_square_free():
     # a square-free primitive input comes back as it is
     assert usquarefree_int([-2, 0, 1]) == [-2, 0, 1]
     assert usquarefree_int([6, -4, -2]) == [-3, 2, 1]
+
+
+def test_usquarefree_primitive_tests_every_list_above_degree_one():
+    """A primitive list passes as the same object when it is square-free
+    or of degree at most 1; a repeated factor, real or not, is removed."""
+    for p in ([], [1], [-3, 2], [-2, 0, 1], [1, 0, 1, 0, 5]):
+        assert usquarefree_primitive(p) is p
+    x2_1, x_2 = P("X1^2 + 1", Ring(1, 0)), P("X1 - 2", Ring(1, 0))
+    for square, part in ((x2_1 ** 2 * x_2, x2_1 * x_2), (x_2 ** 2, x_2), (x_2 ** 3, x_2),
+                         (x2_1 ** 3 * x_2 ** 2 * P("3*X1 + 1", Ring(1, 0)),
+                          x2_1 * x_2 * P("3*X1 + 1", Ring(1, 0)))):
+        assert usquarefree_primitive(int_coeffs(square)) == int_coeffs(part)
 
 
 def _gcd_oracle(a, b):
