@@ -8,11 +8,9 @@ count and the multiset of component counts have stabilized.
 """
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
@@ -413,6 +411,9 @@ class _Core:
     def crossings(self, entries):
         """The real roots of K - T, sorted, as _Root objects, where
         `entries` lists (P, atom indices) by ascending distinct T."""
+        if not self.crit:  # K rises on the whole line: one root per T
+            return [_Root(P, atoms, *self._piece_interval(0, P), P, True)
+                    for P, atoms in entries]
         value_signs = []  # sign of K - T at -oo, at each critical point, at +oo
         for P, _ in entries:
             shared = []
@@ -423,13 +424,12 @@ class _Core:
         for j, up in enumerate(self.rising):
             on_piece = [e for e, v in zip(entries, value_signs) if v[j] * v[j + 1] < 0]
             for P, atoms in (on_piece if up else reversed(on_piece)):
-                out.append(_Root(self, P, atoms, *self._piece_interval(j, P), P, True))
+                out.append(_Root(P, atoms, *self._piece_interval(j, P), P, True))
             if j < len(self.crit):
                 flips = up == self.rising[j + 1]
                 for (P, atoms), v in zip(entries, value_signs):
                     if v[j + 1] == 0:
-                        out.append(_Root(self, P, atoms, self.crit[j], self.signs[j],
-                                         self.q, flips))
+                        out.append(_Root(P, atoms, self.crit[j], self.signs[j], self.q, flips))
         return out
 
 
@@ -456,10 +456,10 @@ class _Root:
     `refiner` nonzero at both ends and of sign `sign` at its left end,
     which no cut changes.  `flips` when the root has odd multiplicity."""
 
-    __slots__ = ("core", "P", "atoms", "iv", "sign", "refiner", "flips")
+    __slots__ = ("P", "atoms", "iv", "sign", "refiner", "flips")
 
-    def __init__(self, core, P, atoms, iv, sign, refiner, flips):
-        self.core, self.P, self.atoms = core, P, atoms
+    def __init__(self, P, atoms, iv, sign, refiner, flips):
+        self.P, self.atoms = P, atoms
         self.iv, self.sign, self.refiner, self.flips = iv, sign, refiner, flips
 
     def cut(self, t):
@@ -505,23 +505,29 @@ def _compare(x, y):
 def _fiber_roots(plan, cores):
     """Every real root of the nonconstant atoms of `plan` at a sample,
     given as the `cores` that `FiberPlan.split_at` returns, sorted, as a
-    list of events: the _Root objects (one per core) at that point.  The
-    cores' sorted root lists are merged, comparing only roots of
-    distinct cores."""
-    crossings = []
+    list of events: the _Root objects (one per core) at that point.
+    Each core's sorted roots are merged into the events of the cores
+    before it, one `_compare` per step, so only roots of distinct cores
+    are compared and no pair twice; a root equal to an event joins it."""
+    events = []
     for K, by_t in cores.items():
         L = lcm(*(den for _, den in by_t))
         ts = sorted(by_t, key=lambda t: t[0] * (L // t[1]))
-        crossings.append(plan.core(K).crossings(
-            [(_threshold_poly(K, t), by_t[t]) for t in ts]))
-    merged = heapq.merge(*crossings, key=cmp_to_key(_compare))
-    events = []
-    for r in merged:
-        if events and events[-1][0].core is not r.core \
-                and _compare(events[-1][0], r) == 0:
-            events[-1].append(r)
-        else:
-            events.append([r])
+        roots = plan.core(K).crossings([(_threshold_poly(K, t), by_t[t]) for t in ts])
+        merged = []
+        i = 0
+        for r in roots:
+            while i < len(events) and (c := _compare(events[i][0], r)) < 0:
+                merged.append(events[i])
+                i += 1
+            if i < len(events) and c == 0:
+                events[i].append(r)
+                merged.append(events[i])
+                i += 1
+            else:
+                merged.append([r])
+        merged += events[i:]
+        events = merged
     return events
 
 
@@ -533,8 +539,8 @@ def fiber_b0(formula, y, m: int) -> FiberReport:
     through the sorted real roots of the substituted atom polynomials.
     Every atom's sign is known at -oo; at a root its atoms are 0, and
     after it they change sign when the root has odd multiplicity.
-    Evaluate the formula on each open gap and at each root, count
-    maximal runs of true pieces.
+    Evaluate the formula on each open gap and at each root, in place on
+    one sign list, and count maximal runs of true pieces as they come.
     """
     if m != 1:
         raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
@@ -542,24 +548,18 @@ def fiber_b0(formula, y, m: int) -> FiberReport:
     plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
     signs, cores = plan.split_at(y)
     # alternating sequence: open piece, root, open piece, ..., open piece
-    truths = [plan.truth(signs)]
+    prev = plan.truth(signs)
+    b0 = int(prev)
     for event in _fiber_roots(plan, cores):
-        at_root = list(signs)
-        for r in event:
-            for k in r.atoms:
-                at_root[k] = 0
-        truths.append(plan.truth(at_root))
-        for r in event:
-            if r.flips:
-                for k in r.atoms:
-                    signs[k] = -signs[k]
-        truths.append(plan.truth(signs))
-    b0 = 0
-    prev = False
-    for t in truths:
-        if t and not prev:
-            b0 += 1
-        prev = t
+        cut = [(k, signs[k], r.flips) for r in event for k in r.atoms]
+        for k, _, _ in cut:
+            signs[k] = 0
+        at = plan.truth(signs)
+        for k, s, flips in cut:
+            signs[k] = -s if flips else s
+        after = plan.truth(signs)
+        b0 += (at and not prev) + (after and not at)
+        prev = after
     return FiberReport(y, b0, "exact-univariate")
 
 

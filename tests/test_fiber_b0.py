@@ -22,7 +22,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberatlas import atlas
@@ -519,3 +519,104 @@ def test_plan_keeps_the_cores_free_of_y1_and_only_those(monkeypatch):
     for y in ys + ys:
         fiber_b0(plan, y, 1)
     assert len(calls) == 1 + 2 * len(ys)
+
+
+# -- the merge of the cores' roots, and cores without critical points ---
+
+def test_merge_compares_each_pair_of_roots_at_most_once(monkeypatch):
+    """Cores X1, X1^2 and X1^3 + X1, whose roots meet at X1 = 1 over
+    y = 1 (X1 - 1, X1^2 - 1 and X1^3 + X1 - 2) and at X1 = 0 over y = 0.
+    Each core's roots are merged into the events of the cores before it
+    with at most one `_compare` per step of that merge, no pair of roots
+    is compared twice, and a shared root is one event."""
+    compare, fiber_roots = atlas._compare, atlas._fiber_roots
+    pairs, runs = [], []
+
+    def counted(x, y):
+        pairs.append(frozenset((id(x), id(y))))
+        return compare(x, y)
+
+    def recorded(plan, cores):
+        start = len(pairs)
+        events = fiber_roots(plan, cores)
+        # each atom's core by its place in `cores`; the runs keep every
+        # root alive, so no id is reused
+        core_of = {k: n for n, by_t in enumerate(cores.values())
+                   for atoms in by_t.values() for k in atoms}
+        runs.append((len(cores), core_of, events, pairs[start:]))
+        return events
+
+    monkeypatch.setattr(atlas, "_compare", counted)
+    monkeypatch.setattr(atlas, "_fiber_roots", recorded)
+    plan = FiberPlan(parse_formula(
+        "(X1 - Y1 >= 0) and ((X1^2 - Y1 <= 0) or (X1^3 + X1 - 2*Y1 = 0))", R))
+    ys = (Q(1), Q(0), Q(1, 2), Q(2), Q(-1))
+    assert [fiber_b0(plan, y, 1).b0 for y in ys] == [1, 1, 1, 0, 1]
+    for y, (n_cores, core_of, events, calls) in zip(ys, runs):
+        assert n_cores == 3, y
+        cores = [[core_of[r.atoms[0]] for r in e] for e in events]
+        steps = sum(sum(1 for c in cores if min(c) < n) + sum(c.count(n) for c in cores)
+                    for n in range(1, n_cores))
+        assert len(calls) <= steps, y
+        assert len(set(calls)) == len(calls), y
+        assert all(len(set(c)) == len(c) for c in cores), y
+    for y, x in ((Q(1), (1, 1)), (Q(0), (0, 1))):
+        events = runs[ys.index(y)][2]
+        shared = [e for e in events if any(r.iv[0] == r.iv[1] == x for r in e)]
+        assert len(shared) == 1 and len(shared[0]) == 3, y
+
+
+# Cores without a real critical point: X1, and X1^3 + X1 alone and
+# doubled (one X1-part up to the factor 2), beside X1^2 and X1^2 - 2*X1,
+# which have one.  Each atom is r * (K(X1) - K(x0 + s*Y1)), so Y1 is in
+# its constant row.  Over a sample y its roots are x0 + s*y and, for the
+# quadratic cores, that root's mirror image, and over every sample in
+# _MONO_YS all are multiples of 1/4: a grid of pitch 1/8 sees every
+# piece of the sweep.
+_MONO_CORES = ((0, 1), (0, 1, 0, 1), (0, 2, 0, 2))
+_CRIT_CORES = ((0, 0, 1), (0, -2, 1))
+_MONO_YS = (Q(0), Q(1), Q(-1), Q(2), Q(1, 2))
+
+
+def _core_atom(core, r, x0, s, rel):
+    X = Polynomial.variable(R, 0)
+    z = Polynomial.variable(R, 1) * s + x0
+    poly = Polynomial.constant(R, 0)
+    for i, c in enumerate(core):
+        if c:
+            poly = poly + (X ** i - z ** i) * c
+    return Atom(poly * r, rel)
+
+
+def _core_atoms(cores, max_size):
+    return st.lists(
+        st.builds(_core_atom, st.sampled_from(cores), _factor_q, _x0,
+                  st.sampled_from((Q(1), Q(-1), Q(-1, 2))), st.sampled_from(RELATIONS)),
+        min_size=1, max_size=max_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mono=_core_atoms(_MONO_CORES, 4), crit=_core_atoms(_CRIT_CORES, 2),
+       shape=st.randoms(use_true_random=False),
+       ys=st.lists(st.sampled_from(_MONO_YS), min_size=1, max_size=5))
+# over y = 1 the open interval of the root 1 of X1^3 + X1 - 2 meets the
+# point root of X1 - 1
+@example(mono=[_core_atom((0, 1), Q(1), Q(0), Q(1), ">="),
+               _core_atom((0, 1, 0, 1), Q(1), Q(0), Q(1), "<=")],
+         crit=[_core_atom((0, -2, 1), Q(1), Q(0), Q(1), ">")],
+         shape=random.Random(0), ys=[Q(1)])
+def test_cores_without_critical_points_one_plan_matches_fresh_plans_and_grid(
+        mono, crit, shape, ys):
+    """Atoms of cores that rise on the whole line, mixed with atoms of a
+    core with a critical point: one plan over every sample gives the b0
+    of a fresh plan per sample, and the grid's b0 when no atom is an
+    equation."""
+    atoms = mono + crit
+    formula = _tree(shape, atoms)
+    plan = FiberPlan(formula)
+    exact = any(a.rel == "=" for a in atoms)
+    for y in ys:
+        b0 = fiber_b0(plan, y, 1).b0
+        assert b0 == fiber_b0(FiberPlan(formula), y, 1).b0, y
+        if not exact:
+            assert b0 == grid_b0(plan, y, Q(1, 8), box_radius=8), y
