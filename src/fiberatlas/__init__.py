@@ -7,7 +7,6 @@ from .polycore import (
     Polynomial,
     Ring,
     RingMismatchError,
-    determinant,
     parse_polynomial,
     refine_interval,
     resultant,
@@ -32,13 +31,14 @@ from .perturb import (
     sigma_minus,
     sigma_plus,
 )
-from .critical import CriticalSystem, critical_system, enumerate_strata, systems_for_strata
 from .eliminate import (
     DegenerateEliminationError,
     DiscriminantSet,
     UnsupportedModeError,
     assemble_G,
+    enumerate_strata,
     project_system,
+    systems_for_strata,
 )
 from .atlas import (
     AtlasReport,

@@ -1,10 +1,11 @@
 """Cells of the parameter line, one exact sample per cell, and fiber
 invariants per sample.
 
-The pipeline: perturb the family, build critical systems per stratum,
-project them to the parameter line, cut the line at the projected roots,
-probe one fiber per cell.  A rerun at delta squared checks that the cell
-count and the multiset of component counts have stabilized.
+The pipeline: perturb the family, list the strata of one and two
+vanishing members, project each to the parameter line by one resultant
+in X1 (eliminate), cut the line at the projected roots, probe one fiber
+per cell.  A rerun at delta squared checks that the cell count and the
+multiset of component counts have stabilized.
 """
 from __future__ import annotations
 
@@ -14,12 +15,13 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 
-from .critical import enumerate_strata, systems_for_strata
 from .eliminate import (
     DegenerateEliminationError,
     DiscriminantSet,
     UnsupportedModeError,
     assemble_G,
+    enumerate_strata,
+    systems_for_strata,
 )
 from .perturb import build_ladder, construct_S_prime
 from .polycore import (
@@ -607,9 +609,9 @@ def _single_run(base, sigma_set, m, delta):
     closed = construct_S_prime(sigma_set, base, ladder)
     plan = FiberPlan(closed.formula)
     members = plan.polys
-    strata = enumerate_strata(members, base, m + 1) if members else []
-    systems = systems_for_strata(strata, m) if strata else []
-    G = assemble_G(systems, ring, m)
+    strata = enumerate_strata(members, base)
+    systems = systems_for_strata(strata, members)
+    G = assemble_G(systems, ring)
     cells = components_complement(G)
     fibers = [fiber_b0(plan, cell.sample, m) for cell in cells]
     return tuple(cells), tuple(fibers)

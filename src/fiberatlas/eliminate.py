@@ -1,15 +1,19 @@
-"""Projection of critical loci to the parameter line.
+"""Projection of the perturbed family to the parameter line.
 
-The exact pipeline is restricted to one parameter variable and at most
-three fiber variables.  `atlas.run_atlas` refuses n != 1 before any run,
-so every eliminant here is univariate in Y1 and is kept as a primitive
-integer coefficient list.  The polynomials of the systems enter as
-primitive integer term tables, each resultant is made primitive once
-and carried as that list to root isolation, and no Fraction is formed
-before the DiscriminantSet.  Iterated resultants eliminate X1 upward;
-dropping a constraint only enlarges the projection, so the output is a
-superset description: extra roots split cells but never merge distinct
-fiber types.
+`atlas.run_atlas` refuses any m or n other than 1 before a run, so the
+projection is the Collins projection in one fiber variable (Collins
+1975; Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 11).
+A stratum is the zero set of one or two members.  One member P gives
+the system (P, dP/dX1), whose X1-resultant is the discriminant times
+the leading coefficient; two members P, Q give their pair resultant.  A
+member free of X1 is kept as it is.
+
+Every eliminant is univariate in Y1 and is kept as a primitive integer
+coefficient list.  The members enter as primitive integer term tables,
+each resultant is made primitive once and carried as that list to root
+isolation, and no Fraction is formed before the DiscriminantSet.  The
+roots of the eliminants contain the projection of every stratum, so
+extra roots split cells but never merge distinct fiber types.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .critical import CriticalSystem
 from .polycore import (
     Ring,
     integer_table,
@@ -52,89 +55,85 @@ class DiscriminantSet:
         return tuple(univariate_to_poly(self.ring, self.ring.m, p) for p in self.basis)
 
 
-def _eliminate_vars(polys, m: int, tables=None):
-    """Eliminate X1..Xm from a polynomial system by iterated resultants
-    of integer term tables.
+def enumerate_strata(members, base):
+    """The zero sets of the strata of levels 1 and 2, as tuples of
+    indices into members, in increasing order of their sign vectors with
+    None (unconstrained) before 0: every (i,) and every (i, j) with
+    i < j, for i from the last member down, each (i,) followed by its
+    (i, j) for j from the last down.
 
-    `tables` maps id(p) to the primitive integer term table of p and is
-    filled as polys are converted, so a polynomial that several systems
-    share is converted once.  Returns the residuals in the Y variables
-    only, as primitive integer term tables.  A variable carried by a
-    single system member is eliminated by dropping that member (superset
-    semantics).
+    Two members that shift the same base polynomial by different
+    constants never vanish together, so no pair of them is listed.
     """
-    if tables is None:
-        tables = {}
-    current = []
-    for p in polys:
+    owner = [next((j for j, p in enumerate(base) if (q - p).is_constant()), None)
+             for q in members]
+    out = []
+    for i in reversed(range(len(members))):
+        out.append((i,))
+        out.extend((i, j) for j in reversed(range(i + 1, len(members)))
+                   if owner[i] is None or owner[i] != owner[j])
+    return out
+
+
+def systems_for_strata(strata, members):
+    """The pair of polynomials each stratum projects: (P, dP/dX1) for a
+    zero set {P}, (P, Q) for {P, Q}."""
+    out = []
+    for zeros in strata:
+        p = members[zeros[0]]
+        out.append((p, members[zeros[1]]) if len(zeros) == 2 else (p, p.derivative(0)))
+    return out
+
+
+def project_system(pair, tables):
+    """Eliminants in Y1, as integer coefficient lists, whose roots
+    contain the projection of the common zeros of the pair: [] or [g].
+
+    Two members of positive degree in X1 give one X1-resultant, taken
+    with the member of lower degree (the first on a tie) as pivot.
+    Otherwise the members free of X1 are kept and any other is dropped,
+    which only enlarges the projection.  The residuals are reduced by
+    gcd to one primitive list with positive lead; a nonzero-constant
+    residual or gcd makes the pair inconsistent, and [] is returned.
+    Raises DegenerateEliminationError when every residual vanishes
+    identically.  `tables` maps id(p) to the primitive integer term
+    table of p and is filled as the pair is converted, so a member that
+    several pairs share is converted once.
+    """
+    held = []
+    for p in pair:
         t = tables.get(id(p))
         if t is None:
             t = tables[id(p)] = integer_table(p)
         if t:
-            current.append(t)
-    for var in range(m):
-        degrees = [max((mono[var] for mono in t), default=0) for t in current]
-        holding = [(d, t) for d, t in zip(degrees, current) if d]
-        rest = [t for d, t in zip(degrees, current) if not d]
-        if len(holding) < 2:
-            current = rest
-            continue
-        _, pivot = min(holding, key=lambda dt: dt[0])
-        current = rest + [primitive_table(resultant(pivot, t, var))
-                          for _, t in holding if t is not pivot]
-    return current
-
-
-def _combine_residuals(residuals):
-    """Reduce the residual term tables in Y1, each primitive already, to
-    one primitive integer coefficient list with positive lead by gcd;
-    a single residual is only laid out (univariate_coeffs).
-
-    Returns None for an inconsistent system (a nonzero-constant residual
-    or a constant gcd) and raises if everything vanished identically.
-    """
-    nonzero = [t for t in residuals if t]
-    if not nonzero:
+            held.append(t)
+    residuals = [t for t in held if not any(mono[0] for mono in t)]
+    if not residuals and len(held) == 2:
+        f, g = held
+        if max(mono[0] for mono in g) < max(mono[0] for mono in f):
+            f, g = g, f
+        r = primitive_table(resultant(f, g, 0))
+        residuals = [r] if r else []
+    if not residuals:
         raise DegenerateEliminationError("all eliminants vanish identically")
     g = None
-    for t in nonzero:
+    for t in residuals:
         p = univariate_coeffs(t)
         g = p if g is None else ugcd_primitive(g, p)
         if len(g) == 1:  # a nonzero constant residual or a constant gcd
-            return None
-    return g
+            return []
+    return [g]
 
 
-def project_system(cs: CriticalSystem, m: int, tables=None):
-    """Eliminants in Y1, as integer coefficient lists, whose roots
-    contain the projection of the system's solution set: [] or [g].
-
-    X1..Xm are eliminated from the active equations and every nonzero
-    Jacobian minor as one system, since the Jacobian is rank-deficient
-    where all of its minors vanish.  A nonzero-constant minor makes that
-    conjunction empty; an identically zero minor is trivially satisfied
-    and dropped.  `tables` is _eliminate_vars' record of converted
-    polynomials, shared by the systems of one assemble_G call.
-    """
-    if m > 3:
-        raise UnsupportedModeError("exact projection requires m <= 3")
-    minors = [q for q in cs.minors if not q.is_zero()]
-    if any(q.is_constant() for q in minors):
-        return []
-    combined = _combine_residuals(
-        _eliminate_vars((*cs.active, *minors), m, tables))
-    return [] if combined is None else [combined]
-
-
-def assemble_G(systems, ring: Ring, m: int) -> DiscriminantSet:
+def assemble_G(systems, ring: Ring) -> DiscriminantSet:
     """Union of all projected root sets: square-freed, deduplicated,
     isolated, sorted, with intervals refined until pairwise disjoint.
     Each root is attributed to the first basis polynomial vanishing
     there."""
     tables = {}  # members are shared by many systems: convert each once
     basis = list({tuple(p): p for p in (
-        usquarefree_primitive(g) for cs in systems
-        for g in project_system(cs, m, tables))}.values())
+        usquarefree_primitive(g) for pair in systems
+        for g in project_system(pair, tables))}.values())
     roots = isolate_basis_roots(basis)
     return DiscriminantSet(tuple(basis),
                            tuple((Fraction(*lo), Fraction(*hi), k) for lo, hi, k in roots),

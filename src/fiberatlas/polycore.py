@@ -1,9 +1,9 @@
 """Exact arithmetic foundation.
 
-Sparse multivariate polynomials over the rationals, cofactor determinants,
-Sylvester resultants by Kronecker substitution or by integer evaluation
-and exact interpolation, and univariate real root isolation by
-Descartes'-rule bisection.  No floating point anywhere: every sign
+Sparse multivariate polynomials over the rationals, Sylvester
+resultants by Kronecker substitution or by integer evaluation and exact
+interpolation, and univariate real root isolation by Descartes'-rule
+bisection.  No floating point anywhere: every sign
 decision is made over Q.
 """
 from __future__ import annotations
@@ -547,8 +547,8 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cofactor determinants; resultants by the subresultant PRS, on one
-# Kronecker-packed pair or at integers with exact interpolation.
+# Resultants by the subresultant PRS, on one Kronecker-packed pair or
+# at integers with exact interpolation.
 # ---------------------------------------------------------------------------
 
 # Up to this many bits of packed resultant, (D + 1) * k, _resultant_int
@@ -559,25 +559,6 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 # time (6144 within 1%) over 35 pairs p, dp/dX1 of degrees 2 to 8 in X1
 # and 1 to 6 in Y1, at 1k to 30k packed bits (CPython 3.11, x86-64).
 _PACK_CUTOFF = 1 << 13
-
-
-def determinant(rows) -> Polynomial:
-    """Exact determinant of a square list of rows of polynomials, by
-    cofactor expansion along the first row (the Jacobian minors it serves
-    are at most 3x3)."""
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("determinant of an empty or non-square matrix")
-    if n == 1:
-        return rows[0][0]
-    total = Polynomial(rows[0][0].ring)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        cof = rows[0][j] * determinant(minor)
-        total = total + cof if j % 2 == 0 else total - cof
-    return total
 
 
 def resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:

@@ -17,8 +17,7 @@ RELATIONS = ("<", ">", "=", "<=", ">=")
 class SignCondition:
     """A sign vector over an ordered polynomial family.
 
-    Entries are -1, 0, +1, or None; None leaves the member unconstrained
-    (used for stratum enumeration, where only the zero set matters).
+    Entries are -1, 0, +1, or None; None leaves the member unconstrained.
     """
 
     family: tuple  # tuple of Polynomial
@@ -30,9 +29,6 @@ class SignCondition:
         for s in self.signs:
             if s not in (-1, 0, 1, None):
                 raise ValueError(f"invalid sign {s!r}")
-
-    def zero_indices(self):
-        return [i for i, s in enumerate(self.signs) if s == 0]
 
 
 def level(sc: SignCondition) -> int:

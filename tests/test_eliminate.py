@@ -1,4 +1,4 @@
-"""Projection to the parameter line and discriminant assembly."""
+"""Strata, projection to the parameter line and discriminant assembly."""
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -7,22 +7,22 @@ import pytest
 from conftest import BUNDLED
 
 from fiberatlas import eliminate, polycore
-from fiberatlas.critical import CriticalSystem, enumerate_strata, systems_for_strata
 from fiberatlas.eliminate import (
     DegenerateEliminationError,
-    UnsupportedModeError,
-    _combine_residuals,
-    _eliminate_vars,
     assemble_G,
+    enumerate_strata,
     project_system,
+    systems_for_strata,
 )
 from fiberatlas.perturb import build_ladder, construct_S_prime
 from fiberatlas.polycore import (
     Polynomial,
     Ring,
     int_coeffs,
+    integer_resultant,
     integer_table,
     parse_polynomial,
+    primitive_table,
     resultant,
     sign_int_at,
     univariate_coeffs,
@@ -36,60 +36,119 @@ def P(text, ring=R):
     return parse_polynomial(text, ring)
 
 
-def _quadric_systems(delta=Q(1, 64)):
-    base = (P("X1^2 + Y1 - 1"),)
-    ladder = build_ladder(1, delta)
-    closed = construct_S_prime([SignCondition(base, (0,))], base, ladder)
+def _members(base, s, delta=Q(1, 64)):
+    """Every shifted member P_j -/+ eps(i, j), ordered by j, then i, then
+    the sign of the shift."""
+    ladder = build_ladder(s, delta)
+    return [p + sign * ladder.value(i, j)
+            for j, p in enumerate(base, start=1)
+            for i in range(1, 2 * s + 1)
+            for sign in (-1, 1)]
+
+
+def _closed_members(base, sigma):
+    """The distinct atom polynomials of S' at delta = 1/64, in order."""
+    closed = construct_S_prime([SignCondition(base, s) for s in sigma], base,
+                               build_ladder(len(base), Q(1, 64)))
     members = []
     for atom in atoms_of(closed.formula):
         if atom.poly not in members:
             members.append(atom.poly)
-    strata = enumerate_strata(members, base, 2)
-    return systems_for_strata(strata, 1), base[0].ring
+    return members
 
 
-def T(text):
-    """The primitive integer term table of a polynomial text."""
-    return integer_table(P(text))
+def _systems_of(base, sigma):
+    members = _closed_members(base, sigma)
+    return systems_for_strata(enumerate_strata(members, base), members)
 
+
+def _quadric_systems():
+    return _systems_of((P("X1^2 + Y1 - 1"),), ((0,),)), R
+
+
+# -- strata and their systems ------------------------------------------
+
+def test_enumerate_strata_detects_shifts():
+    """Members 0 and 3 shift the same base polynomial and never vanish
+    together; X1*Y1 shifts none and pairs with every member."""
+    base = (P("X1^2 + Y1 - 1"), P("X1 - Y1"))
+    members = [base[0] - Q(1, 64), base[1] + Q(1, 4096), P("X1*Y1"), base[0] + Q(1, 64)]
+    pairs = {z for z in enumerate_strata(members, base) if len(z) == 2}
+    assert pairs == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+
+
+def test_level1_zero_selection_count_s1():
+    # one base group with four shifted members: four level-1 selections
+    # and no pair
+    base = (P("X1^2 + Y1 - 1"),)
+    assert enumerate_strata(_members(base, 1), base) == [(3,), (2,), (1,), (0,)]
+
+
+def test_no_two_zeros_in_one_base_group():
+    base = (P("X1^2 + Y1 - 1"), P("X1 - Y1"))
+    members = _members(base, 2)
+    strata = enumerate_strata(members, base)
+    assert {len(z) for z in strata} == {1, 2}
+    for zeros in strata:
+        groups = [i // 8 for i in zeros]  # 8 shifted members per base polynomial
+        assert len(groups) == len(set(groups))
+
+
+def test_strata_sorted_by_sign_vector_with_none_before_zero():
+    """The strata come in increasing order of their sign vectors over the
+    members, None (unconstrained) before 0, and each pairs its two zero
+    members or its one with that member's X1-derivative."""
+    base = (P("X1^2 + Y1 - 1"), P("Y1 - 2"))
+    members = _members(base, 2)
+    strata = enumerate_strata(members, base)
+    keys = [tuple(0 if i in zeros else -2 for i in range(len(members)))
+            for zeros in strata]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len(strata) == 16 + 8 * 8  # 16 members, 8 per base polynomial
+    systems = systems_for_strata(strata, members)
+    for zeros, pair in zip(strata, systems):
+        p = members[zeros[0]]
+        assert pair == ((p, members[zeros[1]]) if len(zeros) == 2
+                        else (p, p.derivative(0)))
+
+
+# -- projection of one system ------------------------------------------
 
 def test_eliminate_vars_resultant_path():
-    # 2*X1 enters as X1: res(X1^2 + Y1 - 1, X1) = Y1 - 1 needs no scale
-    polys = [P("X1^2 + Y1 - 1"), P("2*X1")]
-    residuals = _eliminate_vars(polys, 1)
-    assert residuals == [{(0, 1): 1, (0, 0): -1}]
-    assert residuals == [T("4*Y1 - 4")]
+    # 2*X1 enters as X1: res(X1, X1^2 + Y1 - 1) = Y1 - 1 needs no scale
+    assert project_system((P("X1^2 + Y1 - 1"), P("2*X1")), {}) == [[-1, 1]]
 
 
 def test_eliminate_single_holder_dropped():
     # only one polynomial carries X1: dropping it keeps a superset
-    residuals = _eliminate_vars([P("X1^2 + Y1"), P("Y1 - 2")], 1)
-    assert residuals == [T("Y1 - 2")]
+    assert project_system((P("X1^2 + Y1"), P("Y1 - 2")), {}) == [[-2, 1]]
+    assert project_system((P("2*Y1 - 4"), P("X1^2 + Y1")), {}) == [[-2, 1]]
 
 
 def test_combine_residuals_gcd():
-    residuals = [T("(Y1 - 1)*(Y1 - 2)"), T("(Y1 - 1)*(Y1 + 3)")]
-    combined = _combine_residuals(residuals)
-    assert combined is not None
-    assert sign_int_at(combined, (1, 1)) == 0
-    assert len(combined) == 2  # degree 1
+    pair = (P("(Y1 - 1)*(Y1 - 2)"), P("(Y1 - 1)*(Y1 + 3)"))
+    assert project_system(pair, {}) == [[-1, 1]]
 
 
 def test_combine_residuals_inconsistent():
-    assert _combine_residuals([T("3")]) is None
-    assert _combine_residuals([T("Y1 - 1"), T("Y1 - 2")]) is None
+    assert project_system((P("3"), P("Y1")), {}) == []
+    assert project_system((P("Y1 - 1"), P("Y1 - 2")), {}) == []
+    # linear in X1 with a constant lead: the derivative is a nonzero constant
+    p = P("X1 + Y1^2")
+    assert project_system((p, p.derivative(0)), {}) == []
 
 
 def test_combine_residuals_degenerate_raises():
     with pytest.raises(DegenerateEliminationError):
-        _combine_residuals([T("0")])
+        project_system((P("X1 - Y1"), P("2*X1 - 2*Y1")), {})
 
 
 def test_project_quadric_critical_value():
     systems, ring = _quadric_systems()
+    tables = {}
     projections = []
-    for cs in systems:
-        projections.extend(project_system(cs, 1))
+    for pair in systems:
+        projections.extend(project_system(pair, tables))
     roots = set()
     for p in projections:
         for y in ((63, 64), (65, 64)):
@@ -98,15 +157,9 @@ def test_project_quadric_critical_value():
     assert roots == {(63, 64), (65, 64)}
 
 
-def test_project_rejects_unsupported_modes():
-    systems, _ = _quadric_systems()
-    with pytest.raises(UnsupportedModeError):
-        project_system(systems[0], 4)
-
-
 def test_assemble_quadric_discriminant():
     systems, ring = _quadric_systems()
-    G = assemble_G(systems, ring, 1)
+    G = assemble_G(systems, ring)
     assert len(G.roots) == 2
     (lo1, hi1, _), (lo2, hi2, _) = G.roots
     assert lo1 <= Q(63, 64) <= hi1
@@ -115,18 +168,52 @@ def test_assemble_quadric_discriminant():
 
 
 def test_assemble_empty_systems():
-    G = assemble_G([], Ring(1, 1), 1)
+    G = assemble_G([], Ring(1, 1))
     assert G.roots == ()
     assert G.defining == ()
 
 
 def test_roots_refer_to_vanishing_defining_polys():
     systems, ring = _quadric_systems()
-    G = assemble_G(systems, ring, 1)
+    G = assemble_G(systems, ring)
     for lo, hi, idx in G.roots:
         p = G.defining[idx]
         vals = [p.eval_at((Q(0), lo)), p.eval_at((Q(0), hi))]
         assert any(v == 0 for v in vals) or vals[0] * vals[1] < 0
+
+
+# -- the same projection of the base family S itself -------------------
+
+def _project_base(*texts):
+    base = tuple(P(t) for t in texts)
+    return assemble_G(systems_for_strata(enumerate_strata(base, base), base), R)
+
+
+@pytest.mark.parametrize("texts, roots", [
+    (("X1 - 1", "X1 - 2", "X1 - Y1"), [1, 2]),  # twolines
+    (("X1^2 + Y1 - 1",), [1]),  # quadric
+    (("Y1*X1 - 1",), [0]),  # a leading coefficient that vanishes at 0
+])
+def test_projection_of_the_base_family_gives_its_rational_sections(texts, roots):
+    """Run on S itself, with no perturbation, the projection's roots are
+    exactly the points where the family degenerates."""
+    G = _project_base(*texts)
+    assert [(lo, hi) for lo, hi, _ in G.roots] == [(Q(r), Q(r)) for r in roots]
+
+
+def test_projection_of_the_base_family_gives_its_irrational_sections():
+    # X1^2 - Y1^2 + 2 has a double root in X1 at Y1 = -sqrt(2) and sqrt(2)
+    G = _project_base("X1^2 - Y1^2 + 2")
+    assert G.basis == ([-2, 0, 1],)
+    assert [k for _, _, k in G.roots] == [0, 0]
+    assert G.roots[0][1] < 0 < G.roots[1][0]
+
+
+def test_projection_of_a_base_member_that_is_not_square_free_degenerates():
+    """The discriminant of (X1^2 + Y1)^2 vanishes identically, so the
+    projection of S needs a square-free basis first."""
+    with pytest.raises(DegenerateEliminationError):
+        _project_base("(X1^2 + Y1)^2")
 
 
 SEXTIC = (  # a census-elim sextic: a degree-20 discriminant at delta = 1/64
@@ -136,19 +223,8 @@ SEXTIC = (  # a census-elim sextic: a degree-20 discriminant at delta = 1/64
 )
 
 
-def _systems_of(base, sigma):
-    closed = construct_S_prime([SignCondition(base, s) for s in sigma], base,
-                               build_ladder(len(base), Q(1, 64)))
-    members = []
-    for atom in atoms_of(closed.formula):
-        if atom.poly not in members:
-            members.append(atom.poly)
-    return systems_for_strata(enumerate_strata(members, base, 2), 1)
-
-
-def _c2(*texts):
-    active = tuple(P(t) for t in texts)
-    return CriticalSystem(SignCondition(active, (0,) * len(active)), active, (), "C2")
+def _pair(*texts):
+    return tuple(P(t) for t in texts)
 
 
 @pytest.mark.parametrize("name", ["quadric", "twolines", "sextic", "shared root",
@@ -159,18 +235,18 @@ def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
     and every earlier defining polynomial has one nonzero sign at both
     of its ends."""
     if name == "shared root":  # Y1 - 1 and Y1^2 - 1 share the root 1
-        systems = [_c2("X1 - Y1", "X1 - 1"), _c2("X1 - Y1", "X1^2 - 1")]
+        systems = [_pair("X1 - Y1", "X1 - 1"), _pair("X1 - Y1", "X1^2 - 1")]
     elif name == "shared irrational root":  # both vanish at +-sqrt(2)
-        systems = [_c2("X1 - Y1", "(X1^2 - 2)*(X1 - 3)"), _c2("X1 - Y1", "X1^2 - 2")]
+        systems = [_pair("X1 - Y1", "(X1^2 - 2)*(X1 - 3)"), _pair("X1 - Y1", "X1^2 - 2")]
     elif name == "root shared by three":  # all three vanish at 1
-        systems = [_c2("X1 - Y1", "(X1 - 1)*(X1 + 2)"), _c2("X1 - Y1", "X1^2 - 1"),
-                   _c2("X1 - Y1", "X1 - 1")]
+        systems = [_pair("X1 - Y1", "(X1 - 1)*(X1 + 2)"), _pair("X1 - Y1", "X1^2 - 1"),
+                   _pair("X1 - Y1", "X1 - 1")]
     elif name == "sextic":
         systems = _systems_of((P(SEXTIC),), ((0,),))
     else:
         example = next(e for e in BUNDLED if e.name == name)
         systems = _systems_of(example.base, example.sigma)
-    G = assemble_G(systems, R, 1)
+    G = assemble_G(systems, R)
     assert G.roots
     for lo, hi, idx in G.roots:
         ends = [[p.eval_at((Q(0), x)) for x in (lo, hi)] for p in G.defining]
@@ -182,31 +258,11 @@ def test_each_root_belongs_to_the_first_defining_poly_vanishing_there(name):
             assert a * b > 0
 
 
-def test_circle_systems_project_to_its_critical_values():
-    """m = 2: the active equation and both Jacobian minors are eliminated
-    as one system, so the thickened circle X1^2 + X2^2 + Y1 - 1 = 0
-    projects to its critical values 63/64 and 65/64."""
-    ring = Ring(2, 1)
-    base = (parse_polynomial("X1^2 + X2^2 + Y1 - 1", ring),)
-    closed = construct_S_prime([SignCondition(base, (0,))], base,
-                               build_ladder(1, Q(1, 64)))
-    members = []
-    for atom in atoms_of(closed.formula):
-        if atom.poly not in members:
-            members.append(atom.poly)
-    systems = systems_for_strata(enumerate_strata(members, base, 3), 2)
-    roots = set()
-    for cs in systems:
-        for p in project_system(cs, 2):
-            for y in ((63, 64), (65, 64)):
-                if sign_int_at(p, y) == 0:
-                    roots.add(y)
-    assert roots == {(63, 64), (65, 64)}
-
-
 def _polynomial_elimination(polys, m):
-    """The elimination over Polynomials: `resultant` of the members
-    themselves, as _eliminate_vars took it before its integer tables."""
+    """Eliminate X1..Xm by iterated resultants over Polynomials: at each
+    variable, the member of least positive degree is the pivot of a
+    resultant with each other member that holds it, a member that alone
+    holds it is dropped, and the members free of it are kept."""
     current = [p for p in polys if not p.is_zero()]
     for var in range(m):
         holding = [p for p in current if p.degree_in(var) > 0]
@@ -214,6 +270,23 @@ def _polynomial_elimination(polys, m):
         if len(holding) > 1:
             pivot = min(holding, key=lambda p: p.degree_in(var))
             current += [resultant(pivot, p, var) for p in holding if p is not pivot]
+    return current
+
+
+def _integer_elimination(polys, m):
+    """_polynomial_elimination over primitive integer term tables, each
+    resultant taken by integer_resultant and made primitive."""
+    def degree(t, var):
+        return max((mono[var] for mono in t), default=0)
+
+    current = [t for t in map(integer_table, polys) if t]
+    for var in range(m):
+        holding = [t for t in current if degree(t, var) > 0]
+        current = [t for t in current if degree(t, var) == 0]
+        if len(holding) > 1:
+            pivot = min(holding, key=lambda t: degree(t, var))
+            current += [primitive_table(integer_resultant(pivot, t, var))
+                        for t in holding if t is not pivot]
     return current
 
 
@@ -259,8 +332,9 @@ def _systems():
 
 
 def test_integer_elimination_equals_the_polynomial_path(monkeypatch):
-    """Each residual of _eliminate_vars is the primitive part of the
-    resultants over Polynomials, on seeded m = 1, 2 and 3 systems.  They
+    """Iterated integer resultants, each made primitive, equal the
+    primitive parts of the resultants over Polynomials, on seeded m = 1,
+    2 and 3 systems.  They
     take the packed leaf, the evaluation path above _PACK_CUTOFF and with
     two variables left, and leaves whose formal leading coefficient
     vanishes at an interpolation node."""
@@ -288,7 +362,7 @@ def test_integer_elimination_equals_the_polynomial_path(monkeypatch):
     compared = 0
     for polys, m in _systems():
         expected = [int_coeffs(r) for r in _polynomial_elimination(polys, m)]
-        assert [univariate_coeffs(t) for t in _eliminate_vars(polys, m)] == expected
+        assert [univariate_coeffs(t) for t in _integer_elimination(polys, m)] == expected
         compared += sum(len(p) > 1 for p in expected)
     assert compared >= 10
     assert all(seen.values()), seen
@@ -296,7 +370,7 @@ def test_integer_elimination_equals_the_polynomial_path(monkeypatch):
 
 def test_assemble_converts_each_member_once_and_forms_no_fraction(monkeypatch):
     """assemble_G on a census-fiber family converts each distinct
-    polynomial of its systems to an integer term table once, and never
+    polynomial of its pairs to an integer term table once, and never
     goes through the Fraction helpers of the Polynomial path."""
     base = (P("X1^2 - 2*Y1"), P("X1 - 2"), P("X1 + 1"), P("X1 - Y1 - 1"))
     systems = _systems_of(base, ((-1, -1, 1, -1),))
@@ -314,13 +388,9 @@ def test_assemble_converts_each_member_once_and_forms_no_fraction(monkeypatch):
     monkeypatch.setattr(polycore, "_integer_terms", forbidden)
     monkeypatch.setattr(polycore, "int_coeffs", forbidden)
     monkeypatch.setattr(eliminate, "int_coeffs", forbidden, raising=False)
-    G = assemble_G(systems, R, 1)
+    G = assemble_G(systems, R)
     assert G.roots
-    expected = set()
-    for cs in systems:
-        minors = [q for q in cs.minors if not q.is_zero()]
-        if not any(q.is_constant() for q in minors):
-            expected.update(id(p) for p in (*cs.active, *minors))
+    expected = {id(p) for pair in systems for p in pair}
     assert len(converted) == len(set(converted)) == len(expected)
     assert set(converted) == expected
     assert len(systems) > 2 * len(expected) / 3  # members are shared
@@ -346,7 +416,7 @@ def test_assemble_normalises_each_eliminant_once_and_builds_defining_on_request(
     for module, name in ((eliminate, "resultant"), (eliminate, "primitive_table"),
                          (polycore, "_primitive_int"), (eliminate, "univariate_to_poly")):
         count(module, name)
-    G = assemble_G(systems, R, 1)
+    G = assemble_G(systems, R)
     assert G.roots and calls["resultant"] > 0
     assert calls["primitive_table"] == calls["resultant"]
     assert calls["_primitive_int"] == calls["univariate_to_poly"] == 0

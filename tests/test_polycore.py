@@ -1,7 +1,6 @@
-"""Polynomial core: arithmetic, determinants, resultants, real roots."""
+"""Polynomial core: arithmetic, resultants, real roots."""
 import random
 from fractions import Fraction as Q
-from itertools import permutations
 from math import gcd
 
 import pytest
@@ -15,7 +14,6 @@ from fiberatlas.polycore import (
     Ring,
     RingMismatchError,
     coprime_basis,
-    determinant,
     int_coeffs,
     isolate_basis_roots,
     isolate_int_roots,
@@ -171,45 +169,6 @@ def test_derivative_product_rule():
     q = P("X1 - Y1")
     lhs = (p * q).derivative(0)
     assert lhs == p.derivative(0) * q + p * q.derivative(0)
-
-
-# -- determinants -------------------------------------------------------
-
-def _det_oracle(rows):
-    n = len(rows)
-    ring = rows[0][0].ring
-    total = Polynomial.constant(ring, 0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Polynomial.constant(ring, sign)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
-
-
-def test_determinant_against_permanent_expansion():
-    rng = random.Random(11)
-    for n in (2, 3, 5):
-        rows = [
-            [
-                Polynomial(R20, {(rng.randint(0, 1), rng.randint(0, 1)):
-                                 Q(rng.randint(-3, 3))})
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        assert determinant(rows) == _det_oracle(rows)
-
-
-def test_determinant_singular_matrix_is_zero():
-    row = [P("X1"), P("Y1 + 1")]
-    assert determinant([row, row]).is_zero()
 
 
 # -- resultants ---------------------------------------------------------
