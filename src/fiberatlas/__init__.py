@@ -32,7 +32,6 @@ from .perturb import (
     sigma_plus,
 )
 from .eliminate import (
-    DegenerateEliminationError,
     DiscriminantSet,
     UnsupportedModeError,
     assemble_G,

@@ -16,7 +16,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .eliminate import (
-    DegenerateEliminationError,
     DiscriminantSet,
     UnsupportedModeError,
     assemble_G,
@@ -617,16 +616,19 @@ def _single_run(base, sigma_set, m, delta):
     return tuple(cells), tuple(fibers)
 
 
-def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
-              refine_rounds: int = 3) -> AtlasReport:
+# delta-squared comparisons before a run that has not stabilized is returned
+REFINE_ROUNDS = 3
+
+
+def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64)) -> AtlasReport:
     """Full pipeline with a stabilization rerun at delta squared.
 
-    Degenerate eliminations trigger a delta refinement; after
-    refine_rounds the last report is returned with stabilization False.
-    A round that refines delta to delta squared starts from the run at
-    delta squared it has just made.  Only m = 1 fibers over one
-    parameter (n = 1) are counted exactly, so any other m or n is refused
-    before the first run.
+    The run at delta is compared with the run at delta squared; where
+    the cell count or the multiset of b0 differs, the next of at most
+    REFINE_ROUNDS rounds compares the delta-squared run with the run at
+    its square, and the last report is returned with stabilization
+    False.  Only m = 1 fibers over one parameter (n = 1) are counted
+    exactly, so any other m or n is refused before the first run.
     """
     base = tuple(base)
     if not base:
@@ -639,47 +641,14 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64),
     if n != 1:
         raise UnsupportedModeError(
             f"n = {n}: the census cuts one parameter line, so it needs n = 1")
-    if refine_rounds < 1:
-        raise ValueError(f"refine_rounds must be at least 1, got {refine_rounds}")
     delta = Q(delta)
-
-    def attempt(d):
-        """The run at d, or the DegenerateEliminationError it raised."""
-        try:
-            return _single_run(base, sigma_set, m, d)
-        except DegenerateEliminationError as exc:
-            return exc
-
-    last = None
-    run = None  # the run at delta, when the previous round made it
-    for _ in range(refine_rounds):
-        if run is None:
-            run = attempt(delta)
-        if isinstance(run, DegenerateEliminationError):
-            delta, run, last = delta ** 2, None, None
-            continue
-        run2 = attempt(delta ** 2)
-        if isinstance(run2, DegenerateEliminationError):
-            delta, run, last = delta ** 2, run2, None
-            continue
-        (cells, fibers), (cells2, fibers2) = run, run2
-        stable = len(cells) == len(cells2) and sorted(
-            f.b0 for f in fibers
-        ) == sorted(f.b0 for f in fibers2)
-        report = AtlasReport(
-            cells,
-            fibers,
-            len({f.b0 for f in fibers}),
-            delta,
-            stable,
-        )
+    cells, fibers = _single_run(base, sigma_set, m, delta)
+    for _ in range(REFINE_ROUNDS):
+        cells2, fibers2 = _single_run(base, sigma_set, m, delta ** 2)
+        stable = (len(cells) == len(cells2)
+                  and sorted(f.b0 for f in fibers) == sorted(f.b0 for f in fibers2))
+        report = AtlasReport(cells, fibers, len({f.b0 for f in fibers}), delta, stable)
         if stable:
-            return report
-        last = report
-        delta = delta ** 2
-        run = run2
-    if last is None:
-        raise DegenerateEliminationError(
-            "elimination stayed degenerate through all refinement rounds"
-        )
-    return last
+            break
+        delta, cells, fibers = delta ** 2, cells2, fibers2
+    return report

@@ -2,8 +2,8 @@
 
 Subcommands: atlas (parameter-space census), bounds (exact bound
 evaluation), lift (trinomial rewriting of expressions).  Exit codes:
-0 success, 2 malformed input or unsupported request, 3 degeneracy that
-survived every refinement round.
+0 success, 2 malformed input or unsupported request, 3 a lift that
+failed its verification.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 
 from .atlas import run_atlas
 from .bounds import BOUNDS, MetricRadiusReport, bit_length_floor, count_family
-from .eliminate import DegenerateEliminationError, UnsupportedModeError
+from .eliminate import UnsupportedModeError
 from .polycore import ParseError, Polynomial, Ring, parse_polynomial
 from .semialg import And, Atom, SignCondition, eval_signs, formula_to_text, parse_formula
 from .slp import lift, parse_slp, verify_lift
@@ -46,7 +46,7 @@ class ProblemFile:
 
 
 _SIGN_TOKENS = {"1": 1, "+1": 1, "+": 1, "0": 0, "-1": -1, "-": -1}
-_OPTIONS = ("delta", "refine_rounds", "boxed", "omega")
+_OPTIONS = ("delta", "boxed", "omega")
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
@@ -253,15 +253,12 @@ def cmd_atlas(args) -> int:
     opts = pf.options
     try:
         delta = _opt(args.delta, opts, "delta", "1/64", Q)
-        rounds = _opt(args.refine_rounds, opts, "refine_rounds", 3, int)
         boxed = args.boxed or opts.get("boxed", "").lower() in _TRUE
         omega = _opt(args.omega, opts, "omega", 2 ** 20, int)
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
         if omega <= 0:
             raise ValueError(f"omega must be positive, got {omega}")
-        if rounds < 1:
-            raise ValueError(f"refine_rounds must be at least 1, got {rounds}")
     except ValueError as exc:
         print(f"error: bad option value: {exc}", file=sys.stderr)
         return 2
@@ -277,15 +274,10 @@ def cmd_atlas(args) -> int:
         base, rows = boxed_problem(base, rows, pf.m, pf.n, omega)
     sigma_set = [SignCondition(base, row) for row in rows]
     try:
-        report = run_atlas(base, sigma_set, pf.m, pf.n, delta=delta,
-                           refine_rounds=rounds)
+        report = run_atlas(base, sigma_set, pf.m, pf.n, delta=delta)
     except UnsupportedModeError as exc:
         print(f"error: unsupported mode: {exc}", file=sys.stderr)
         return 2
-    except DegenerateEliminationError as exc:
-        print(f"error: degenerate after {rounds} refinement rounds: {exc}",
-              file=sys.stderr)
-        return 3
     # the report prints every cell end, sample and the delta it used
     shown = [report.delta_used] + [x for c in report.cells
                                    for x in (c.left, c.right, c.sample) if x is not None]
@@ -427,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("atlas", help="run the parameter-space census")
     a.add_argument("problem", help="problem file path")
     a.add_argument("--delta", default=None, help="perturbation base (rational)")
-    a.add_argument("--refine-rounds", type=int, default=None)
     a.add_argument("--boxed", action="store_true",
                    help="intersect with the coordinate box of radius omega")
     a.add_argument("--omega", type=int, default=None)

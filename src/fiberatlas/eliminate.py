@@ -6,7 +6,9 @@ projection is the Collins projection in one fiber variable (Collins
 A stratum is the zero set of one or two members.  One member P gives
 the system (P, dP/dX1), whose X1-resultant is the discriminant times
 the leading coefficient; two members P, Q give their pair resultant.  A
-member free of X1 is kept as it is.
+member free of X1 is kept as it is.  A pair resultant that vanishes
+identically gives way to the first nonzero principal subresultant
+coefficient, so no projection fails.
 
 Every eliminant is univariate in Y1 and is kept as a primitive integer
 coefficient list.  The members enter as primitive integer term tables,
@@ -23,6 +25,7 @@ from functools import cached_property
 
 from .polycore import (
     Ring,
+    integer_psc,
     integer_table,
     isolate_basis_roots,
     primitive_table,
@@ -33,11 +36,6 @@ from .polycore import (
 )
 # called by this name, which benchmark/tracing.py times
 from .polycore import integer_resultant as resultant
-
-
-class DegenerateEliminationError(ValueError):
-    """Every eliminant of a system vanished identically; the caller
-    should refine delta and rebuild the perturbed family."""
 
 
 class UnsupportedModeError(ValueError):
@@ -90,15 +88,17 @@ def project_system(pair, tables):
     contain the projection of the common zeros of the pair: [] or [g].
 
     Two members of positive degree in X1 give one X1-resultant, taken
-    with the member of lower degree (the first on a tie) as pivot.
-    Otherwise the members free of X1 are kept and any other is dropped,
-    which only enlarges the projection.  The residuals are reduced by
-    gcd to one primitive list with positive lead; a nonzero-constant
-    residual or gcd makes the pair inconsistent, and [] is returned.
-    Raises DegenerateEliminationError when every residual vanishes
-    identically.  `tables` maps id(p) to the primitive integer term
-    table of p and is filled as the pair is converted, so a member that
-    several pairs share is converted once.
+    with the member of lower degree (the first on a tie) as pivot, or
+    where it vanishes identically their first nonzero principal
+    subresultant coefficient (integer_psc).  Otherwise the members free
+    of X1 are kept and any other is dropped, which only enlarges the
+    projection; a zero member (a constant base polynomial shifted by its
+    own value) adds nothing.  The residuals are reduced by gcd to one
+    primitive list with positive lead; a nonzero-constant residual or
+    gcd makes the pair inconsistent, and [] is returned.  `tables` maps
+    id(p) to the primitive integer term table of p and is filled as the
+    pair is converted, so a member that several pairs share is converted
+    once.
     """
     held = []
     for p in pair:
@@ -112,17 +112,14 @@ def project_system(pair, tables):
         f, g = held
         if max(mono[0] for mono in g) < max(mono[0] for mono in f):
             f, g = g, f
-        r = primitive_table(resultant(f, g, 0))
-        residuals = [r] if r else []
-    if not residuals:
-        raise DegenerateEliminationError("all eliminants vanish identically")
+        residuals = [primitive_table(resultant(f, g, 0) or integer_psc(f, g, 0))]
     g = None
     for t in residuals:
         p = univariate_coeffs(t)
         g = p if g is None else ugcd_primitive(g, p)
         if len(g) == 1:  # a nonzero constant residual or a constant gcd
             return []
-    return [g]
+    return [] if g is None else [g]
 
 
 def assemble_G(systems, ring: Ring) -> DiscriminantSet:

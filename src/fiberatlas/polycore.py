@@ -623,7 +623,20 @@ def integer_resultant(f, g, var):
     return _resultant_int(f, g, var, df, dg, ys)
 
 
-def _resultant_int(f, g, var, df, dg, ys):
+def integer_psc(f, g, var):
+    """integer_resultant of f and g in two variables or, where it vanishes
+    identically, their first nonzero principal subresultant coefficient
+    psc_k, k the degree of h = gcd(f, g), whose roots are those of
+    res(f/h, g/h) and of lc(h) (Collins 1967).  It is one packed leaf at
+    any size: each psc_j is a Sylvester minor within the resultant's
+    bounds, so y = 2^k is a root of none that is nonzero and the packed
+    gcd keeps degree k, which a small integer y need not."""
+    df = max(mono[var] for mono in f)
+    dg = max(mono[var] for mono in g)
+    return _resultant_int(f, g, var, df, dg, [1 - var], True)
+
+
+def _resultant_int(f, g, var, df, dg, ys, psc=False):
     """Resultant in `var` of integer term dicts f and g, taken with the
     formal degrees df and dg, as an integer term dict; ys lists the other
     variables that f and g may hold, in increasing order.
@@ -655,15 +668,15 @@ def _resultant_int(f, g, var, df, dg, ys):
         # sums, bounds every coefficient in y; one more bit for the sign
         k = (sum(map(abs, f.values())) ** dg
              * sum(map(abs, g.values())) ** df).bit_length() + 1
-        if (bound + 1) * k <= _PACK_CUTOFF:
-            return _resultant_packed(f, g, var, y, df, dg, k, bound)
+        if psc or (bound + 1) * k <= _PACK_CUTOFF:
+            return _resultant_packed(f, g, var, y, df, dg, k, bound, psc)
     fy, gy = _in_y(f, y), _in_y(g, y)
     values = [_resultant_int(_specialize(fy, t), _specialize(gy, t), var, df, dg, rest)
               for t in range(bound + 1)]
     return _interpolate(values, y)
 
 
-def _resultant_packed(f, g, var, y, df, dg, k, bound):
+def _resultant_packed(f, g, var, y, df, dg, k, bound, psc=False):
     """_resultant_int with y the only variable besides `var`, by one
     Kronecker substitution y = 2^k (von zur Gathen-Gerhard, Modern
     Computer Algebra, 8.4): one leaf on the packed integers, whose
@@ -675,7 +688,7 @@ def _resultant_packed(f, g, var, y, df, dg, k, bound):
         for mono, c in p.items():
             cs[mono[var]] += c << k * mono[y]
         packed.append(cs)
-    v = _resultant_leaf(*packed)
+    v = _resultant_leaf(*packed, psc=True) if psc else _resultant_leaf(*packed)
     base = (0,) * len(next(iter(f)))
     out = {}
     mask, half = (1 << k) - 1, 1 << (k - 1)
@@ -706,7 +719,7 @@ def _degree_bound(f, g, var, y, df, dg):
     return min(rows, cols)
 
 
-def _resultant_leaf(f, g):
+def _resultant_leaf(f, g, psc=False):
     """Resultant of the integer coefficient lists f and g (constant term
     first) taken with the formal degrees len(f) - 1 and len(g) - 1, that
     is, the determinant of their padded Sylvester matrix.
@@ -716,7 +729,8 @@ def _resultant_leaf(f, g):
     expanding the determinant along its first column, and the
     subresultant PRS runs on the true degrees (Collins 1967; Brown-Traub
     1971; Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 3.3.7)."""
+    Alg. 3.3.7).  With psc and nonzero leads, a zero resultant gives way
+    to psc_k up to sign and power: the PRS's next h, or a linear lead."""
     df, dg = len(f) - 1, len(g) - 1
     if not df or not dg:
         return f[0] ** dg if not df else g[0] ** df
@@ -728,7 +742,7 @@ def _resultant_leaf(f, g):
         for c in reversed(a[:-1]):
             pw *= w
             acc = acc * x + c * pw
-        return acc
+        return acc if acc or not psc else g[1] if dg == 1 else f[1]
     if not f[-1]:
         if not g[-1]:
             return 0
@@ -747,7 +761,7 @@ def _resultant_leaf(f, g):
             sign = -sign
         q, r = _pseudo_divmod(f, g)
         if not r:
-            return 0
+            return g[-1] ** delta * h // h ** delta if psc else 0
         # _pseudo_divmod scales by lc(g) once per step it takes, one per
         # nonzero quotient coefficient; the PRS needs lc(g)^(delta + 1)
         fill = g[-1] ** (delta + 1 - len(q) + q.count(0))

@@ -146,16 +146,13 @@ def test_report_json_shape():
     assert "distinct signatures: 3" in table
 
 
-def _unstable_runs(monkeypatch, degenerate_at=()):
+def _unstable_runs(monkeypatch):
     """Replace _single_run by one whose census never stabilizes (its cell
-    count follows delta) and that raises at the deltas in degenerate_at;
-    returns the list of deltas it is called with."""
+    count follows delta); returns the list of deltas it is called with."""
     calls = []
 
     def fake(base, sigma_set, m, delta):
         calls.append(delta)
-        if delta in degenerate_at:
-            raise atlas.DegenerateEliminationError("stub")
         k = delta.denominator.bit_length()
         return ((ParameterCell(None, None, Q(0)),) * k,
                 (atlas.FiberReport(Q(0), 1, "exact-univariate"),) * k)
@@ -168,22 +165,36 @@ def test_refinement_round_reuses_the_delta_squared_run(monkeypatch):
     calls = _unstable_runs(monkeypatch)
     base = (P("X1^2 + Y1 - 1"),)
     d = Q(1, 64)
-    report = run_atlas(base, [], 1, delta=d, refine_rounds=3)
-    assert calls == [d, d ** 2, d ** 4, d ** 8]  # refine_rounds + 1 runs
+    report = run_atlas(base, [], 1, delta=d)
+    assert calls == [d, d ** 2, d ** 4, d ** 8]  # REFINE_ROUNDS + 1 runs
     assert not report.stabilization
     assert report.delta_used == d ** 4
 
 
-def test_degenerate_delta_squared_run_is_not_repeated(monkeypatch):
-    d = Q(1, 64)
-    calls = _unstable_runs(monkeypatch, degenerate_at=(d ** 2,))
-    base = (P("X1^2 + Y1 - 1"),)
-    report = run_atlas(base, [], 1, delta=d, refine_rounds=3)
-    # round 1 fails at d^2; round 2 skips it; round 3 runs d^4 and d^8
-    assert calls == [d, d ** 2, d ** 4, d ** 8]
-    assert report.delta_used == d ** 4
-    with pytest.raises(atlas.DegenerateEliminationError):
-        run_atlas(base, [], 1, delta=d, refine_rounds=2)
+def test_proportional_members_stabilize_at_the_first_delta():
+    """X1 - Y1 and 64*(X1 - Y1) shifted by powers of delta = 1/64 share a
+    factor; the census is still taken at 1/64, with one cell of b0 1."""
+    base = (P("X1 - Y1"), P("64*X1 - 64*Y1"))
+    report = run_atlas(base, [SignCondition(base, (1, 1))], 1)
+    assert report.delta_used == Q(1, 64)
+    assert report.stabilization
+    assert [f.b0 for f in report.fibers] == [1]
+
+
+ROWS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("texts", [
+    *(("X1 - Y1", f"{c}*(X1 - Y1)") for c in ("64", "-64", "1/64", "-1/64")),
+    *(("X1^2 + Y1", f"{c}*(X1^2 + Y1)") for c in ("64", "-64", "1/64")),
+])
+def test_single_run_on_proportional_members_at_delta_1_64(texts):
+    """Members shifted from proportional base polynomials share factors
+    at delta = 1/64 for some sign rows; every row gives a census."""
+    base = tuple(P(t) for t in texts)
+    for row in ROWS:
+        cells, fibers = atlas._single_run(base, [SignCondition(base, row)], 1, Q(1, 64))
+        assert len(cells) == len(fibers) >= 1, row
 
 
 @pytest.mark.parametrize("n", [2, 0])
@@ -196,12 +207,6 @@ def test_run_atlas_refuses_n_other_than_1_before_any_run(monkeypatch, n):
     base = (P("X1 - 1", ring),)
     with pytest.raises(UnsupportedModeError, match=f"n = {n}"):
         run_atlas(base, [SignCondition(base, (0,))], 1, n)
-
-
-def test_run_atlas_needs_a_refinement_round():
-    base = (P("X1^2 + Y1 - 1"),)
-    with pytest.raises(ValueError):
-        run_atlas(base, [SignCondition(base, (0,))], 1, refine_rounds=0)
 
 
 def test_fiber_b0_grid_refuses_above_the_sample_cap():

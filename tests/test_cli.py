@@ -215,8 +215,7 @@ def test_atlas_bad_option_value_names_the_option_and_cause(tmp_path, capsys):
         assert f"error: bad option value: {message}\n" == capsys.readouterr().err
     for option, message in (
             ("delta=1/0", "delta: zero denominator in 1/0"),
-            ("omega=1/2", "omega: invalid literal for int() with base 10: '1/2'"),
-            ("refine_rounds=", "refine_rounds: invalid literal for int() with base 10: ''")):
+            ("omega=1/2", "omega: invalid literal for int() with base 10: '1/2'")):
         opt = _write(tmp_path, "opt.txt", QUADRIC + f"option {option}\n")
         assert main(["atlas", opt]) == 2
         assert f"error: bad option value: {message}\n" == capsys.readouterr().err
@@ -300,15 +299,13 @@ def test_atlas_nonpositive_omega_exits_2(tmp_path, capsys):
         assert "omega must be positive" in capsys.readouterr().err
 
 
-def test_atlas_refine_rounds_below_one_exits_2(tmp_path, capsys):
-    problem = _write(tmp_path, "q.txt", QUADRIC)
-    for rounds in ("0", "-1"):
-        assert main(["atlas", problem, "--refine-rounds", rounds]) == 2
-        assert "bad option value: refine_rounds must be at least 1" \
-            in capsys.readouterr().err
-        opt = _write(tmp_path, "opt.txt", QUADRIC + f"option refine_rounds={rounds}\n")
-        assert main(["atlas", opt]) == 2
-        assert "refine_rounds must be at least 1" in capsys.readouterr().err
+def test_atlas_refine_rounds_is_an_unknown_option(tmp_path, capsys):
+    opt = _write(tmp_path, "opt.txt", QUADRIC + "option refine_rounds=3\n")
+    assert main(["atlas", opt]) == 2
+    assert capsys.readouterr().err == "error: line 4: unknown option 'refine_rounds'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", opt, "--refine-rounds", "3"])
+    assert exc.value.code == 2
 
 
 def test_atlas_planar_fiber_census_exits_2(tmp_path, capsys):

@@ -8,7 +8,6 @@ from conftest import BUNDLED
 
 from fiberatlas import eliminate, polycore
 from fiberatlas.eliminate import (
-    DegenerateEliminationError,
     assemble_G,
     enumerate_strata,
     project_system,
@@ -25,7 +24,9 @@ from fiberatlas.polycore import (
     primitive_table,
     resultant,
     sign_int_at,
+    ugcd_int,
     univariate_coeffs,
+    usquarefree_int,
 )
 from fiberatlas.semialg import SignCondition, atoms_of
 
@@ -138,9 +139,17 @@ def test_combine_residuals_inconsistent():
     assert project_system((p, p.derivative(0)), {}) == []
 
 
-def test_combine_residuals_degenerate_raises():
-    with pytest.raises(DegenerateEliminationError):
-        project_system((P("X1 - Y1"), P("2*X1 - 2*Y1")), {})
+def test_combine_residuals_shared_factor():
+    """A pair whose resultant vanishes identically projects to its first
+    nonzero principal subresultant coefficient: the meeting points of the
+    cofactors and the roots of the common factor's lead."""
+    for texts, expected in (
+            (("(X1 - Y1)*(X1 - 1)", "(X1 - Y1)*(X1 + Y1)"), [[1, 1]]),  # -1
+            (("X1*(X1 - Y1)", "X1*(X1 + Y1)"), [[0, 1]]),
+            (("(Y1*X1 - 1)*(X1 - 2)", "(Y1*X1 - 1)*(X1 + 3)"), [[0, 0, 1]]),  # lc(h)
+            (("Y1*X1 - 1", "(Y1*X1 - 1)*(X1 + 1)"), [[0, 1]]),  # a linear h
+            (("X1 - Y1", "2*X1 - 2*Y1"), [])):
+        assert project_system(_pair(*texts), {}) == expected, texts
 
 
 def test_project_quadric_critical_value():
@@ -209,11 +218,13 @@ def test_projection_of_the_base_family_gives_its_irrational_sections():
     assert G.roots[0][1] < 0 < G.roots[1][0]
 
 
-def test_projection_of_a_base_member_that_is_not_square_free_degenerates():
-    """The discriminant of (X1^2 + Y1)^2 vanishes identically, so the
-    projection of S needs a square-free basis first."""
-    with pytest.raises(DegenerateEliminationError):
-        _project_base("(X1^2 + Y1)^2")
+def test_projection_of_a_base_member_that_is_not_square_free():
+    """The discriminant of (X1^2 + Y1)^2 vanishes identically; its first
+    nonzero principal subresultant coefficient keeps the one section,
+    Y1 = 0, where the double roots +-sqrt(-Y1) meet."""
+    G = _project_base("(X1^2 + Y1)^2")
+    assert G.basis == ([0, 1],)
+    assert [(lo, hi) for lo, hi, _ in G.roots] == [(Q(0), Q(0))]
 
 
 SEXTIC = (  # a census-elim sextic: a degree-20 discriminant at delta = 1/64
@@ -225,6 +236,36 @@ SEXTIC = (  # a census-elim sextic: a degree-20 discriminant at delta = 1/64
 
 def _pair(*texts):
     return tuple(P(t) for t in texts)
+
+
+def _random_in_x1(rng, dx, dy):
+    """A polynomial of degree dx in X1 and at most dy in Y1 with
+    coefficients in [-4, 4]/(1..3) and a nonzero lead in X1."""
+    terms = {(i, j): Q(rng.randint(-4, 4), rng.randint(1, 3))
+             for i in range(dx) for j in range(dy + 1)}
+    terms[(dx, rng.randint(0, dy))] = Q(rng.choice((-3, -1, 1, 2)))
+    return Polynomial(R, terms)
+
+
+def test_shared_factor_keeps_the_cofactors_meeting_points_and_its_leads_roots():
+    """On seeded pairs (h*u, h*v), whose resultant vanishes identically,
+    the eliminant vanishes at every root of resultant(u, v) and of
+    lc(h): the square-free part of each divides it.  One h is the
+    census-elim sextic, whose pairs are packed above _PACK_CUTOFF."""
+    rng = random.Random(30)
+    hs = [P(SEXTIC)] + [_random_in_x1(rng, rng.randint(1, 2), 2) for _ in range(7)]
+    checked = 0
+    for h in hs:
+        u, v = (_random_in_x1(rng, rng.randint(1, 2), rng.randint(0, 2)) for _ in "uv")
+        assert resultant(h * u, h * v, 0).is_zero()
+        out = project_system((h * u, h * v), {})
+        eliminant = out[0] if out else [1]
+        for r in (int_coeffs(resultant(u, v, 0)), int_coeffs(h.coeffs_in(0)[-1])):
+            if len(r) > 1:
+                sf = usquarefree_int(r)
+                assert ugcd_int(eliminant, sf) == sf, (h, u, v)
+                checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("name", ["quadric", "twolines", "sextic", "shared root",
