@@ -8,7 +8,6 @@ from .polycore import (
     Ring,
     RingMismatchError,
     parse_polynomial,
-    refine_interval,
     resultant,
 )
 from .semialg import (
@@ -33,7 +32,6 @@ from .perturb import (
 )
 from .eliminate import (
     DiscriminantSet,
-    UnsupportedModeError,
     assemble_G,
     enumerate_strata,
     project_system,
@@ -43,6 +41,7 @@ from .atlas import (
     AtlasReport,
     FiberReport,
     ParameterCell,
+    UnsupportedModeError,
     components_complement,
     fiber_b0,
     grid_b0,

@@ -17,7 +17,6 @@ from operator import mul
 
 from .eliminate import (
     DiscriminantSet,
-    UnsupportedModeError,
     assemble_G,
     enumerate_strata,
     systems_for_strata,
@@ -26,6 +25,7 @@ from .perturb import build_ladder, construct_S_prime
 from .polycore import (
     NotSquareFreeError,
     bisect_interval,
+    integer_table,
     isolate_int_roots,
     q_cmp,
     q_mid,
@@ -39,6 +39,10 @@ from .polycore import (
 # module because benchmark/tracing.py times them here by name.
 from .polycore import coprime_basis, isolate_basis_roots  # noqa: F401
 from .semialg import Atom, eval_signs, map_atoms
+
+
+class UnsupportedModeError(ValueError):
+    """A fiber or census this module does not count."""
 
 
 @dataclass(frozen=True)
@@ -306,18 +310,16 @@ def _threshold_poly(K, T):
 
 
 def _int_table(p):
-    """Rows t[i][j] of integer coefficients of X1^i * Y1^j of the
-    polynomial p in X1 and Y1, times the lcm of their denominators."""
-    di = max((mono[0] for mono in p.terms), default=0)
-    dj = max((mono[1] for mono in p.terms), default=0)
-    scale = 1
-    for c in p.terms.values():
-        scale = scale * c.denominator // gcd(scale, c.denominator)
+    """Rows t[i][j] of the coefficients of X1^i * Y1^j in integer_table
+    of the polynomial p in X1 and Y1, a positive multiple of p."""
+    terms = integer_table(p)
+    di = max((mono[0] for mono in terms), default=0)
+    dj = max((mono[1] for mono in terms), default=0)
     rows = [[0] * (dj + 1) for _ in range(di + 1)]
-    for mono, c in p.terms.items():
+    for mono, c in terms.items():
         if any(mono[2:]):
             raise ValueError(f"atom {p.to_text()} is not in X1 and Y1 only")
-        rows[mono[0]][mono[1]] = c.numerator * (scale // c.denominator)
+        rows[mono[0]][mono[1]] = c
     return rows
 
 

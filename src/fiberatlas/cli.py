@@ -17,12 +17,16 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .atlas import run_atlas
+from .atlas import UnsupportedModeError, run_atlas
 from .bounds import BOUNDS, MetricRadiusReport, bit_length_floor, count_family
-from .eliminate import UnsupportedModeError
 from .polycore import ParseError, Polynomial, Ring, parse_polynomial
 from .semialg import And, Atom, SignCondition, eval_signs, formula_to_text, parse_formula
 from .slp import lift, parse_slp, verify_lift
+
+
+class _Refusal(Exception):
+    """A request refused where it is met: `main` prints `error: ` and the
+    message, and exits 2."""
 
 
 class ProblemParseError(ValueError):
@@ -211,10 +215,6 @@ def boxed_problem(base, rows, m: int, n: int, omega):
     return new_base, new_rows
 
 
-class _UnwritableOutput(Exception):
-    pass
-
-
 def _write_atomic(path: str, content: str):
     # no partial files on failure: write to a sibling temp file and rename
     d = os.path.dirname(os.path.abspath(path))
@@ -225,7 +225,7 @@ def _write_atomic(path: str, content: str):
             fh.write(content)
         os.replace(tmp, path)
     except OSError as exc:
-        raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _Refusal(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -243,13 +243,18 @@ def _opt(args_value, options, key, default, conv):
         raise ValueError(f"{key}: {exc}") from None
 
 
-def cmd_atlas(args) -> int:
+def _read(path, parse):
+    """parse of the text of the file at path; a file that cannot be read
+    or parsed is refused."""
     try:
-        with open(args.problem) as fh:
-            pf = parse_problem_file(fh.read())
+        with open(path) as fh:
+            return parse(fh.read())
     except (OSError, ProblemParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from exc
+
+
+def cmd_atlas(args) -> int:
+    pf = _read(args.problem, parse_problem_file)
     opts = pf.options
     try:
         delta = _opt(args.delta, opts, "delta", "1/64", Q)
@@ -260,33 +265,29 @@ def cmd_atlas(args) -> int:
         if omega <= 0:
             raise ValueError(f"omega must be positive, got {omega}")
     except ValueError as exc:
-        print(f"error: bad option value: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"bad option value: {exc}") from None
     base = pf.polys
     rows = pf.sigma_rows
     if pf.formula is not None:
         try:
             rows = sigma_from_formula(pf.formula, base)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal(str(exc)) from None
     if boxed:
         base, rows = boxed_problem(base, rows, pf.m, pf.n, omega)
     sigma_set = [SignCondition(base, row) for row in rows]
     try:
         report = run_atlas(base, sigma_set, pf.m, pf.n, delta=delta)
     except UnsupportedModeError as exc:
-        print(f"error: unsupported mode: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"unsupported mode: {exc}") from None
     # the report prints every cell end, sample and the delta it used
     shown = [report.delta_used] + [x for c in report.cells
                                    for x in (c.left, c.right, c.sample) if x is not None]
     bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in shown)
     if bits > _printable_bits():
-        print(f"error: a cell end, sample or delta has {bits} bits, too large to "
-              f"print in decimal (delta's denominator has "
-              f"{delta.denominator.bit_length()} bits)", file=sys.stderr)
-        return 2
+        raise _Refusal(f"a cell end, sample or delta has {bits} bits, too large to "
+                       f"print in decimal (delta's denominator has "
+                       f"{delta.denominator.bit_length()} bits)")
     print(report.to_table())
     if args.json:
         _write_atomic(args.json, report.to_json() + "\n")
@@ -315,20 +316,16 @@ def cmd_bounds(args) -> int:
     for part in args.params:
         name, eq, val = part.partition("=")
         if not eq:
-            print(f"error: parameter {part!r} is not key=value", file=sys.stderr)
-            return 2
+            raise _Refusal(f"parameter {part!r} is not key=value")
         if name in params:
-            print(f"error: parameter {name!r} given twice", file=sys.stderr)
-            return 2
+            raise _Refusal(f"parameter {name!r} given twice")
         try:
             params[name] = int(val)
         except ValueError:
             if args.name == "count" and name == "scheme":
                 params[name] = val
             else:
-                print(f"error: parameter {part!r} is not an integer",
-                      file=sys.stderr)
-                return 2
+                raise _Refusal(f"parameter {part!r} is not an integer") from None
     try:
         if args.name == "count":
             params.setdefault("scheme", "pprime_paper")
@@ -338,29 +335,25 @@ def cmd_bounds(args) -> int:
             symbolic = BOUNDS[args.name].symbolic
             evaluate = BOUNDS[args.name].evaluate
         else:
-            print(f"error: unknown bound {args.name!r}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"unknown bound {args.name!r}")
         bits, exact = bit_length_floor(args.name, **params)
         if bits > _printable_bits():
             param_text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            print(f"error: value has {'' if exact else 'at least '}{bits} "
-                  f"bits, too large to print in decimal: {args.name} "
-                  f"{symbolic} [{param_text}]", file=sys.stderr)
-            return 2
+            raise _Refusal(f"value has {'' if exact else 'at least '}{bits} "
+                           f"bits, too large to print in decimal: {args.name} "
+                           f"{symbolic} [{param_text}]")
         value = evaluate(**params)
         if isinstance(value, MetricRadiusReport):
             if value.warning:
                 print(f"warning: {value.warning}", file=sys.stderr)
             value = value.value
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     try:
         value_text = str(value)
     except ValueError:  # beyond the interpreter's int-to-decimal limit
-        print(f"error: value has {value.bit_length()} bits, too large to "
-              f"print in decimal", file=sys.stderr)
-        return 2
+        raise _Refusal(f"value has {value.bit_length()} bits, too large to "
+                       f"print in decimal") from None
     param_text = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
     payload = {
         "name": args.name,
@@ -380,17 +373,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    try:
-        with open(args.problem) as fh:
-            progs, formula = parse_lift_file(fh.read())
-    except (OSError, ProblemParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    progs, formula = _read(args.problem, parse_lift_file)
     try:
         ls = lift(progs, formula)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     rep = verify_lift(ls, progs, formula)
     print(f"m={ls.m} a={ls.a}")
     for k, j, name in ls.names:
@@ -445,7 +432,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UnwritableOutput as exc:
+    except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

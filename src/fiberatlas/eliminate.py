@@ -1,8 +1,9 @@
 """Projection of the perturbed family to the parameter line.
 
-`atlas.run_atlas` refuses any m or n other than 1 before a run, so the
-projection is the Collins projection in one fiber variable (Collins
-1975; Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 11).
+`atlas.run_atlas` refuses any m or n other than 1 before a run, with
+`atlas.UnsupportedModeError`, so the projection is the Collins
+projection in one fiber variable (Collins 1975; Basu-Pollack-Roy,
+Algorithms in Real Algebraic Geometry, ch. 11).
 A stratum is the zero set of one or two members.  One member P gives
 the system (P, dP/dX1), whose X1-resultant is the discriminant times
 the leading coefficient; two members P, Q give their pair resultant.  A
@@ -36,10 +37,6 @@ from .polycore import (
 )
 # called by this name, which benchmark/tracing.py times
 from .polycore import integer_resultant as resultant
-
-
-class UnsupportedModeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

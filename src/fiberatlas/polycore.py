@@ -1068,6 +1068,8 @@ def isolate_int_roots(p):
     Returns a sorted list of (lo, hi) rational pairs (n, d); lo == hi
     marks an exact rational root.  Open intervals carry a sign change of
     p and contain exactly one root; all intervals are pairwise disjoint.
+    Neighbours that the bisection leaves touching, such as an open
+    interval whose end is a point root, are separated on p itself.
     A multiple real root raises NotSquareFreeError where the bisection
     meets it: at 0, at a midpoint, or past the depth of the bit lengths
     of b and of p's largest coefficient, where `_isolate_mobius` asks
@@ -1098,28 +1100,7 @@ def isolate_int_roots(p):
         _isolate_mobius(_shift_by(q[::-1], 1), (-b, 1), (b, 1), out, p, cap)
     if zero:
         out.insert(sum(lo[0] < 0 for lo, _ in out), ((0, 1), (0, 1)))
-    if len(p) <= 2:
-        return out
-    # separation must bisect against a polynomial that is nonzero at the
-    # exact point roots, or the shared endpoint can never move past them
-    p_sep = p
-    for lo, hi in out:
-        if lo == hi and sign_int_at(p_sep, lo) == 0:
-            p_sep = _deflate_rational(p_sep, lo)
-    return _separate_intervals(p_sep, out)
-
-
-def _deflate_rational(p, t):
-    """Divide an integer coefficient list by (b*x - a) for its known
-    rational root t = (a, b); returns a primitive integer list."""
-    a, b = t
-    q = []
-    acc = 0
-    for c in reversed(p[1:]):  # p_k = b*q_(k-1) - a*q_k, exact over Z
-        acc = (c + a * acc) // b
-        q.append(acc)
-    assert p[0] + a * acc == 0, "not a root"
-    return _primitive_int(q[::-1])
+    return out if len(p) <= 2 else _separate_intervals(p, out)
 
 
 def bisect_interval(p_int, lo, hi, s):
@@ -1135,23 +1116,13 @@ def bisect_interval(p_int, lo, hi, s):
     return (mid, hi) if fm == s else (lo, mid)
 
 
-def refine_interval(p_int, lo, hi):
-    """One bisection step keeping the sign change; collapses onto exact
-    rational roots found at the midpoint."""
-    if lo == hi:
-        return lo, hi
-    # lo may be an adjacent exact root; then the sign right of it is the
-    # opposite of the sign at hi
-    s = sign_int_at(p_int, lo) or -sign_int_at(p_int, hi)
-    return bisect_interval(p_int, lo, hi, s)
-
-
 def _separate_intervals(p_int, intervals):
     """Refine until closed intervals are pairwise disjoint.  Only
     neighbours are compared, so the intervals must come sorted by left
     end; unsorted input is refused rather than refined forever.  The
-    open intervals' ends must not be roots of p_int; p_int's sign at
-    each left end is read at its first step and carried."""
+    sign of the square-free p_int just right of each left end is read at
+    its first step and carried: p_int's sign there, or, where the end is
+    a root, that of p_int', which is nonzero at a simple root."""
     ivs = list(intervals)
     if any(q_cmp(a[0], b[0]) > 0 for a, b in zip(ivs, ivs[1:])):
         raise ValueError("isolating intervals are not sorted by left end")
@@ -1165,7 +1136,8 @@ def _separate_intervals(p_int, intervals):
                     lo, hi = ivs[j]
                     if lo != hi:
                         if signs[j] is None:
-                            signs[j] = sign_int_at(p_int, lo)
+                            signs[j] = (sign_int_at(p_int, lo)
+                                        or sign_int_at(_uderiv(p_int), lo))
                         ivs[j] = bisect_interval(p_int, lo, hi, signs[j])
                 changed = True
     return ivs

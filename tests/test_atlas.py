@@ -7,13 +7,14 @@ import pytest
 from fiberatlas import atlas
 from fiberatlas.atlas import (
     ParameterCell,
+    UnsupportedModeError,
     components_complement,
     fiber_b0,
     grid_b0,
     interior_points,
     run_atlas,
 )
-from fiberatlas.eliminate import DiscriminantSet, UnsupportedModeError
+from fiberatlas.eliminate import DiscriminantSet
 from fiberatlas.polycore import Ring, parse_polynomial
 from fiberatlas.semialg import SignCondition, parse_formula
 

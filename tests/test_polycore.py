@@ -13,13 +13,13 @@ from fiberatlas.polycore import (
     Polynomial,
     Ring,
     RingMismatchError,
+    bisect_interval,
     coprime_basis,
     int_coeffs,
     isolate_basis_roots,
     isolate_int_roots,
     parse_polynomial,
     q_cmp,
-    refine_interval,
     resultant,
     same_root,
     sign_at,
@@ -582,13 +582,27 @@ def test_isolation_irrational_roots_counted():
         assert lo < hi
 
 
-def test_refine_interval_keeps_the_root():
+def test_bisect_interval_keeps_the_root():
     coeffs = int_coeffs(P("X1^2 - 2", Ring(1, 0)))
     lo, hi = isolate_int_roots(list(coeffs))[1]
+    s = sign_int_at(coeffs, lo)  # carried: no step changes it
     for _ in range(20):
-        lo, hi = refine_interval(list(coeffs), lo, hi)
+        lo, hi = bisect_interval(coeffs, lo, hi, s)
     assert Q(*hi) - Q(*lo) <= Q(1, 2 ** 18)
-    assert sign_int_at(list(coeffs), lo) * sign_int_at(list(coeffs), hi) <= 0
+    assert sign_int_at(coeffs, lo) == s == -sign_int_at(coeffs, hi)
+
+
+def test_separation_reads_the_derivative_at_a_root_end():
+    """The Descartes bisection can leave an open interval between two
+    point roots.  Separating it needs p's sign just right of its left
+    end, where p is 0: p' gives it."""
+    # (2x - 1)(4x - 3)(5x^2 - 2): sqrt(2/5) in (1/2, 3/4), both ends roots
+    assert isolate_int_roots([-6, 20, -1, -50, 40]) == [
+        ((-4, 1), (0, 1)), ((1, 2), (1, 2)), ((5, 8), (11, 16)), ((3, 4), (3, 4))]
+    # x(2x - 1)(8x^2 - 1): 1/sqrt(8) in (0, 1/2), both ends roots; the
+    # root 0 is stripped before the bisection and inserted after it
+    assert isolate_int_roots([0, 1, -2, -8, 16]) == [
+        ((-1, 2), (-1, 4)), ((0, 1), (0, 1)), ((1, 4), (3, 8)), ((1, 2), (1, 2))]
 
 
 def test_separate_intervals_refuses_unsorted_input():
