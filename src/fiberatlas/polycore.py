@@ -972,12 +972,18 @@ def _sign_variations(coeffs):
 
 def _shift_by(p, c):
     """p(x+c) for integer c, by synthetic division in place: pass i
-    divides by x - c from the top down to i.  With c = 1 it is additions
-    only."""
+    divides by x - c from the top down to i, carrying the coefficient it
+    has just updated in a local.  With c = 1 it is additions only."""
     a = list(p)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1] if c == 1 else c * a[j + 1]
+    top = len(a) - 1
+    for i in range(top):
+        acc = a[top]
+        if c == 1:
+            for j in range(top - 1, i - 1, -1):
+                acc = a[j] = a[j] + acc
+        else:
+            for j in range(top - 1, i - 1, -1):
+                acc = a[j] = a[j] + c * acc
     return _trim(a)
 
 
@@ -1001,15 +1007,17 @@ def _halve(m):
     return [c << i for i, c in enumerate(_shift_by(m, 1))]
 
 
-def _isolate_mobius(m, lo, hi, out, p, cap):
-    """Descartes bisection of (lo, hi) (Collins-Akritas 1976) in the
-    form of Rouillier-Zimmermann (2004).  A node carries
-    M = (x+1)^n q(1/(x+1)), where q(x) on (0, 1) is the polynomial on
-    (lo, hi), so that M's sign variations are the node's Descartes
-    bound.  The halves are M(2x+1) and rev(rev(M)(2x+1)); both have
-    M(1), a multiple of q(1/2), at the midpoint's end, and an exact root
-    there is a zero coefficient that is dropped from each (the left one
-    comes out negated, which changes no count).
+def _isolate_mobius(stack, out, p, cap):
+    """Descartes bisection (Collins-Akritas 1976) in the form of
+    Rouillier-Zimmermann (2004), from the nodes on `stack`, each
+    (M, v, lo, hi, depth): the node (lo, hi) at its depth in the tree of
+    (-b, b), with v its Descartes bound.  M = (x+1)^n q(1/(x+1)), where
+    q(x) on (0, 1) is the polynomial on (lo, hi), so that M's sign
+    variations are v; a node of bound 0 or 1 needs no M.  The halves are
+    M(2x+1) and rev(rev(M)(2x+1)); both have M(1), a multiple of q(1/2),
+    at the midpoint's end, and an exact root there is a zero coefficient
+    that is dropped from each (the left one comes out negated, which
+    changes no count).
 
     The left half is always made.  The bounds of the two halves and an
     exact root at the midpoint add up to at most the node's bound
@@ -1023,9 +1031,8 @@ def _isolate_mobius(m, lo, hi, out, p, cap):
     never ends.  NotSquareFreeError is raised at the first, and at the
     first node deeper than `cap` when ugcd_int(p, p'), asked once there,
     is not 1; a square-free p passes that check, and its tree ends by the
-    two-circle theorem.  The tree runs on a stack, left half first, so
-    that `out` comes out sorted."""
-    stack = [(m, _sign_variations(m), lo, hi, 0)]
+    two-circle theorem.  The tree runs on the stack, left half first, so
+    that `out` comes out sorted when the nodes are pushed right to left."""
     while stack:
         m, v, lo, hi, depth = stack.pop()
         if v == 0:
@@ -1057,6 +1064,63 @@ def _isolate_mobius(m, lo, hi, out, p, cap):
         stack.append((left, vl, lo, mid, depth + 1))
 
 
+def _node_from_zero(s, e):
+    """M of the node (0, 2^e) of the integer list s: q(x) = s(2^e x),
+    times 2^(-e n) when e < 0, so that it stays integral."""
+    k = max(0, -e * (len(s) - 1))
+    return _shift_by([c << e * i + k for i, c in enumerate(s)][::-1], 1)
+
+
+def _start_nodes(p, b):
+    """The nodes, right to left, from which _isolate_mobius gives p the
+    intervals that the tree of (-b, b) gives it, for p(0) != 0 of degree
+    n >= 2 and b the dyadic root bound.
+
+    The tree's root (-b, b) always splits: every root z of p has |z| < b,
+    so every root (b - z) / (b + z) of its M has a positive real part,
+    the coefficients of M strictly alternate and its bound is n.  Each
+    side of 0 then starts lower.  The positive roots of s(x) = p(+-x),
+    lead made positive, lie below 2^e, the dyadic form of Kioustelidis'
+    bound 2 max (|s_i| / s_n)^(1 / (n - i)) over s_i < 0 (1986), read
+    from bit lengths; with no s_i < 0 the side holds no root.  The side
+    starts at its node (0, 2^e), or (-2^e, 0), when 2^e < b.  A bound
+    never grows on a subinterval, so the nodes from the side's (0, b)
+    down to it have bounds at least its own, and their other halves,
+    beyond 2^e, hold no root.  With a start bound of 2 or more the tree
+    of (-b, b) splits every one of them and meets the start node at the
+    same depth.  With a start bound of 1, the side's one root, the tree
+    stops at the first of them whose bound is 1, an odd bound being at
+    least 3 above it: the side walks down from (0, b) to that node."""
+    n, log_b = len(p) - 1, b.bit_length() - 1
+    nodes = []
+    for sign in (1, -1):
+        s = p if sign > 0 else [-c if i & 1 else c for i, c in enumerate(p)]
+        if s[-1] < 0:
+            s = [-c for c in s]
+        # (|s_i| / s_n)^(1 / (n - i)) is below 2^ceil(k / (n - i)),
+        # k = bits(s_i) - bits(s_n) + 1
+        lead = s[-1].bit_length()
+        neg = [-((lead - 1 - (-c).bit_length()) // (n - i))
+               for i, c in enumerate(s[:-1]) if c < 0]
+        if not neg:
+            continue
+        e = min(1 + max(neg), log_b)
+        m = _node_from_zero(s, e)
+        v = _sign_variations(m)
+        if not v:
+            continue
+        if v == 1 and e < log_b:
+            m, e = _node_from_zero(s, log_b), log_b
+            while _sign_variations(m) > 1:
+                m, e = _halve(m), e - 1
+        t = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+        if sign > 0:
+            nodes.append((m, v, (0, 1), t, 1 + log_b - e))
+        else:
+            nodes.append((m[::-1], v, (-t[0], t[1]), (0, 1), 1 + log_b - e))
+    return nodes
+
+
 class NotSquareFreeError(ValueError):
     pass
 
@@ -1068,7 +1132,10 @@ def isolate_int_roots(p):
     Returns a sorted list of (lo, hi) rational pairs (n, d); lo == hi
     marks an exact rational root.  Open intervals carry a sign change of
     p and contain exactly one root; all intervals are pairwise disjoint.
-    Neighbours that the bisection leaves touching, such as an open
+    They are those of the Descartes bisection of (-b, b), b the dyadic
+    root bound, started at each side's own smaller root bound
+    (_start_nodes), which skips only nodes whose other halves hold no
+    root.  Neighbours that the bisection leaves touching, such as an open
     interval whose end is a point root, are separated on p itself.
     A multiple real root raises NotSquareFreeError where the bisection
     meets it: at 0, at a midpoint, or past the depth of the bit lengths
@@ -1093,11 +1160,8 @@ def isolate_int_roots(p):
         b = 1
         while b * lead < lead + top:
             b <<= 1
-        # map (-b, b) to (0, 1): q(x) = p(-b + 2b*x) = t(2b*x), t = p(x - b)
-        t = _shift_by(p, -b)
-        q = [c * (2 * b) ** i for i, c in enumerate(t)]
         cap = b.bit_length() + max(top, lead).bit_length()
-        _isolate_mobius(_shift_by(q[::-1], 1), (-b, 1), (b, 1), out, p, cap)
+        _isolate_mobius(_start_nodes(p, b), out, p, cap)
     if zero:
         out.insert(sum(lo[0] < 0 for lo, _ in out), ((0, 1), (0, 1)))
     return out if len(p) <= 2 else _separate_intervals(p, out)

@@ -13,10 +13,13 @@ give the same ends.  Regenerate the file with
     PYTHONPATH=src python tests/test_isolation.py
 
 Beside the golden corpus, a reference written here, a Descartes
-bisection that makes both halves of every node from p itself, must give
-the same intervals on 1000 seeded polynomials and 200 groups; multiple
-real roots must be refused fast, and a group must take one gcd per pair
-of members.
+bisection of all of (-b, b) that makes both halves of every node from p
+itself, must give the same intervals on 1000 seeded polynomials and 200
+groups, and on 200 whose roots lie far inside b, where isolate_int_roots
+starts each side of 0 at its own root bound; multiple real roots must
+be refused fast, and a group must take one gcd per pair of members.
+The degree-20 discriminants of the golden sextic pin the number of
+Taylor shifts that start saves.
 """
 import json
 import random
@@ -26,8 +29,10 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from test_eliminate import SEXTIC, P, R, _systems_of
 
 from fiberatlas import polycore
+from fiberatlas.eliminate import assemble_G
 from fiberatlas.polycore import (
     NotSquareFreeError,
     isolate_basis_roots,
@@ -209,20 +214,26 @@ def _ref_refine(p, lo, hi):
     return (mid, hi) if fm == s else (lo, mid)
 
 
+def _root_bound(p):
+    """b, the least power of two with b |lead| >= |lead| + max |c|."""
+    lead = abs(p[-1])
+    b = 1
+    while b * lead < lead + max(abs(c) for c in p[:-1]):
+        b *= 2
+    return b
+
+
 def _ref_isolate(p):
-    """The isolation isolate_int_roots documents: Descartes bisection of
-    (-b, b), b the least power of two with b |lead| >= |lead| + max |c|,
-    after taking out a root at 0, then neighbours refined until their
-    closures are disjoint."""
+    """The intervals isolate_int_roots reproduces: those of the Descartes
+    bisection of all of (-b, b), b the root bound (_root_bound), after
+    taking out a root at 0, with neighbours refined until their closures
+    are disjoint."""
     zero = p[0] == 0
     p = p[1:] if zero else p
     if len(p) <= 2:  # a constant, or one rational root
         out = [(Fraction(-p[0], p[-1]),) * 2] * (len(p) - 1)
     else:
-        lead = abs(p[-1])
-        b = 1
-        while b * lead < lead + max(abs(c) for c in p[:-1]):
-            b *= 2
+        b = _root_bound(p)
         out = _ref_tree(p, Fraction(-b), Fraction(b))
     if zero:
         out = sorted(out + [(Fraction(0), Fraction(0))])
@@ -326,6 +337,74 @@ def test_isolation_matches_a_bisection_that_computes_both_halves():
     for polys in groups + [[p, q] for p, q in zip(singles[::10], singles[5::10])]:
         got = [(Fraction(*lo), Fraction(*hi), k) for lo, hi, k in isolate_basis_roots(polys)]
         assert got == _ref_basis(polys), polys
+
+
+def _small_roots_corpus():
+    """Seeded square-free lists that reach every way isolate_int_roots
+    starts a side of 0 below the root bound b: products of up to five
+    linear factors with roots n / (d 2^s), s up to 12, so far inside b
+    (sides with two roots or more, and one-root sides whose bound-1 node
+    lies above the start, or whose start bound is 3 or more beside the
+    complex roots of a factor a x^2 + c), with dyadic roots that the
+    bisection meets at midpoints and a root at 0; and dense lists of
+    degree 2 to 21 with small coefficients (sides with no sign change,
+    and sides whose bound is not below b)."""
+    rng = random.Random(1986)
+    # one positive root each, b = 8 and the side starts at (0, 4): for
+    # x^3 - x^2 - 3x - 4 (root near 2.6) (0, 8) has bound 1 already, for
+    # x^3 - x^2 + 2x - 4 (root near 1.5) bound 3
+    singles = [[-4, -3, -1, 1], [-4, 2, -1, 1]]
+    while len(singles) < 120:
+        factors = [_linear(rng.randint(-40, 40), rng.randint(1, 9) << rng.randint(0, 12))
+                   for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            factors.append([rng.randint(1, 50), 0, rng.randint(1, 50)])
+        p = usquarefree_int(_product(factors))
+        if len(p) > 2:
+            singles.append(p)
+    while len(singles) < 200:
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(3, 22))]
+        if rng.random() < 0.2:
+            p[0] = 0
+        p = usquarefree_int(p)
+        if len(p) > 2:
+            singles.append(p)
+    return singles
+
+
+def test_isolation_started_below_the_root_bound_matches_the_tree_of_minus_b_b():
+    """Each side of 0 starts at its own root bound, and the intervals
+    are those of the tree of (-b, b), whose root, holding every root of
+    p, has bound deg p."""
+    for p in _small_roots_corpus():
+        got = [(Fraction(*lo), Fraction(*hi)) for lo, hi in isolate_int_roots(p)]
+        assert got == _ref_isolate(p), p
+        q = p[1:] if p[0] == 0 else p
+        b = _root_bound(q)
+        assert _descartes(q, Fraction(-b), Fraction(b)) == len(q) - 1, p
+
+
+def test_sextic_discriminants_take_fewer_taylor_shifts(monkeypatch):
+    """The two degree-20 discriminants of tests/golden/sextic.txt at
+    delta = 1/64 have all their roots within 1/32 of 0, where b = 2.
+    The tree of (-b, b) took 38 Taylor shifts on each; started at each
+    side's own root bound it takes 24."""
+    basis = assemble_G(_systems_of((P(SEXTIC),), ((0,),)), R).basis
+    discriminants = [p for p in basis if len(p) == 21]
+    assert len(discriminants) == 2
+    shift_by = polycore._shift_by
+    calls = []
+
+    def counted(p, c):
+        calls.append(c)
+        return shift_by(p, c)
+
+    monkeypatch.setattr(polycore, "_shift_by", counted)
+    for p in discriminants:
+        assert _root_bound(p) == 2
+        ends = [Fraction(*x) for iv in isolate_int_roots(p) for x in iv]
+        assert max(map(abs, ends)) <= Fraction(1, 32)
+    assert len(calls) == 48
 
 
 def _square_of_degree_12(seed):

@@ -545,8 +545,9 @@ def _sturm_count(p):
 def test_isolation_returns_midpoint_roots_as_points():
     """Rational roots on bisection midpoints at depth 2 or more, each
     with an irrational root in the same half, so that the bisection
-    splits exactly there.  Each root bound b below is the one
-    isolate_int_roots starts from: it bisects (-b, b)."""
+    splits exactly there.  Each b below is the root bound of the tree of
+    (-b, b) whose intervals isolate_int_roots reproduces, starting each
+    side of 0 lower."""
     cases = (
         ([(1, 1)], [-2, 0, 1]),  # b = 4: 1 halves (0, 2), beside sqrt 2
         ([(3, 1)], [-7, 0, 1]),  # b = 32: 3 halves (2, 4), beside sqrt 7
