@@ -362,30 +362,32 @@ class _Core:
     def _value_sign(self, i, P, shared):
         """Sign of K(c) - T at the i-th critical point c, where P is a
         positive multiple of K - T: refine c's interval until an interval
-        enclosure of P over it excludes 0.  The first enclosure that holds
-        0 asks whether K(c) = T, which holds exactly when g = gcd(P, q)
-        changes sign on the interval, as c is a simple root of q.  g is
-        computed on first need and kept in the list `shared`, which the
-        caller passes empty once per P."""
+        enclosure of P over it excludes 0.  Only past D refinements, D the
+        bit length of P's largest coefficient plus that of q's (the depth
+        rule of isolate_int_roots), is it asked whether K(c) = T, which
+        holds exactly when g = gcd(P, q) changes sign on the interval, as c
+        is a simple root of q.  At a census sample K(c) = T never holds,
+        so there the gcd only guards termination.  g is computed on first
+        need and kept in the list `shared`, which the caller passes empty
+        once per P."""
         lo, hi = self.crit[i]
-        if lo == hi:
-            return sign_int_at(P, lo)
-        s = _sign_on(P, lo, hi)
-        if s:
-            return s
-        if not shared:
-            shared.append(ugcd_int(P, self.q))
-        g = shared[0]
-        if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
-            return 0
-        while True:
-            self._refine_crit(i)
-            lo, hi = self.crit[i]
-            if lo == hi:
-                return sign_int_at(P, lo)
+        depth = None
+        while lo != hi:
             s = _sign_on(P, lo, hi)
             if s:
                 return s
+            if depth is None:
+                depth = max(map(abs, P)).bit_length() + max(map(abs, self.q)).bit_length()
+            if depth == 0:
+                if not shared:
+                    shared.append(ugcd_int(P, self.q))
+                g = shared[0]
+                if len(g) > 1 and sign_int_at(g, lo) != sign_int_at(g, hi):
+                    return 0
+            depth -= 1
+            self._refine_crit(i)
+            lo, hi = self.crit[i]
+        return sign_int_at(P, lo)
 
     def _piece_interval(self, j, P):
         """Isolating interval of the one root of P on piece j, where P is

@@ -911,7 +911,9 @@ def _pseudo_divmod(a, b):
     return q, a
 
 
-_PRIME = (1 << 61) - 1
+# the largest prime below 2^30: a residue is one 30-bit CPython digit
+# and a product of two residues fits in two
+_PRIME = 1073741789
 
 
 def _coprime_mod_prime(a, b):
@@ -919,18 +921,21 @@ def _coprime_mod_prime(a, b):
     constant, for integer coefficient lists whose leading coefficients
     _PRIME does not divide.  Then a and b are coprime over Q: a common
     factor of positive degree would have a leading coefficient dividing
-    both, so it would keep its degree modulo _PRIME (Brown 1971)."""
+    both, so it would keep its degree modulo _PRIME (Brown 1971).  Any
+    prime that divides neither lead will do.  Each step subtracts b times
+    la/lb from a, with one inverse of lb per remainder and b left as it
+    is."""
     a = [c % _PRIME for c in a]
     b = [c % _PRIME for c in b]
     while len(b) > 1:
-        inv = pow(b[-1], -1, _PRIME)
-        b = [c * inv % _PRIME for c in b]
+        neg_inv = _PRIME - pow(b[-1], -1, _PRIME)
         db = len(b) - 1
         while len(a) > db:
             la = a.pop()
             if la:
+                m = la * neg_inv % _PRIME
                 shift = len(a) - db
-                a[shift:] = [(x - la * y) % _PRIME for x, y in zip(a[shift:], b)]
+                a[shift:] = [(x + m * y) % _PRIME for x, y in zip(a[shift:], b)]
         while a and not a[-1]:
             a.pop()
         a, b = b, a
@@ -970,20 +975,16 @@ def _sign_variations(coeffs):
     return v
 
 
-def _shift_by(p, c):
-    """p(x+c) for integer c, by synthetic division in place: pass i
-    divides by x - c from the top down to i, carrying the coefficient it
-    has just updated in a local.  With c = 1 it is additions only."""
+def _shift_by(p):
+    """p(x+1), by synthetic division in place: pass i divides by x - 1
+    from the top down to i, carrying the coefficient it has just updated
+    in a local, so it is additions only."""
     a = list(p)
     top = len(a) - 1
     for i in range(top):
         acc = a[top]
-        if c == 1:
-            for j in range(top - 1, i - 1, -1):
-                acc = a[j] = a[j] + acc
-        else:
-            for j in range(top - 1, i - 1, -1):
-                acc = a[j] = a[j] + c * acc
+        for j in range(top - 1, i - 1, -1):
+            acc = a[j] = a[j] + acc
     return _trim(a)
 
 
@@ -1004,7 +1005,7 @@ def q_mid(x, y):
 
 def _halve(m):
     """M(2x + 1): one shift by 1, then coefficient i times 2^i."""
-    return [c << i for i, c in enumerate(_shift_by(m, 1))]
+    return [c << i for i, c in enumerate(_shift_by(m))]
 
 
 def _isolate_mobius(stack, out, p, cap):
@@ -1068,7 +1069,7 @@ def _node_from_zero(s, e):
     """M of the node (0, 2^e) of the integer list s: q(x) = s(2^e x),
     times 2^(-e n) when e < 0, so that it stays integral."""
     k = max(0, -e * (len(s) - 1))
-    return _shift_by([c << e * i + k for i, c in enumerate(s)][::-1], 1)
+    return _shift_by([c << e * i + k for i, c in enumerate(s)][::-1])
 
 
 def _start_nodes(p, b):

@@ -395,6 +395,10 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("text, gcds, b0", [
     # critical points +-sqrt(2/3); every enclosure of K - T there excludes 0
     ("(X1^3 - 2*X1 - 5 > 0) or (X1^3 - 2*X1 + 7 < 0)", 0, 2),
+    # K - T has its minimum 11/10 - (4/3) sqrt(2/3), about 0.011, at
+    # sqrt(2/3): the first enclosure there holds 0, and a few refinements
+    # of the critical interval decide the sign without a gcd
+    ("X1^3 - 2*X1 + 11/10 > 0", 0, 1),
     # K - T = (X1^2 - 2)^2 vanishes at both irrational critical points:
     # one gcd serves the two
     ("X1^4 - 4*X1^2 + 4 = 0", 1, 2),

@@ -395,9 +395,9 @@ def test_sextic_discriminants_take_fewer_taylor_shifts(monkeypatch):
     shift_by = polycore._shift_by
     calls = []
 
-    def counted(p, c):
-        calls.append(c)
-        return shift_by(p, c)
+    def counted(p):
+        calls.append(p)
+        return shift_by(p)
 
     monkeypatch.setattr(polycore, "_shift_by", counted)
     for p in discriminants:

@@ -30,8 +30,6 @@ from fiberatlas.polycore import (
 )
 from fiberatlas.polycore import _resultant_leaf, _separate_intervals, _shift_by
 
-MERSENNE_61 = (1 << 61) - 1
-
 R11 = Ring(1, 1)
 R20 = Ring(2, 0)
 
@@ -648,23 +646,44 @@ def test_usquarefree_primitive_tests_every_list_above_degree_one():
 
 
 def _gcd_oracle(a, b):
-    """Gcd by Euclid over the rationals, scaled to a primitive integer
-    list with positive leading coefficient."""
+    """Gcd by Euclid's algorithm over the rationals, primitive with
+    positive leading coefficient.  Each remainder is kept as a primitive
+    integer list, a nonzero rational multiple of the rational remainder,
+    so the gcd is the same and no coefficient is a fraction."""
     a, b = _trimmed(a), _trimmed(b)
     while b:
-        a, b = b, _udiv_frac(a, b)[1]
+        r = list(a)
+        while len(r) >= len(b):
+            k, f = len(r) - len(b), r[-1]
+            r = [c * b[-1] for c in r]
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+            r = _trimmed(r)
+        g = gcd(*r)
+        a, b = b, [c // g for c in r]
     if not a:
         return []
-    lcm = 1
-    for c in a:
-        lcm = lcm * Q(c).denominator // gcd(lcm, Q(c).denominator)
-    ints = [int(Q(c) * lcm) for c in a]
-    g = gcd(*ints)
-    return [c // g * (1 if ints[-1] > 0 else -1) for c in ints]
+    g = gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [c // g for c in a]
+
+
+def _decided_mod_prime(a, b):
+    """Whether ugcd_int(a, b) returns [1] from the modular test alone."""
+    a, b = polycore._primitive_int(a), polycore._primitive_int(b)
+    if len(a) < len(b):
+        a, b = b, a
+    m = polycore._PRIME
+    return bool(b) and a[-1] % m != 0 and b[-1] % m != 0 and polycore._coprime_mod_prime(a, b)
+
+
+def test_modular_prime_is_a_prime_below_2_30():
+    m = polycore._PRIME
+    assert 2 < m < 1 << 30
+    assert all(m % d for d in range(2, int(m ** 0.5) + 1))
 
 
 def test_ugcd_int_falls_back_when_the_modular_check_cannot_decide():
-    m = MERSENNE_61
+    m = polycore._PRIME
     cases = [
         # leading coefficient a multiple of the prime: no modular pass
         ([3, m], [1, 2, 5]),
@@ -678,9 +697,44 @@ def test_ugcd_int_falls_back_when_the_modular_check_cannot_decide():
         (_umul([m + 4, 1], [1, 1]), _umul([m + 4, 1], [3, 1])),
     ]
     for a, b in cases:
+        assert not _decided_mod_prime(a, b)
         assert ugcd_int(a, b) == _gcd_oracle(a, b)
         assert ugcd_int(b, a) == _gcd_oracle(a, b)
     assert ugcd_int([0, 1], [-m, 1]) == [1]
+
+
+def test_coprime_mod_prime_against_rational_euclid():
+    """Seeded pairs up to degree 21 with coefficients up to 2^200, the
+    size of census-elim's eliminants: coprime pairs, pairs with a shared
+    factor, and pairs coprime over Q whose factors x - r and
+    x - r - k * _PRIME share a root modulo the prime.  A True from the
+    modular test is a proof of coprimality, and ugcd_int is the
+    rational gcd every time."""
+    rng = random.Random(30)
+    m = polycore._PRIME
+    decided = [0, 0, 0]
+    for i in range(300):
+        bits = rng.choice((4, 30, 64, 200))
+
+        def rand(deg):
+            return [rng.randint(-(1 << bits), 1 << bits) for _ in range(deg)] + [rng.randint(1, 1 << bits)]
+
+        kind = i % 3
+        if kind == 0:  # coprime over Q, all but surely
+            a, b = rand(rng.randint(1, 21)), rand(rng.randint(1, 21))
+        elif kind == 1:  # a shared factor
+            h = rand(rng.randint(1, 10))
+            a, b = _umul(rand(rng.randint(0, 11)), h), _umul(rand(rng.randint(0, 11)), h)
+        else:  # a shared root modulo the prime only
+            r = rng.randint(-(1 << 40), 1 << 40)
+            a = _umul(rand(rng.randint(0, 10)), [-r, 1])
+            b = _umul(rand(rng.randint(0, 10)), [-r - rng.randint(1, 1 << 20) * m, 1])
+        g = _gcd_oracle(a, b)
+        if _decided_mod_prime(a, b):
+            assert g == [1], (a, b)
+            decided[kind] += 1
+        assert ugcd_int(a, b) == g
+    assert decided[0] > 90 and decided[1:] == [0, 0]
 
 
 def test_ugcd_int_against_rational_euclid():
@@ -696,27 +750,25 @@ def test_ugcd_int_against_rational_euclid():
         assert ugcd_int(a, b) == _gcd_oracle(a, b)
 
 
-def _shift_oracle(p, c):
-    """p(x + c) by Horner's rule on coefficient lists: r -> r * (x + c) + a."""
+def _shift_oracle(p):
+    """p(x + 1) by Horner's rule on coefficient lists: r -> r * (x + 1) + a."""
     r = []
     for a in reversed(p):
-        r = [c * s + t for s, t in zip(r + [0], [0] + r)]
+        r = [s + t for s, t in zip(r + [0], [0] + r)]
         r[0] += a
     return _trimmed(r)
 
 
 def test_shift_by_against_horner():
     rng = random.Random(17)
-    assert _shift_by([], 5) == []
-    assert _shift_by([0, 0], 1) == []
+    assert _shift_by([]) == []
+    assert _shift_by([0, 0]) == []
     for _ in range(400):
         bits = rng.choice((1, 8, 64, 200))
         p = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 26))]
         if rng.random() < 0.25:
             p += [0] * rng.randint(1, 3)  # trailing zeros
-        c = rng.choice((1, -1, -(1 << rng.randint(0, 80)),
-                        rng.randint(-(1 << 100), 1 << 100)))
-        assert _shift_by(p, c) == _shift_oracle(p, c)
+        assert _shift_by(p) == _shift_oracle(p)
 
 
 def test_isolation_still_refuses_a_square():
