@@ -158,17 +158,21 @@ class FiberPlan:
     `polys` are its distinct atom polynomials in first-seen order, and
     `indexed` is the formula with each atom polynomial replaced by its
     index there, so `eval_signs(indexed, signs.__getitem__)` evaluates it
-    over a list of signs; `truth` memoises that per sign vector for the
-    life of the plan.  For m = 1, the first `split_at` builds `groups`:
-    each atom's integer table (`_int_table`) cut into its X1-part (rows
-    i >= 1) and its constant row, with the atoms whose X1-parts are equal
-    up to a nonzero integer factor in one group, keyed by the primitive
-    X1-part; the atoms constant in X1 form a group of their own.  `cores`
-    has a key for the core of each X1-part free of Y1, and keeps its
-    _Core there for the life of the plan once it is made.
+    over a list of signs.  A sign list is keyed by one integer, the sum
+    of (signs[k] + 1) * 3^k (`key`), and `truths` memoises the formula's
+    value by that key.  The memo lives as long as the plan, or, given a
+    dict `memos`, is memos[indexed], shared with every plan made with
+    that dict whose indexed formula is equal.  For m = 1, the first
+    `split_at` builds `groups`: each atom's integer table (`_int_table`)
+    cut into its X1-part (rows i >= 1) and its constant row, with the
+    atoms whose X1-parts are equal up to a nonzero integer factor in one
+    group, keyed by the primitive X1-part; the atoms constant in X1 form
+    a group of their own.  `cores` has a key for the core of each X1-part
+    free of Y1 and of degree 2 or more, and keeps its _Core there for the
+    life of the plan once it is made.
     """
 
-    def __init__(self, formula):
+    def __init__(self, formula, memos=None):
         index = {}
         made = {}  # id(atom): its indexed atom, once per shared atom object
 
@@ -181,16 +185,21 @@ class FiberPlan:
         self.formula = formula
         self.indexed = map_atoms(formula, indexed)
         self.polys = list(index)
+        self.weights = [3 ** k for k in range(len(self.polys))]
         self.groups = None
         self.cores = {}
-        self.truths = {}
+        self.truths = {} if memos is None else memos.setdefault(self.indexed, {})
 
-    def truth(self, signs):
-        """The formula's value when atom polynomial k has sign signs[k]."""
-        key = tuple(signs)
+    def key(self, signs):
+        """The integer that keys the sign list `signs` in `truths`."""
+        return sum((s + 1) * w for s, w in zip(signs, self.weights))
+
+    def truth(self, key, signs):
+        """The formula's value when atom polynomial k has sign signs[k],
+        where key is self.key(signs)."""
         t = self.truths.get(key)
         if t is None:
-            t = self.truths[key] = eval_signs(self.indexed, key.__getitem__)
+            t = self.truths[key] = eval_signs(self.indexed, signs.__getitem__)
         return t
 
     def _compile(self):
@@ -217,7 +226,7 @@ class FiberPlan:
             group = groups.get(key := tuple(part))
             if group is None:
                 group = groups[key] = (key, K, [])
-                if K is not None:
+                if K is not None and len(K) > 2:
                     self.cores[K] = None
             group[2].append((k, f, tuple(row0), len(row0) - 1))
         self.groups = list(groups.values())
@@ -393,9 +402,6 @@ class _Core:
         """Isolating interval of the one root of P on piece j, where P is
         nonzero at both ends and changes sign, and P's sign at its left
         end (0 for a point)."""
-        if len(P) == 2:  # primitive with positive lead: in lowest terms
-            x = (-P[0], P[1])
-            return [x, x], 0
         bound = 2 + max(abs(c) for c in P[:-1]) // abs(P[-1])  # Cauchy
         last = len(self.crit)
         while True:
@@ -459,7 +465,10 @@ class _Root:
     positive or negative multiples of P = core - T.  It is the one root of
     `refiner` in the interval `iv`: a point, or an open interval with
     `refiner` nonzero at both ends and of sign `sign` at its left end,
-    which no cut changes.  `flips` when the root has odd multiplicity."""
+    which no cut changes.  `flips` when the root has odd multiplicity.
+    A point's own P and refiner are never read (a tie with a point reads
+    the other root's polynomial, and a point is never cut), so the
+    roots of the linear core X1 carry None for both."""
 
     __slots__ = ("P", "atoms", "iv", "sign", "refiner", "flips")
 
@@ -513,12 +522,16 @@ def _fiber_roots(plan, cores):
     list of events: the _Root objects (one per core) at that point.
     Each core's sorted roots are merged into the events of the cores
     before it, one `_compare` per step, so only roots of distinct cores
-    are compared and no pair twice; a root equal to an event joins it."""
+    are compared and no pair twice; a root equal to an event joins it.
+    The core X1, K = (0, 1), has no _Core: each threshold is its root."""
     events = []
     for K, by_t in cores.items():
         L = lcm(*(den for _, den in by_t))
         ts = sorted(by_t, key=lambda t: t[0] * (L // t[1]))
-        roots = plan.core(K).crossings([(_threshold_poly(K, t), by_t[t]) for t in ts])
+        if len(K) == 2:
+            roots = [_Root(None, by_t[t], (t, t), 0, None, True) for t in ts]
+        else:
+            roots = plan.core(K).crossings([(_threshold_poly(K, t), by_t[t]) for t in ts])
         merged = []
         i = 0
         for r in roots:
@@ -545,24 +558,33 @@ def fiber_b0(formula, y, m: int) -> FiberReport:
     Every atom's sign is known at -oo; at a root its atoms are 0, and
     after it they change sign when the root has odd multiplicity.
     Evaluate the formula on each open gap and at each root, in place on
-    one sign list, and count maximal runs of true pieces as they come.
+    one sign list whose integer key (FiberPlan.key) moves with it, and
+    count maximal runs of true pieces as they come.
     """
     if m != 1:
         raise UnsupportedModeError(f"m = {m}: fibers are counted for m = 1 only")
     y = Q(y)
     plan = formula if isinstance(formula, FiberPlan) else FiberPlan(formula)
     signs, cores = plan.split_at(y)
+    weights = plan.weights
+    key = plan.key(signs)
     # alternating sequence: open piece, root, open piece, ..., open piece
-    prev = plan.truth(signs)
+    prev = plan.truth(key, signs)
     b0 = int(prev)
     for event in _fiber_roots(plan, cores):
         cut = [(k, signs[k], r.flips) for r in event for k in r.atoms]
-        for k, _, _ in cut:
+        at_key = key
+        for k, s, _ in cut:
             signs[k] = 0
-        at = plan.truth(signs)
+            at_key -= s * weights[k]
+        at = plan.truth(at_key, signs)
         for k, s, flips in cut:
-            signs[k] = -s if flips else s
-        after = plan.truth(signs)
+            if flips:
+                signs[k] = -s
+                key -= 2 * s * weights[k]
+            else:
+                signs[k] = s
+        after = plan.truth(key, signs)
         b0 += (at and not prev) + (after and not at)
         prev = after
     return FiberReport(y, b0, "exact-univariate")
@@ -597,7 +619,8 @@ def grid_b0(formula, y, resolution, box_radius=16) -> int:
     prev = False
     for k in range(n_steps + 1):
         x = (k * step.numerator - box_radius * step.denominator, step.denominator)
-        t = plan.truth([sign_int_at(c, x) for c in coeffs])
+        signs = [sign_int_at(c, x) for c in coeffs]
+        t = plan.truth(plan.key(signs), signs)
         if t and not prev:
             b0 += 1
         prev = t
@@ -606,11 +629,11 @@ def grid_b0(formula, y, resolution, box_radius=16) -> int:
 
 # -- the end-to-end pipeline -------------------------------------------
 
-def _single_run(base, sigma_set, m, delta):
+def _single_run(base, sigma_set, m, delta, memos=None):
     ring = base[0].ring
     ladder = build_ladder(len(base), delta)
     closed = construct_S_prime(sigma_set, base, ladder)
-    plan = FiberPlan(closed.formula)
+    plan = FiberPlan(closed.formula, memos)
     members = plan.polys
     strata = enumerate_strata(members, base)
     systems = systems_for_strata(strata, members)
@@ -632,7 +655,9 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64)) -> AtlasRepor
     REFINE_ROUNDS rounds compares the delta-squared run with the run at
     its square, and the last report is returned with stabilization
     False.  Only m = 1 fibers over one parameter (n = 1) are counted
-    exactly, so any other m or n is refused before the first run.
+    exactly, so any other m or n is refused before the first run.  The
+    runs of one call share a truth memo where their indexed formulas are
+    equal; no memo outlives the call.
     """
     base = tuple(base)
     if not base:
@@ -646,9 +671,10 @@ def run_atlas(base, sigma_set, m: int, n: int = 1, delta=Q(1, 64)) -> AtlasRepor
         raise UnsupportedModeError(
             f"n = {n}: the census cuts one parameter line, so it needs n = 1")
     delta = Q(delta)
-    cells, fibers = _single_run(base, sigma_set, m, delta)
+    memos = {}
+    cells, fibers = _single_run(base, sigma_set, m, delta, memos)
     for _ in range(REFINE_ROUNDS):
-        cells2, fibers2 = _single_run(base, sigma_set, m, delta ** 2)
+        cells2, fibers2 = _single_run(base, sigma_set, m, delta ** 2, memos)
         stable = (len(cells) == len(cells2)
                   and sorted(f.b0 for f in fibers) == sorted(f.b0 for f in fibers2))
         report = AtlasReport(cells, fibers, len({f.b0 for f in fibers}), delta, stable)

@@ -18,6 +18,8 @@ from fiberatlas.eliminate import DiscriminantSet
 from fiberatlas.polycore import Ring, parse_polynomial
 from fiberatlas.semialg import SignCondition, parse_formula
 
+from conftest import BUNDLED
+
 R = Ring(1, 1)
 
 
@@ -152,7 +154,7 @@ def _unstable_runs(monkeypatch):
     count follows delta); returns the list of deltas it is called with."""
     calls = []
 
-    def fake(base, sigma_set, m, delta):
+    def fake(base, sigma_set, m, delta, *memos):
         calls.append(delta)
         k = delta.denominator.bit_length()
         return ((ParameterCell(None, None, Q(0)),) * k,
@@ -170,6 +172,31 @@ def test_refinement_round_reuses_the_delta_squared_run(monkeypatch):
     assert calls == [d, d ** 2, d ** 4, d ** 8]  # REFINE_ROUNDS + 1 runs
     assert not report.stabilization
     assert report.delta_used == d ** 4
+
+
+def test_runs_of_one_census_share_one_truth_memo(monkeypatch):
+    """The run of twolines at delta squared has the indexed formula of
+    its run at delta, so its plan reads that run's truth memo and adds no
+    entry to it.  A second run_atlas call starts from an empty memo."""
+    plans = []
+
+    class Recorded(atlas.FiberPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append((self, len(self.truths)))
+
+    monkeypatch.setattr(atlas, "FiberPlan", Recorded)
+    twolines = next(b for b in BUNDLED if b.name == "twolines")
+    base = twolines.base
+    sigma = [SignCondition(base, row) for row in twolines.sigma]
+    assert run_atlas(base, sigma, 1).stabilization
+    (first, empty), (second, entries) = plans
+    assert empty == 0 and entries > 0
+    assert second.truths is first.truths
+    assert len(first.truths) == entries
+    run_atlas(base, sigma, 1)
+    (third, empty), _ = plans[2:]
+    assert empty == 0 and third.truths is not first.truths
 
 
 def test_proportional_members_stabilize_at_the_first_delta():

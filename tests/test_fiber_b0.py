@@ -178,6 +178,33 @@ def test_one_plan_for_every_fiber_matches_fresh_plans():
             assert fiber_b0(plan, y, 1).b0 == fiber_b0(FiberPlan(formula), y, 1).b0
 
 
+def test_grid_and_sweep_alternating_on_one_plan_match_fresh_plans():
+    """grid_b0 and fiber_b0 key one memo by the same integer: alternated
+    on one plan per golden case, each gives what a fresh plan gives."""
+    for case in json.loads(GOLDEN.read_text()):
+        formula, y = parse_formula(case["formula"], R), Q(case["y"])
+        grid = grid_b0(FiberPlan(formula), y, Q(1, 2), box_radius=4)
+        plan = FiberPlan(formula)
+        for _ in range(2):
+            assert grid_b0(plan, y, Q(1, 2), box_radius=4) == grid, case
+            assert fiber_b0(plan, y, 1).b0 == case["b0"], case
+
+
+def test_plans_share_a_memo_only_for_equal_indexed_formulas():
+    """Plans made with one memo dict share a memo exactly when their
+    indexed formulas are equal, and count as fresh plans do."""
+    memos = {}
+    texts = ("(X1 - Y1 > 0) and (X1^2 - 2 < 0)",
+             "(X1 + Y1 - 1 > 0) and (X1^2 - 3 < 0)",
+             "(X1 - Y1 > 0) or (X1^2 - 2 < 0)")
+    plans = [FiberPlan(parse_formula(t, R), memos) for t in texts]
+    assert plans[1].truths is plans[0].truths
+    assert plans[2].truths is not plans[0].truths
+    for plan, text in zip(plans, texts):
+        for y in Y_VALUES:
+            assert fiber_b0(plan, y, 1).b0 == fiber_b0(parse_formula(text, R), y, 1).b0
+
+
 def test_plan_indexes_a_shared_atom_once():
     """One Atom object held twice gives one indexed Atom object."""
     shared = Atom(parse_polynomial("X1^2 + Y1 - 1", R), "<=")
@@ -502,9 +529,10 @@ def test_grouped_atoms_one_plan_matches_fresh_plans_and_grid(atoms, shape, ys):
 
 
 def test_plan_keeps_the_cores_free_of_y1_and_only_those(monkeypatch):
-    """A plan isolates the critical points of a core whose X1-part has no
-    Y1 once for all of its fibers, of a core whose X1-part has Y1 once
-    per fiber, and a new plan starts with none."""
+    """A plan isolates the critical points of a core of degree 2 or more
+    whose X1-part has no Y1 once for all of its fibers, of a core whose
+    X1-part has Y1 once per fiber, and a new plan starts with none.  The
+    linear core X1 is never isolated."""
     calls = _counting(monkeypatch, "isolate_int_roots")
     ys = [Q(k, 3) for k in range(1, 7)]
     # cores X1^2 (twice, up to -1/2), X1 (three atoms) and X1^3 - 3*X1
@@ -513,9 +541,9 @@ def test_plan_keeps_the_cores_free_of_y1_and_only_those(monkeypatch):
         " and (2*X1 - Y1 - 2 <= 0) and (X1^3 - 3*X1 + Y1 > 0)) or (X1 + 1/64 = 0)", R)
     plan = FiberPlan(free)
     b0s = [fiber_b0(plan, y, 1).b0 for y in ys]
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert [fiber_b0(FiberPlan(free), y, 1).b0 for y in ys] == b0s
-    assert len(calls) == 3 + 3 * len(ys)
+    assert len(calls) == 2 + 2 * len(ys)
     calls.clear()
     # the core of Y1*X1^2 + X1 changes with y, and is made again when a
     # sample comes back
@@ -523,6 +551,16 @@ def test_plan_keeps_the_cores_free_of_y1_and_only_those(monkeypatch):
     for y in ys + ys:
         fiber_b0(plan, y, 1)
     assert len(calls) == 1 + 2 * len(ys)
+
+
+def test_linear_atoms_build_no_core(monkeypatch):
+    """Atoms whose core at y is X1, also where a lead has Y1, give their
+    roots as thresholds: no _Core is made."""
+    made = _counting(monkeypatch, "_Core")
+    plan = FiberPlan(parse_formula(
+        "((X1 - Y1 >= 0) and (2*X1 - 3 <= 0)) or (Y1*X1 - 4 > 0)", R))
+    assert [fiber_b0(plan, y, 1).b0 for y in (1, 2, 0, -1)] == [2, 1, 1, 2]
+    assert made == []
 
 
 # -- the merge of the cores' roots, and cores without critical points ---
