@@ -422,9 +422,6 @@ class _Core:
     def crossings(self, entries):
         """The real roots of K - T, sorted, as _Root objects, where
         `entries` lists (P, atom indices) by ascending distinct T."""
-        if not self.crit:  # K rises on the whole line: one root per T
-            return [_Root(P, atoms, *self._piece_interval(0, P), P, True)
-                    for P, atoms in entries]
         value_signs = []  # sign of K - T at -oo, at each critical point, at +oo
         for P, _ in entries:
             shared = []

@@ -86,6 +86,8 @@ def parse_problem_file(text: str) -> ProblemFile:
                 name, _, val = part.partition("=")
                 if name not in ("m", "n"):
                     raise ProblemParseError(f"unknown vars field {name!r}", lineno)
+                if (m if name == "m" else n) is not None:
+                    raise ProblemParseError(f"repeated vars field {name!r}", lineno)
                 try:
                     count = int(val)
                 except ValueError:

@@ -7,6 +7,7 @@ ordered exactly as the strictly descending chain
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import combinations, product
@@ -158,16 +159,10 @@ class ClosedSetDescription:
 
 def all_sign_vectors(size: int, ell: int):
     """All sign vectors over `size` members with exactly `ell` zeros."""
-    if ell > size:
-        return
     for zeros in combinations(range(size), ell):
-        zero_set = set(zeros)
-        rest = [i for i in range(size) if i not in zero_set]
-        for signs in product((-1, 1), repeat=len(rest)):
-            vec = [0] * size
-            for i, s in zip(rest, signs):
-                vec[i] = s
-            yield tuple(vec)
+        for signs in product((-1, 1), repeat=size - ell):
+            rest = iter(signs)
+            yield tuple(0 if i in zeros else next(rest) for i in range(size))
 
 
 def construct_S_prime(sigma_set, base, ladder: EpsilonLadder) -> ClosedSetDescription:
@@ -225,48 +220,45 @@ def _level_induction(sigma_set, atoms: _Atoms):
 # per-base constraints intersect to an interval; an empty interval kills
 # the branch and dominated bounds are dropped.  This never changes the
 # described set: constraints on distinct base polynomials are left alone.
+#
+# An interval is (lo, hi) in bound codes over the ranks b of _ranked:
+# value >= b is lo = 2b, value > b is lo = 2b + 1, value <= b is hi = 2b
+# and value < b is hi = 2b - 1.  The tighter bound has the larger lo or the
+# smaller hi, and an interval is empty exactly when lo > hi.  The interval
+# of value REL b is 2b plus the offsets _CODES[rel].  No rank is negative
+# or near _FAR, so lo = -1 and hi = _FAR leave a value unbounded, and so
+# does an offset of -_FAR or _FAR on its side.
+
+_FAR = sys.maxsize
+_CODES = {">=": (0, _FAR), ">": (1, _FAR), "<=": (-_FAR, 0), "<": (-_FAR, -1),
+          "=": (0, 0)}
+
 
 class _Iv:
-    __slots__ = ("lo", "lo_s", "hi", "hi_s", "lo_atom", "hi_atom")
+    """A core's value interval, with the atom that set each end."""
 
-    def __init__(self):
-        self.lo = None
-        self.lo_s = False
-        self.hi = None
-        self.hi_s = False
-        self.lo_atom = None
-        self.hi_atom = None
+    __slots__ = ("lo", "hi", "lo_atom", "hi_atom")
+
+    def __init__(self, lo=-1, hi=_FAR, lo_atom=None, hi_atom=None):
+        self.lo, self.hi, self.lo_atom, self.hi_atom = lo, hi, lo_atom, hi_atom
 
     def copy(self):
-        c = _Iv()
-        c.lo, c.lo_s, c.hi, c.hi_s = self.lo, self.lo_s, self.hi, self.hi_s
-        c.lo_atom, c.hi_atom = self.lo_atom, self.hi_atom
-        return c
+        return _Iv(self.lo, self.hi, self.lo_atom, self.hi_atom)
 
     def tighten(self, rel, b, atom) -> bool:
-        changed = False
-        if rel in (">=", ">", "="):
-            strict = rel == ">"
-            if (self.lo is None or b > self.lo
-                    or (b == self.lo and strict and not self.lo_s)):
-                self.lo, self.lo_s, self.lo_atom = b, strict, atom
-                changed = True
-        if rel in ("<=", "<", "="):
-            strict = rel == "<"
-            if (self.hi is None or b < self.hi
-                    or (b == self.hi and strict and not self.hi_s)):
-                self.hi, self.hi_s, self.hi_atom = b, strict, atom
-                changed = True
+        lo, hi = _CODES[rel]
+        lo, hi, changed = 2 * b + lo, 2 * b + hi, False
+        if lo > self.lo:
+            self.lo, self.lo_atom, changed = lo, atom, True
+        if hi < self.hi:
+            self.hi, self.hi_atom, changed = hi, atom, True
         return changed
 
     def empty(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return False
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_s or self.hi_s)
+        return self.lo > self.hi
 
 
+_UNBOUNDED = _Iv()
 _ZERO = Q(0)
 
 
@@ -287,42 +279,15 @@ def _ranked(split):
 
 
 def _all_satisfy(iv: _Iv, rel, b) -> bool:
-    if rel in (">=", ">"):
-        if iv.lo is None:
-            return False
-        if iv.lo > b:
-            return True
-        if iv.lo == b:
-            return rel == ">=" or iv.lo_s
-        return False
-    if rel in ("<=", "<"):
-        if iv.hi is None:
-            return False
-        if iv.hi < b:
-            return True
-        if iv.hi == b:
-            return rel == "<=" or iv.hi_s
-        return False
-    return (iv.lo == b and iv.hi == b
-            and not iv.lo_s and not iv.hi_s)
+    """Every value of the non-empty iv satisfies value REL b."""
+    lo, hi = _CODES[rel]
+    return iv.lo >= 2 * b + lo and iv.hi <= 2 * b + hi
 
 
 def _none_satisfy(iv: _Iv, rel, b) -> bool:
-    if rel in (">=", ">"):
-        if iv.hi is None:
-            return False
-        if iv.hi < b:
-            return True
-        return iv.hi == b and (iv.hi_s or rel == ">")
-    if rel in ("<=", "<"):
-        if iv.lo is None:
-            return False
-        if iv.lo > b:
-            return True
-        return iv.lo == b and (iv.lo_s or rel == "<")
-    below = iv.lo is not None and (b < iv.lo or (b == iv.lo and iv.lo_s))
-    above = iv.hi is not None and (b > iv.hi or (b == iv.hi and iv.hi_s))
-    return below or above
+    """No value of the non-empty iv satisfies value REL b."""
+    lo, hi = _CODES[rel]
+    return 2 * b + lo > iv.hi or iv.lo > 2 * b + hi
 
 
 def simplify_shift_formula(formula):
@@ -370,8 +335,7 @@ def _prune(formula, ctx, splits):
             for c in children:
                 if isinstance(c, Atom):
                     core, b = splits[id(c)]
-                    iv = merged.get(core)
-                    iv = merged[core] = _Iv() if iv is None else iv.copy()
+                    iv = merged[core] = merged.get(core, _UNBOUNDED).copy()
                     if iv.tighten(c.rel, b, c):
                         local[core] = iv
                     elif core not in local:
@@ -395,16 +359,11 @@ def _prune(formula, ctx, splits):
                 new_others.append(sc)
             emitted = []
             for core, iv in local.items():
-                inherited = ctx.get(core)
-                if iv.lo_atom is not None and (
-                    inherited is None
-                    or (iv.lo, iv.lo_s) != (inherited.lo, inherited.lo_s)
-                ):
+                # an end that differs from the inherited one was set here
+                inherited = ctx.get(core, _UNBOUNDED)
+                if iv.lo != inherited.lo:
                     emitted.append(iv.lo_atom)
-                if iv.hi_atom is not None and iv.hi_atom is not iv.lo_atom and (
-                    inherited is None
-                    or (iv.hi, iv.hi_s) != (inherited.hi, inherited.hi_s)
-                ):
+                if iv.hi != inherited.hi and iv.hi_atom is not iv.lo_atom:
                     emitted.append(iv.hi_atom)
             next_children = emitted + new_others
             if not progressed and all(

@@ -390,13 +390,14 @@ def test_atlas_grid_mode_flag_and_options_exit_2(tmp_path, capsys):
     ("vars m=1 n=1\nvars m=1 n=2\npoly X1 - Y1\nsigma 0\n",
      "line 2: repeated vars line (the first is line 1)"),
     (QUADRIC + "option delta=1/32\noption delta=1/16\n", "line 5: repeated option 'delta'"),
+    ("vars m=2 m=1 n=1\npoly X1 - Y1\nsigma 0\n", "line 1: repeated vars field 'm'"),
 ], ids=["m-not-integer", "m-negative", "poly-zero-denominator",
         "formula-zero-denominator", "unknown-option", "boxed-not-boolean",
         "poly-bad-character", "poly-bad-operator", "formula-parenthesised-cause",
         "formula-parenthesised-bad-character", "formula-parenthesised-polynomial",
         "no-sigma-no-formula", "empty-formula", "formula-relation", "poly-text-order",
         "poly-variable", "formula-variable", "repeated-formula", "repeated-vars",
-        "repeated-option"])
+        "repeated-option", "repeated-vars-field"])
 def test_atlas_malformed_problem_exits_2(tmp_path, capsys, text, message):
     problem = _write(tmp_path, "bad.txt", text)
     assert main(["atlas", problem]) == 2

@@ -1,7 +1,8 @@
 """Static checks on the package source, using only the stdlib `ast`.
 
 - every module-level private function or class is referenced somewhere
-  in the package outside its own body (no dead helpers);
+  in the package outside its own body (no dead helpers), and so is every
+  module-level private constant outside its own assignment;
 - no float literal and no float(...) call appears anywhere, since every
   decision is made in exact rational arithmetic.
 """
@@ -28,7 +29,20 @@ def _names_used(node):
             yield sub.name
 
 
-def test_private_module_level_definitions_are_used():
+def _defined(node):
+    """The names a module-level statement binds: a function or class
+    name, or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _unreferenced_private(kinds):
+    """Private module-level names bound by statements of `kinds` that no
+    code refers to outside the statement itself."""
     modules = _modules()
     total = Counter()
     for tree in modules.values():
@@ -36,15 +50,25 @@ def test_private_module_level_definitions_are_used():
     unused = []
     for fname, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, kinds):
                 continue
-            name = node.name
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            inside = sum(1 for n in _names_used(node) if n == name)
-            if total[name] == inside:
-                unused.append(f"{fname}:{node.lineno} {name}")
+            for name in _defined(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                inside = sum(1 for n in _names_used(node) if n == name)
+                if total[name] == inside:
+                    unused.append(f"{fname}:{node.lineno} {name}")
+    return unused
+
+
+def test_private_module_level_definitions_are_used():
+    unused = _unreferenced_private((ast.FunctionDef, ast.ClassDef))
     assert not unused, "private definitions with no reference: " + ", ".join(unused)
+
+
+def test_private_module_level_constants_are_used():
+    unused = _unreferenced_private((ast.Assign, ast.AnnAssign))
+    assert not unused, "private constants with no reference: " + ", ".join(unused)
 
 
 def test_no_floating_point_in_source():

@@ -2,6 +2,7 @@
 import hashlib
 import random
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ from fiberatlas.perturb import (
     all_sign_vectors,
     _REMOVAL,
     _Atoms,
+    _Iv,
+    _all_satisfy,
+    _none_satisfy,
     _level_induction,
     _member_atoms,
     _thickening,
@@ -236,6 +240,57 @@ def test_simplify_keeps_a_flat_or_of_atoms_as_the_same_object():
     """Nothing to prune and nothing to flatten: no `or` is rebuilt."""
     formula = Or((Atom(P("X1 - Y1"), ">"), Atom(P("X1 + 1"), "<"), Atom(P("X1"), "=")))
     assert simplify_shift_formula(formula) is formula
+
+
+# Bound ranks 0-3 and values that tell every interval over them apart.
+_RANKS = range(4)
+_VALUES = [Q(k, 2) for k in range(-1, 8)]
+_OPS = {"<": Q.__lt__, "<=": Q.__le__, ">": Q.__gt__, ">=": Q.__ge__, "=": Q.__eq__}
+
+
+def _intervals():
+    """Every interval from at most one lower and one upper constraint over
+    the ranks, as (constraints, _Iv), the empty ones included."""
+    lowers = [()] + [((rel, b),) for rel in (">=", ">") for b in _RANKS]
+    uppers = [()] + [((rel, b),) for rel in ("<=", "<") for b in _RANKS]
+    for lower, upper in product(lowers, uppers):
+        iv = _Iv()
+        for rel, b in lower + upper:
+            iv.tighten(rel, b, object())
+        yield lower + upper, iv
+
+
+def _members(constraints):
+    return {v for v in _VALUES if all(_OPS[rel](v, b) for rel, b in constraints)}
+
+
+def test_bound_decisions_agree_with_brute_force():
+    nonempty = 0
+    for constraints, iv in _intervals():
+        members = _members(constraints)
+        assert iv.empty() == (not members), constraints
+        if not members:
+            continue
+        nonempty += 1
+        for rel, b in product(_OPS, _RANKS):
+            held = {v for v in members if _OPS[rel](v, b)}
+            case = (constraints, rel, b)
+            assert _all_satisfy(iv, rel, b) == (held == members), case
+            assert _none_satisfy(iv, rel, b) == (not held), case
+    assert nonempty == 45  # of 81 interval shapes
+
+
+def test_tighten_reports_a_change_exactly_when_the_interval_shrinks():
+    for constraints, _ in _intervals():
+        members = _members(constraints)
+        if not members:
+            continue
+        for rel, b in product(_OPS, _RANKS):
+            iv = _Iv()
+            for r, c in constraints:
+                iv.tighten(r, c, object())
+            shrunk = _members(constraints + ((rel, b),)) < members
+            assert iv.tighten(rel, b, object()) == shrunk, (constraints, rel, b)
 
 
 def test_closed_rewrite_agrees_at_small_delta():
